@@ -420,7 +420,6 @@ def write_manifests(
                 "command": "bench-serve",
                 "n": row["n"],
                 "solver": "nested",
-                "backend": "numpy",
                 "status": "ok",
             },
             extra={"bench": "serve"},

@@ -4,9 +4,8 @@ Times full nested solves (noise-free data, so convergence behavior is
 deterministic) through the fast path — cached Laplacian Cholesky
 factorizations, batched multi-RHS drives, blocked Jacobian assembly,
 refined direct Gauss–Newton steps — against the retained historical
-reference solver (:func:`repro.core.solver.solve_nested_reference`),
-and checks numpy/compiled backend parity on the same data.  Writes a
-machine-readable JSON report.
+reference solver (:func:`tests.oracles.solver_reference.solve_nested_reference`).
+Writes a machine-readable JSON report.
 
 The acceptance bar for the fast path is a >= 3x full-solve speedup at
 n = 60 and an n = 100 solve inside the 300 s budget.  The reference
@@ -29,15 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+# The reference solver is a test oracle under tests/, not a src/ module.
+sys.path.insert(0, str(_ROOT))
 
-from repro.core.solver import (  # noqa: E402
-    solve_nested,
-    solve_nested_reference,
-)
-from repro.core.solver_backends import backend_status  # noqa: E402
+from repro.core.solver import solve_nested  # noqa: E402
 from repro.kirchhoff import forward  # noqa: E402
 from repro.observe.observer import Observer  # noqa: E402
+from tests.oracles.solver_reference import solve_nested_reference  # noqa: E402
 
 #: Largest device side the legacy reference solver is timed at.
 REFERENCE_SIZE_CAP = 60
@@ -52,10 +51,10 @@ def _device(n: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
     return r_true, forward.measure(r_true)
 
 
-def _timed_solve(z: np.ndarray, backend: str) -> tuple[float, object, dict]:
+def _timed_solve(z: np.ndarray) -> tuple[float, object, dict]:
     obs = Observer()
     start = time.perf_counter()
-    result = solve_nested(z, backend=backend, observer=obs)
+    result = solve_nested(z, observer=obs)
     elapsed = time.perf_counter() - start
     hist = obs.metrics.snapshot().get("solver.iteration.seconds", {})
     return elapsed, result, hist
@@ -70,34 +69,19 @@ def bench_size(n: int, with_reference: bool) -> dict:
 
     # Cold: every Laplacian factorization is built from scratch.
     forward.clear_laplacian_cache()
-    cold_s, cold, cold_hist = _timed_solve(z, backend="numpy")
+    cold_s, cold, cold_hist = _timed_solve(z)
     cold_stats = forward.laplacian_cache_stats()
     # Warm: the iterate sequence is identical, so every factor hits.
-    warm_s, warm, warm_hist = _timed_solve(z, backend="numpy")
+    warm_s, warm, warm_hist = _timed_solve(z)
     warm_stats = forward.laplacian_cache_stats()
     if not np.array_equal(cold.r_estimate, warm.r_estimate):
         raise RuntimeError(f"warm-cache solve diverged at n={n}")
-
-    # Backend parity on the warm cache.  Without numba the compiled
-    # request falls back to numpy (bit-identical by construction);
-    # with numba the parity bar is the suite's 1e-12.
-    comp_s, comp, _ = _timed_solve(z, backend="compiled")
-    parity = _max_rel(comp.r_estimate, warm.r_estimate)
-    if comp.iterations != warm.iterations or parity > 1e-12:
-        raise RuntimeError(
-            f"backend parity violated at n={n}: "
-            f"{comp.iterations} vs {warm.iterations} iterations, "
-            f"max rel {parity:.3e}"
-        )
 
     row = {
         "n": n,
         "unknowns": n * n,
         "fast_cold_seconds": cold_s,
         "fast_warm_seconds": warm_s,
-        "compiled_seconds": comp_s,
-        "compiled_backend_used": comp.backend,
-        "backend_parity_max_rel": parity,
         "iterations": cold.iterations,
         "iteration_seconds_mean": (
             cold_hist.get("sum", 0.0) / cold_hist["count"]
@@ -153,14 +137,12 @@ def run_benchmark(sizes: list[int]) -> dict:
         "description": (
             "nested variable-projection solve, fast path (cached "
             "Cholesky factors, batched drives, blocked Jacobian, "
-            "refined direct steps) vs retained reference solver; "
-            "numpy vs compiled backend parity checked per size"
+            "refined direct steps) vs retained reference solver"
         ),
         "seed": 7,
         "target_speedup_at_n60": 3.0,
         "n100_budget_seconds": N100_BUDGET_SECONDS,
         "reference_size_cap": REFERENCE_SIZE_CAP,
-        "backend_status": backend_status(),
         "sizes": rows,
     }
 
@@ -192,7 +174,6 @@ def write_manifests(
                 "command": "bench-solver",
                 "n": row["n"],
                 "solver": "nested",
-                "backend": "numpy",
                 "status": "ok" if row["converged"] else "unconverged",
             },
             extra={"bench": "solver"},

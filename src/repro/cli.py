@@ -236,7 +236,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         num_workers=args.workers,
         solver=args.solver,
-        backend=args.backend,
         threshold_sigmas=args.threshold,
         formation=args.formation,
         validate=args.validate,
@@ -255,7 +254,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "workers": args.workers,
         "solver": args.solver,
-        "backend": args.backend,
         "formation": args.formation,
         "validate": args.validate,
     }
@@ -346,7 +344,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     engine = ParmaEngine(
         strategy=args.strategy,
         num_workers=args.workers,
-        backend=args.backend,
         threshold_sigmas=args.threshold,
         formation=args.formation,
         retry=retry,
@@ -359,7 +356,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "workers": args.workers,
         "formation": args.formation,
-        "backend": args.backend,
         "warm_start": not args.no_warm_start,
     }
     memory = None
@@ -1373,19 +1369,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # all_cache_stats() is the same single source the run manifest's
     # cache gauges are mirrored from, so both surfaces always agree.
     print(cache_stats_table(all_cache_stats()).render())
-    from repro.core.solver_backends import backend_status
-
-    status = backend_status()
-    numba_note = (
-        f"numba {status['numba_version']}"
-        if status["numba_available"]
-        else "numba absent -> compiled requests fall back to numpy"
-    )
-    print("solver backends:")
-    print(
-        f"  modes: {', '.join(status['modes'])} "
-        f"(default {status['default']}); {numba_note}"
-    )
     from repro.resilience.degrade import LADDER_RUNGS
 
     print("resilience:")
@@ -1593,7 +1576,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             hour=meas.hour,
             solver=args.solver,
             formation=args.formation,
-            backend=args.backend,
             threshold_sigmas=args.threshold,
             validate=args.validate,
             deadline=args.deadline,
@@ -1713,7 +1695,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
         return 0
     table = ResultTable(
         f"runs ({len(rows)} shown, newest first)",
-        ("run", "kind", "status", "n", "backend", "rung", "started",
+        ("run", "kind", "status", "n", "solver", "rung", "started",
          "wall s", "solve s", "bench"),
     )
     for row in rows:
@@ -1727,7 +1709,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             row["kind"],
             row["status"],
             row["n"] if row["n"] is not None else "-",
-            row["backend"] or "-",
+            row["solver"] or "-",
             row["rung_name"] if row["degradation_rung"] else "-",
             started,
             f"{row['wall_seconds']:.3f}" if row["wall_seconds"] else "-",
@@ -1761,7 +1743,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     print(f"run {run['run_id']} [{run['kind']}] status={run['status']}")
     knobs = ", ".join(
         f"{key}={run[key]}"
-        for key in ("n", "hour", "strategy", "workers", "solver", "backend",
+        for key in ("n", "hour", "strategy", "workers", "solver",
                     "formation", "validate", "timepoints")
         if run[key] is not None
     )
@@ -2025,10 +2007,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["nested", "full", "regularized", "bounded"])
     p_solve.add_argument("--lam", type=float, default=1e-3,
                          help="Tikhonov weight for --solver regularized")
-    p_solve.add_argument("--backend", default="numpy",
-                         choices=["numpy", "compiled"],
-                         help="solver compute backend (compiled = numba "
-                              "kernels; falls back to numpy when absent)")
     p_solve.add_argument("--validate", default="strict",
                          choices=["strict", "repair", "off"],
                          help="measurement boundary policy: reject bad "
@@ -2062,10 +2040,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["cached", "legacy"],
                        help="equation-formation path (template cache "
                             "or per-pair reference)")
-    p_mon.add_argument("--backend", default="numpy",
-                       choices=["numpy", "compiled"],
-                       help="solver compute backend (compiled = numba "
-                            "kernels; falls back to numpy when absent)")
     p_mon.add_argument("--threshold", type=float, default=3.0)
     p_mon.add_argument("--growth", type=float, default=0.25,
                        help="relative growth flag level")
@@ -2262,10 +2236,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["cached", "legacy"],
                        help="equation-formation path; also the batching "
                             "compatibility key together with n")
-    p_sub.add_argument("--backend", default="numpy",
-                       choices=["numpy", "compiled"],
-                       help="solver compute backend; part of the batching "
-                            "compatibility key")
     p_sub.add_argument("--threshold", type=float, default=3.0,
                        help="anomaly threshold in robust sigmas")
     p_sub.add_argument("--validate", default="strict",
@@ -2388,7 +2358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_db(p_rstats)
     _add_filters(p_rstats)
-    p_rstats.add_argument("--group-by", default="n,backend", metavar="COLS",
+    p_rstats.add_argument("--group-by", default="n,solver", metavar="COLS",
                           help="comma-separated runs columns to group by")
     p_rstats.add_argument("--metric", default="solve_seconds",
                           help="runs column to aggregate "

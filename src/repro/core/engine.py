@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.anomaly.detect import DetectionResult, detect_anomalies
 from repro.core.solver import SolveResult, solve
-from repro.core.solver_backends import check_backend_mode
 from repro.core.strategies import FormationReport, make_strategy
 from repro.mea.dataset import Measurement, repair_z, validate_z
 from repro.observe.observer import as_observer
@@ -103,11 +102,6 @@ class ParmaEngine:
         ``single``; forced to 4 by ``parallel``).
     solver:
         ``"nested"`` (recommended) or ``"full"``.
-    backend:
-        Solver compute backend: ``"numpy"`` (default) or
-        ``"compiled"`` (numba-jit dense kernels; bit-identical
-        results, degrades to numpy with a recorded metric when numba
-        is absent — see :mod:`repro.core.solver_backends`).
     threshold_sigmas / min_region_size:
         Anomaly-detection knobs (see :mod:`repro.anomaly.detect`).
     formation:
@@ -159,7 +153,6 @@ class ParmaEngine:
         strategy: str = "pymp",
         num_workers: int = 4,
         solver: str = "nested",
-        backend: str = "numpy",
         threshold_sigmas: float = 4.0,
         min_region_size: int = 1,
         formation: str = "cached",
@@ -176,7 +169,6 @@ class ParmaEngine:
         self._strategy = make_strategy(strategy, num_workers, formation=formation)
         self.formation = self._strategy.formation
         self.solver = solver
-        self.backend = check_backend_mode(backend)
         self.threshold_sigmas = threshold_sigmas
         self.min_region_size = min_region_size
         self.degradation = bool(degradation)
@@ -362,7 +354,6 @@ class ParmaEngine:
             "solve",
             n=n,
             method=self.solver,
-            backend=self.backend,
             degradation=self.degradation,
         ):
             if self.degradation:
@@ -370,7 +361,6 @@ class ParmaEngine:
                     measurement.z_kohm,
                     voltage=measurement.voltage,
                     method=self.solver,
-                    backend=self.backend,
                     solver_kwargs=solver_kwargs,
                     faults=self._injector,
                     observer=obs,
@@ -380,7 +370,6 @@ class ParmaEngine:
                     measurement.z_kohm,
                     voltage=measurement.voltage,
                     method=self.solver,
-                    backend=self.backend,
                     observer=obs,
                     **(solver_kwargs or {}),
                 )

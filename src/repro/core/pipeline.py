@@ -116,7 +116,6 @@ def run_pipeline(
     growth_threshold: float = 0.25,
     warm_start: bool = True,
     formation: str = "cached",
-    backend: str = "numpy",
     checkpoint_dir: str | Path | None = None,
     resume: bool = True,
     faults=None,
@@ -141,9 +140,7 @@ def run_pipeline(
 
     ``formation`` selects the equation-formation path for the default
     engine ("cached" template fast path or the "legacy" per-pair
-    reference) and ``backend`` its solver compute backend
-    (``"numpy"``/``"compiled"``); both are ignored when an ``engine``
-    is supplied.
+    reference); it is ignored when an ``engine`` is supplied.
 
     With ``checkpoint_dir`` set, each completed timepoint is persisted
     (field + metadata, atomically, digest-protected) to a
@@ -177,7 +174,7 @@ def run_pipeline(
     (checkpointed ones included), so callers salvage instead of
     discard.
     """
-    engine = engine or ParmaEngine(formation=formation, backend=backend)
+    engine = engine or ParmaEngine(formation=formation)
     obs = as_observer(observer)
     if observer is not None:
         engine.observer = observer

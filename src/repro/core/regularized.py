@@ -27,8 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.solver import SolveResult, _scaled_jacobian, predict_z
-from repro.core.solver_backends import resolve_backend
 from repro.utils.validation import require_positive_array
+
+#: Stationarity floor for a stalled solve: when no damped step lowers
+#: the cost and ``max|grad| <= _STALL_GRAD_FLOOR * cost``, the solve
+#: reports converged.  Measured on noise-free n = 8 campaigns at
+#: λ = 1e-3, stalls sit at ``max|grad|/cost <= 2.4e-8``, where the
+#: Gauss–Newton model's predicted decrease ``½ gᵀ(JᵀJ)⁻¹g`` is already
+#: below the cost's float64 resolution ``eps·cost``; four iterations
+#: short of the optimum the ratio is still ~1e-3.
+_STALL_GRAD_FLOOR = 1e-6
 
 
 def log_laplacian_operator(m: int, n: int) -> np.ndarray:
@@ -68,7 +76,6 @@ def solve_regularized(
     r0: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int = 100,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Smoothness-regularized variable-projection solve.
@@ -78,14 +85,19 @@ def solve_regularized(
     ``"regularized"``.
 
     The data block of the stacked system ``[J_data; √λ L]`` is
-    assembled by the backend's blocked/compiled kernel with the
-    row scaling fused in (:mod:`repro.core.solver_backends`) — bit
-    identical to the historical two-pass assembly, so the Levenberg
-    trajectory is unchanged.  The normal equations deliberately stay
+    assembled by the solver's blocked kernel with the row scaling
+    fused in — bit identical to the historical two-pass assembly, so
+    the Levenberg trajectory is unchanged.  The normal equations
+    deliberately stay
     in stacked form: splitting them as ``J_dataᵀJ_data + λ LᵀL``
     perturbs the last bits of ``JᵀJ``, and near the optimum the
     accept-on-cost-decrease test resolves below double precision, so
     last-bit perturbations flip razor-edge convergence verdicts.
+
+    Convergence is ``max|grad| < tol``, a negligible accepted step, or
+    — when no damped step lowers the cost — a gradient within
+    :data:`_STALL_GRAD_FLOOR` of the cost: at that point no
+    cost-decreasing step exists in float64.
     """
     from repro.observe.observer import as_observer
 
@@ -93,7 +105,6 @@ def solve_regularized(
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     obs = as_observer(observer)
-    backend = resolve_backend(backend, obs)
     m, n = z.shape
     start = time.perf_counter()
     if r0 is None:
@@ -117,7 +128,7 @@ def solve_regularized(
     converged = False
     for iterations in range(1, max_iter + 1):
         iter_start = time.perf_counter()
-        jac_data = _scaled_jacobian(r_cur, z, backend)
+        jac_data = _scaled_jacobian(r_cur, z)
         jac = np.concatenate([jac_data, sqrt_lam * lop], axis=0)
         full_res = np.concatenate([res, prior])
         grad = jac.T @ full_res
@@ -149,6 +160,7 @@ def solve_regularized(
             "solver.iteration.seconds", time.perf_counter() - iter_start
         )
         if not accepted:
+            converged = bool(np.max(np.abs(grad)) <= _STALL_GRAD_FLOOR * cost)
             break
         if np.max(np.abs(step)) < 1e-14:
             converged = True
@@ -160,7 +172,6 @@ def solve_regularized(
         residual_norm=float(np.linalg.norm(res)),
         elapsed_seconds=time.perf_counter() - start,
         converged=converged,
-        backend=backend,
     )
 
 

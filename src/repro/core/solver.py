@@ -39,11 +39,10 @@ exhausts does the solver assemble the Levenberg normal equations as a
 rescue, with the damping ridge hoisted out of the retry loop and
 applied to the diagonal in place.
 
-Both dense kernels (Jacobian assembly, JᵀJ/grad) run behind the
-``backend="numpy"|"compiled"`` knob of
-:mod:`repro.core.solver_backends`; the two backends are bit-identical
-by construction, and a missing numba degrades to numpy with a
-recorded metric, never an error.
+The Jacobian is assembled in row blocks over measurement pairs so the
+O(n⁴) transfer tensor never materialises at once (see
+:func:`_jacobian_row_block`); at ``n = 100`` peak extra memory is one
+~64 MB block instead of an 800 MB tensor.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ import scipy.linalg
 import scipy.optimize
 
 from repro.core.residual import JointSystem
-from repro.core.solver_backends import (
-    fused_jtj_grad,
-    resolve_backend,
-    transfer_jacobian,
-)
 from repro.kirchhoff.forward import (
     effective_resistance_matrix,
     laplacian_factor_cached,
@@ -78,15 +72,16 @@ _REFINE_LIMIT = 1e-10
 _REFINE_SWEEPS = 6
 #: Maximum step halvings in the backtracking line search.
 _LINESEARCH_HALVINGS = 20
+#: Target bytes for one Jacobian assembly row block: the blocked
+#: kernel's peak intermediate is one ``(block, n, n, n)`` float64
+#: tensor, so ``block = TARGET / (8 n³)`` keeps assembly under ~64 MB
+#: of scratch at any device size.
+JACOBIAN_BLOCK_TARGET_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an R-recovery solve.
-
-    ``backend`` records the compute backend that actually executed
-    (``"numpy"`` after a compiled-requested-but-unavailable fallback).
-    """
+    """Outcome of an R-recovery solve."""
 
     r_estimate: np.ndarray
     method: str
@@ -94,7 +89,6 @@ class SolveResult:
     residual_norm: float
     elapsed_seconds: float
     converged: bool
-    backend: str = "numpy"
 
     def max_relative_error(self, r_true: np.ndarray) -> float:
         r_true = np.asarray(r_true, dtype=np.float64)
@@ -120,42 +114,62 @@ def nested_jacobian(r: np.ndarray) -> np.ndarray:
 
     Assembly is blocked over measurement-pair rows so the O(n⁴)
     transfer tensor never materialises at once (peak scratch one
-    ~64 MB block; see
-    :func:`repro.core.solver_backends.jacobian_row_block`) — values
-    are bit-identical to the historical full-broadcast expression.
+    ~64 MB block; see :func:`_jacobian_row_block`) — values are
+    bit-identical to the full-broadcast expression.
     """
     r = require_positive_array(r, "r")
     # Cached: within one Gauss-Newton iteration the residual already
     # factorised this same field, so this is usually a cache hit.
     pinv = laplacian_pinv_cached(r)
-    return transfer_jacobian(pinv, r)
+    return _transfer_jacobian(pinv, r)
 
 
-def nested_jacobian_reference(r: np.ndarray) -> np.ndarray:
-    """The historical one-shot broadcast Jacobian (benchmarks/tests).
+def _jacobian_row_block(m: int, n: int) -> int:
+    """Rows of measurement pairs per Jacobian assembly block.
 
-    Materialises the full O(n⁴) ``transfer`` tensor at once — kept as
-    the bit-parity reference for the blocked/compiled kernels and as
-    the pre-fast-path baseline for ``benchmarks/bench_solver.py``.
+    One block holds ``block * n * m * n`` float64 transfer values;
+    this picks the largest block under
+    :data:`JACOBIAN_BLOCK_TARGET_BYTES` (always at least one row).
     """
-    r = require_positive_array(r, "r")
+    per_row = 8 * n * m * n
+    return int(np.clip(JACOBIAN_BLOCK_TARGET_BYTES // max(1, per_row), 1, m))
+
+
+def _transfer_jacobian(
+    pinv: np.ndarray, r: np.ndarray, z: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense ``∂Z_st/∂θ_ab`` from the Laplacian pseudo-inverse.
+
+    With the transfer potential
+    ``T = P[Hs,Ha] - P[Hs,Vb] - P[Vt,Ha] + P[Vt,Vb]`` each entry is
+    ``T² / R_ab``; when ``z`` is given every row ``(s, t)`` is
+    additionally divided by ``z[s, t]`` (the relative-residual scaling
+    fused into assembly instead of a second full-matrix pass).
+    """
     m, n = r.shape
-    pinv = laplacian_pinv_cached(r)
-    hh = pinv[:m, :m]  # P[H_s, H_a]
-    hv = pinv[:m, m:]  # P[H_s, V_b]
-    vv = pinv[m:, m:]  # P[V_t, V_b]
-    # t[s, t, a, b] = P[Hs,Ha] - P[Hs,Vb] - P[Vt,Ha] + P[Vt,Vb]
-    transfer = (
-        hh[:, None, :, None]
-        - hv[:, None, None, :]
-        - hv.T[None, :, :, None]
-        + vv[None, :, None, :]
-    )
-    jac = transfer**2 / r[None, None, :, :]
-    return jac.reshape(m * n, m * n)
+    hh = pinv[:m, :m]
+    hv = pinv[:m, m:]
+    vv = pinv[m:, m:]
+    out = np.empty((m * n, m * n), dtype=np.float64)
+    hvt = hv.T
+    block = _jacobian_row_block(m, n)
+    for s0 in range(0, m, block):
+        s1 = min(s0 + block, m)
+        t = (
+            hh[s0:s1, None, :, None]
+            - hv[s0:s1, None, None, :]
+            - hvt[None, :, :, None]
+            + vv[None, :, None, :]
+        )
+        np.multiply(t, t, out=t)
+        t /= r[None, None, :, :]
+        if z is not None:
+            t /= z[s0:s1, :, None, None]
+        out[s0 * n : s1 * n] = t.reshape((s1 - s0) * n, m * n)
+    return out
 
 
-def _scaled_jacobian(r: np.ndarray, z: np.ndarray, backend: str) -> np.ndarray:
+def _scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The relative-residual Jacobian ``nested_jacobian(r) / z`` rows.
 
     The per-row ``1/z_st`` scaling is fused into the blocked assembly
@@ -164,7 +178,7 @@ def _scaled_jacobian(r: np.ndarray, z: np.ndarray, backend: str) -> np.ndarray:
     the residual evaluation left in the cache.
     """
     pinv = laplacian_factor_cached(r).pinv
-    return transfer_jacobian(pinv, r, z=z, backend=backend)
+    return _transfer_jacobian(pinv, r, z=z)
 
 
 def _gn_step(jac: np.ndarray, rhs: np.ndarray, obs) -> np.ndarray | None:
@@ -215,7 +229,6 @@ def solve_nested(
     r0: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int = 100,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Variable-projection solve of Z(R) = Z_measured.
@@ -232,7 +245,6 @@ def solve_nested(
     z = require_positive_array(z, "z")
     require_positive(voltage, "voltage")
     obs = as_observer(observer)
-    backend = resolve_backend(backend, obs)
     m, n = z.shape
     start = time.perf_counter()
     if r0 is None:
@@ -269,7 +281,7 @@ def solve_nested(
             converged = True
             break
         iter_start = time.perf_counter()
-        jac = _scaled_jacobian(r_cur, z, backend)
+        jac = _scaled_jacobian(r_cur, z)
         step = _gn_step(jac, -res, obs)
         accepted_step = None
         if step is not None:
@@ -285,7 +297,7 @@ def solve_nested(
                 alpha *= 0.5
         if accepted_step is None:
             obs.count("solver.gn.lm_rescues")
-            rescue = _lm_rescue(jac, res, theta, cost, cost_and_res, backend)
+            rescue = _lm_rescue(jac, res, theta, cost, cost_and_res)
             if rescue is not None:
                 accepted_step, cost, res, r_cur, theta = rescue
         obs.observe_hist(
@@ -305,11 +317,10 @@ def solve_nested(
         residual_norm=float(np.linalg.norm(res)),
         elapsed_seconds=time.perf_counter() - start,
         converged=converged,
-        backend=backend,
     )
 
 
-def _lm_rescue(jac, res, theta, cost, cost_and_res, backend):
+def _lm_rescue(jac, res, theta, cost, cost_and_res):
     """Levenberg fallback when the GN direction yields no decrease.
 
     Assembles the normal equations lazily (only this path pays the
@@ -318,7 +329,10 @@ def _lm_rescue(jac, res, theta, cost, cost_and_res, backend):
     historical ``jtj + lam·diag(diag(jtj)) + 1e-300·I`` expression,
     without re-allocating two dense n²×n² matrices per retry.
     """
-    jtj, grad = fused_jtj_grad(jac, res, backend)
+    # Contiguous transpose, then gemm: a fresh ``jtj`` the damping
+    # ridge may overwrite in place.
+    jt = jac.T.copy()
+    jtj, grad = np.dot(jt, jac), np.dot(jt, res)
     diag_base = np.diag(jtj).copy()
     diag_idx = np.diag_indices_from(jtj)
     lam = 1e-4
@@ -336,100 +350,22 @@ def _lm_rescue(jac, res, theta, cost, cost_and_res, backend):
     return None
 
 
-def solve_nested_reference(
-    z: np.ndarray,
-    voltage: float = 5.0,
-    r0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> SolveResult:
-    """The pre-fast-path damped Gauss–Newton solver, kept verbatim.
-
-    Normal-equation Levenberg–Marquardt over the full-broadcast
-    Jacobian — the baseline ``benchmarks/bench_solver.py`` measures
-    speedups against, and the behavioural reference the regression
-    suite compares :func:`solve_nested` recoveries to.  Not wired into
-    any production path.
-    """
-    z = require_positive_array(z, "z")
-    require_positive(voltage, "voltage")
-    m, n = z.shape
-    start = time.perf_counter()
-    if r0 is None:
-        r_unif = float(np.median(z) * m * n / (m + n - 1))
-        r0 = np.full((m, n), r_unif)
-    theta = np.log(require_positive_array(r0, "r0")).ravel()
-    z_flat = z.ravel()
-
-    def cost_and_res(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        r = np.exp(th).reshape(m, n)
-        pred = predict_z(r).ravel()
-        res = (pred - z_flat) / z_flat
-        return 0.5 * float(res @ res), res, r
-
-    cost, res, r_cur = cost_and_res(theta)
-    iterations = 0
-    converged = False
-    lam = 0.0  # Levenberg damping, raised on rejected steps
-    for iterations in range(1, max_iter + 1):
-        jac = nested_jacobian_reference(r_cur) / z_flat[:, None]
-        grad = jac.T @ res
-        if np.max(np.abs(res)) < tol:
-            converged = True
-            break
-        jtj = jac.T @ jac
-        step = None
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(
-                    jtj + lam * np.diag(np.diag(jtj)) + 1e-300 * np.eye(len(grad)),
-                    -grad,
-                )
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-8)
-                continue
-            new_cost, new_res, new_r = cost_and_res(theta + step)
-            if new_cost < cost:
-                theta = theta + step
-                cost, res, r_cur = new_cost, new_res, new_r
-                lam = lam / 3.0 if lam > 1e-12 else 0.0
-                break
-            lam = max(lam * 10.0, 1e-8)
-        else:
-            break  # no acceptable step found
-        if step is not None and np.max(np.abs(step)) < 1e-15:
-            converged = True
-            break
-    if np.max(np.abs(res)) < tol:
-        converged = True
-    return SolveResult(
-        r_estimate=r_cur,
-        method="nested",
-        iterations=iterations,
-        residual_norm=float(np.linalg.norm(res)),
-        elapsed_seconds=time.perf_counter() - start,
-        converged=converged,
-    )
-
-
 def solve_full(
     z: np.ndarray,
     voltage: float = 5.0,
     r0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_nfev: int = 60,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Joint solve over (θ, Ua, Ub) — the paper's literal formulation.
 
     Trust-region reflective least squares with the analytic sparse
     Jacobian; ``tr_solver='lsmr'`` keeps memory at the Jacobian's
-    O(n^4) nonzeros.  The ``backend`` knob is accepted for interface
-    symmetry but has no effect: this path is sparse end to end and
-    never assembles the dense kernels the knob selects.
+    O(n^4) nonzeros.  ``observer`` is accepted so :func:`solve` can
+    dispatch uniformly; this path records no solver metrics.
     """
-    del backend, observer  # sparse path: no dense kernels to select
+    del observer
     z = require_positive_array(z, "z")
     if z.shape[0] != z.shape[1]:
         raise ValueError("full solver requires a square device")
@@ -466,7 +402,6 @@ def solve_bounded(
     tol: float = 1e-10,
     max_nfev: int = 200,
     spread: float = 6.0,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Box-bounded trust-region solve on ``θ = log R`` (safety net).
@@ -479,13 +414,12 @@ def solve_bounded(
     estimate (±``spread`` natural-log units ≈ a factor ``e^spread`` in
     resistance, generous for any physical device).  Slower and less
     accurate than :func:`solve_nested`, but it always returns a finite
-    field.
+    field.  ``observer`` is accepted so :func:`solve` can dispatch
+    uniformly; this path records no solver metrics.
     """
-    from repro.observe.observer import as_observer
-
+    del observer
     z = require_positive_array(z, "z")
     require_positive(voltage, "voltage")
-    backend = resolve_backend(backend, as_observer(observer))
     m, n = z.shape
     start = time.perf_counter()
     theta_unif = float(np.log(np.median(z) * m * n / (m + n - 1)))
@@ -506,7 +440,7 @@ def solve_bounded(
 
     def jacobian(th: np.ndarray) -> np.ndarray:
         r = np.exp(th).reshape(m, n)
-        return _scaled_jacobian(require_positive_array(r, "r"), z, backend)
+        return _scaled_jacobian(require_positive_array(r, "r"), z)
 
     result = scipy.optimize.least_squares(
         residual,
@@ -527,7 +461,6 @@ def solve_bounded(
         residual_norm=float(np.linalg.norm(result.fun)),
         elapsed_seconds=time.perf_counter() - start,
         converged=bool(result.success) and bool(np.all(np.isfinite(r_est))),
-        backend=backend,
     )
 
 
@@ -535,7 +468,6 @@ def solve(
     z: np.ndarray,
     voltage: float = 5.0,
     method: str = "nested",
-    backend: str = "numpy",
     observer=None,
     **kwargs,
 ) -> SolveResult:
@@ -545,29 +477,26 @@ def solve(
     ``"regularized"`` (Tikhonov-smoothed nested; pass ``lam=...``,
     default 1e-3 — see :mod:`repro.core.regularized`), or ``"bounded"``
     (box-constrained trust region, the degradation ladder's safety
-    net).  ``backend`` selects the dense-kernel implementation
-    (``"numpy"``/``"compiled"``; see
-    :mod:`repro.core.solver_backends`) and threads to every method —
-    the sparse ``"full"`` solver accepts and ignores it.
+    net).
     """
     if method == "nested":
         return solve_nested(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "full":
         return solve_full(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "regularized":
         from repro.core.regularized import solve_regularized
 
         kwargs.setdefault("lam", 1e-3)
         return solve_regularized(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "bounded":
         return solve_bounded(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     raise ValueError(
         f"unknown method {method!r}; use 'nested', 'full', 'regularized' "

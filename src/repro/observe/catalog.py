@@ -168,6 +168,8 @@ def flatten_manifest(manifest: dict, source_path: str | None = None) -> dict:
         "strategy": config.get("strategy"),
         "workers": _int(config.get("workers")),
         "solver": config.get("solver"),
+        # Only manifests from before the solver had a single kernel
+        # carry a backend; the column stays so old databases open as-is.
         "backend": config.get("backend"),
         "formation": config.get("formation"),
         "validate": config.get("validate"),
@@ -846,7 +848,7 @@ class Catalog:
     def stats(
         self,
         *,
-        group_by: Sequence[str] = ("n", "backend"),
+        group_by: Sequence[str] = ("n", "solver"),
         metric: str = "solve_seconds",
         **filters: Any,
     ) -> list[dict]:

@@ -30,9 +30,8 @@ plus per-class ``serve.queue_depth.{interactive,batch}`` gauges),
 family — ``solver.iteration.seconds`` (per-Gauss–Newton-iteration
 histogram), ``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
-exhausted, Levenberg normal equations assembled) and
-``solver.backend.fallback`` (``backend="compiled"`` requested without
-numba) — documented in ``docs/OBSERVABILITY.md``.
+exhausted, Levenberg normal equations assembled) — documented in
+``docs/OBSERVABILITY.md``.
 
 One cross-registry operation exists for the serving path:
 :meth:`MetricsRegistry.merge` folds a *snapshot* of another registry

@@ -94,7 +94,6 @@ def solve_with_degradation(
     z: np.ndarray,
     voltage: float = 5.0,
     method: str = "nested",
-    backend: str = "numpy",
     solver_kwargs: dict | None = None,
     faults: FaultInjector | None = None,
     observer=None,
@@ -103,11 +102,7 @@ def solve_with_degradation(
 
     ``solver_kwargs`` are the primary rung's keywords (``r0`` marks a
     warm start and is dropped from rung 2 on; ``lam`` feeds the
-    regularized rung); ``backend`` selects the dense-kernel
-    implementation and applies to *every* rung (a compiled-backend
-    failure is not a numerical property of the problem, so the ladder
-    does not demote the backend — missing numba already degrades
-    inside the solver).  Configuration errors — e.g. an unknown
+    regularized rung).  Configuration errors — e.g. an unknown
     ``method`` — propagate immediately; only numerical failures
     (:data:`DEGRADABLE_ERRORS` or a non-converged/non-finite result)
     step down the ladder.  Each rejected rung lands on the observer
@@ -146,13 +141,12 @@ def solve_with_degradation(
             if faults is not None:
                 faults.maybe_fail_rung(rung)
             with np.errstate(all="ignore"), obs.span(
-                "solve.rung", rung=rung, method=rung_method, backend=backend
+                "solve.rung", rung=rung, method=rung_method
             ):
                 result = solve(
                     z,
                     voltage=voltage,
                     method=rung_method,
-                    backend=backend,
                     observer=obs,
                     **rung_kwargs,
                 )

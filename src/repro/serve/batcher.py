@@ -1,9 +1,8 @@
 """Request batching: coalesce compatible requests into one formation pass.
 
 Two requests are *compatible* — and may share a batch — when they
-agree on everything the formation stage and engine pool depend on: the
-device side ``n``, the formation mode (``cached``/``legacy``) and the
-solver compute backend (``numpy``/``compiled``).  A batch then
+agree on everything the formation stage depends on: the device side
+``n`` and the formation mode (``cached``/``legacy``).  A batch then
 pays the per-``n`` template lookup, the Jacobian-structure derivation
 and the Laplacian-pinv factorisation once, and every member after the
 first is stamped/solved against warm caches (the measured win is the
@@ -38,16 +37,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 MAX_BATCH_LIMIT = 256
 
 
-def batch_key(request: "Request") -> tuple[int, str, str]:
-    """The compatibility key ``(n, formation, backend)`` for one request."""
-    return (request.n, request.formation, request.backend)
+def batch_key(request: "Request") -> tuple[int, str]:
+    """The compatibility key ``(n, formation)`` for one request."""
+    return (request.n, request.formation)
 
 
 @dataclass(frozen=True)
 class Batch:
     """An ordered group of compatible tickets executed as one pass."""
 
-    key: tuple[int, str, str]
+    key: tuple[int, str]
     tickets: tuple[Ticket, ...]
 
     @property
@@ -59,11 +58,6 @@ class Batch:
     def formation(self) -> str:
         """Formation mode shared by every member."""
         return self.key[1]
-
-    @property
-    def backend(self) -> str:
-        """Solver compute backend shared by every member."""
-        return self.key[2]
 
     @property
     def size(self) -> int:

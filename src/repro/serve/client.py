@@ -159,6 +159,13 @@ class SolveClient:
             raise ServeConnectionError(
                 f"no solve service on {self.address} ({hint})"
             ) from exc
+        except OSError as exc:
+            # Any other connect failure (e.g. EAGAIN from a full unix
+            # listen backlog) happens before the request leaves, so it
+            # is safe to retry.
+            raise ServeConnectionError(
+                f"connect to {self.address} failed: {exc}"
+            ) from exc
         try:
             try:
                 send_message(sock, message)
@@ -243,7 +250,7 @@ class SolveClient:
         """Convenience wrapper: build a :class:`Request` from an array.
 
         ``knobs`` are forwarded to :class:`repro.serve.protocol.
-        Request` (``solver``, ``formation``, ``backend``, ``deadline``,
+        Request` (``solver``, ``formation``, ``deadline``,
         ``threshold_sigmas``, ``validate``, ``solver_kwargs``,
         ``want_field``, ``id``, ``priority``, ``client_id``).
         """

@@ -142,7 +142,6 @@ class Request:
     hour: float = 0.0
     solver: str = "nested"
     formation: str = "cached"
-    backend: str = "numpy"
     threshold_sigmas: float = 3.0
     validate: str = "strict"
     deadline: float | None = None
@@ -176,7 +175,6 @@ class Request:
             "hour": self.hour,
             "solver": self.solver,
             "formation": self.formation,
-            "backend": self.backend,
             "threshold_sigmas": self.threshold_sigmas,
             "validate": self.validate,
             "deadline": self.deadline,
@@ -209,7 +207,6 @@ class Request:
             hour=float(message.get("hour", 0.0)),
             solver=str(message.get("solver", "nested")),
             formation=str(message.get("formation", "cached")),
-            backend=str(message.get("backend", "numpy")),
             threshold_sigmas=float(message.get("threshold_sigmas", 3.0)),
             validate=str(message.get("validate", "strict")),
             deadline=(

@@ -84,7 +84,6 @@ class RequestRunner:
         key = (
             request.solver,
             request.formation,
-            request.backend,
             request.threshold_sigmas,
             request.validate,
         )
@@ -93,7 +92,6 @@ class RequestRunner:
                 strategy=self.strategy,
                 num_workers=self.num_workers,
                 solver=request.solver,
-                backend=request.backend,
                 threshold_sigmas=request.threshold_sigmas,
                 formation=request.formation,
                 validate=request.validate,
@@ -105,7 +103,6 @@ class RequestRunner:
                 strategy=self.strategy,
                 num_workers=self.num_workers,
                 solver=request.solver,
-                backend=request.backend,
                 threshold_sigmas=request.threshold_sigmas,
                 formation=request.formation,
                 validate=request.validate,
@@ -178,7 +175,6 @@ class RequestRunner:
             "hour": request.hour,
             "solver": request.solver,
             "formation": request.formation,
-            "backend": request.backend,
             "strategy": self.strategy,
             "validate": request.validate,
             "batch_size": batch_size,
@@ -220,11 +216,15 @@ class RequestRunner:
                 elapsed_seconds=time.perf_counter() - started,
             )
         except (SolverDegradationError, MeasurementValidationError) as exc:
+            config["status"] = "failed"
+            obs.finalize(config=config)
+            self._fold_request_metrics(obs)
             self.observer.count("serve.responses.failed")
             return Response(
                 id=request.id or "",
                 status=STATUS_FAILED,
                 error=str(exc),
+                manifest_path=str(request_dir / MANIFEST_FILE_NAME),
                 batch_size=batch_size,
                 cache_warm=warm,
                 queue_seconds=queue_seconds,

@@ -272,7 +272,10 @@ class SolveService:
             path.unlink()
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.bind(str(path))
-        sock.listen(min(128, self.config.max_queue_depth * 2))
+        # A fixed backlog, not one sized from the queue depth: overload
+        # must be rejected by the admission queue with its retriable
+        # ``rejected-queue-full`` status, not by a full kernel backlog.
+        sock.listen(128)
         sock.settimeout(_POLL_SECONDS)
         self._sock = sock
         if self.config.tcp is not None:
@@ -280,7 +283,7 @@ class SolveService:
             tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             tcp_sock.bind(target)
-            tcp_sock.listen(min(128, self.config.max_queue_depth * 2))
+            tcp_sock.listen(128)
             tcp_sock.settimeout(_POLL_SECONDS)
             self._tcp_sock = tcp_sock
             self.tcp_address = tcp_sock.getsockname()[:2]
@@ -634,7 +637,6 @@ class SolveService:
                 "serve.batch",
                 n=batch.n,
                 formation=batch.formation,
-                backend=batch.backend,
                 size=batch.size,
                 executor="subprocess",
             ):
@@ -645,7 +647,6 @@ class SolveService:
             "serve.batch",
             n=batch.n,
             formation=batch.formation,
-            backend=batch.backend,
             size=batch.size,
             cache_warm=warm,
         ):

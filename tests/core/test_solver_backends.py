@@ -1,29 +1,35 @@
-"""Backend parity, fallback, and blocked-kernel bit-parity tests.
+"""Bit-parity of the solver's single kernel path, and its knobs.
 
-The compiled backend's contract is *bit-identity* with the numpy
-backend (same floating-point operations in the same order), so the
-parity suite asserts exact array equality and identical iteration
-counts — not tolerances.  When numba is absent (the common CI case),
-a pure-Python ``njit`` shim stands in so the compiled code path is
-still exercised end to end; the dedicated fallback tests then assert
-the graceful degradation the production path takes.
+The blocked assembly in :mod:`repro.core.solver` must reproduce the
+historical full-broadcast Jacobian (:mod:`tests.oracles.solver_reference`)
+exactly, so the parity tests assert array equality and identical
+iteration counts, not tolerances.  There is one solve path: no
+``backend`` knob and no numba dependency, which the last two classes
+pin down (stale ``backend`` keywords fail loudly in Python and are
+ignored on the wire; nothing imports numba).
 """
 
+import os
+import subprocess
 import sys
-import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import solver_backends as sb
+from repro.core import solver
+from repro.core.regularized import solve_regularized
 from repro.core.solver import (
     nested_jacobian,
-    nested_jacobian_reference,
     solve,
+    solve_bounded,
     solve_nested,
 )
 from repro.kirchhoff import forward
-from repro.observe.observer import Observer
+from tests.oracles.solver_reference import nested_jacobian_reference
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+_METHODS = ("nested", "full", "regularized", "bounded")
 
 
 def _field(n: int, seed: int) -> np.ndarray:
@@ -32,60 +38,38 @@ def _field(n: int, seed: int) -> np.ndarray:
 
 
 @pytest.fixture
-def fake_numba(monkeypatch):
-    """Make the compiled backend importable via a pure-Python njit shim.
-
-    The jit kernels are plain loops + ``np.dot``, so running them
-    uncompiled is slow but exact — which is the point: the parity
-    tests exercise the *compiled code path* (kernel selection,
-    argument marshalling, operation order) without requiring numba.
-    """
-    module = types.ModuleType("numba")
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(fn):
-            return fn
-
-        return decorate
-
-    module.njit = njit
-    module.__version__ = "shim"
-    monkeypatch.setitem(sys.modules, "numba", module)
-    monkeypatch.setattr(sb, "_NUMBA_AVAILABLE", True)
-    monkeypatch.setattr(sb, "_NUMBA_KERNELS", None)
-    yield module
-    sb._NUMBA_KERNELS = None
-
-
-@pytest.fixture
 def no_numba(monkeypatch):
-    """Force the numba-absent environment regardless of the machine."""
+    """Make ``import numba`` fail, whatever the machine has installed."""
     monkeypatch.setitem(sys.modules, "numba", None)
-    monkeypatch.setattr(sb, "_NUMBA_AVAILABLE", False)
 
 
 class TestKnobValidation:
+    """``method`` is the solver's one knob; ``backend`` is gone."""
+
     def test_accepts_known_modes(self):
-        assert sb.check_backend_mode("numpy") == "numpy"
-        assert sb.check_backend_mode("compiled") == "compiled"
+        z = forward.measure(_field(4, 0))
+        for method in _METHODS:
+            result = solve(z, method=method)
+            assert result.method == method
+            assert np.all(np.isfinite(result.r_estimate))
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="backend"):
-            sb.check_backend_mode("fortran")
+        z = forward.measure(_field(4, 0))
+        with pytest.raises(ValueError, match="method"):
+            solve(z, method="fortran")
 
     def test_solve_rejects_unknown_backend(self):
+        # ``solve`` forwards **kwargs, so a stale keyword must surface
+        # as an error from the solver instead of being dropped.
         z = forward.measure(_field(4, 0))
-        with pytest.raises(ValueError, match="backend"):
-            solve_nested(z, backend="fortran")
+        with pytest.raises(TypeError, match="backend"):
+            solve(z, backend="compiled")
 
     def test_engine_rejects_unknown_backend(self):
         from repro.core.engine import ParmaEngine
 
-        with pytest.raises(ValueError, match="backend"):
-            ParmaEngine(backend="fortran")
+        with pytest.raises(TypeError, match="backend"):
+            ParmaEngine(backend="compiled")
 
 
 class TestBlockedJacobianParity:
@@ -98,105 +82,160 @@ class TestBlockedJacobianParity:
 
     def test_blocked_matches_when_blocks_split_rows(self, monkeypatch):
         # Shrink the block target so even n=6 assembles in many blocks.
-        monkeypatch.setattr(sb, "JACOBIAN_BLOCK_TARGET_BYTES", 8 * 6 * 6 * 6)
+        monkeypatch.setattr(solver, "JACOBIAN_BLOCK_TARGET_BYTES", 8 * 6 * 6 * 6)
         r = _field(6, seed=3)
-        assert sb.jacobian_row_block(6, 6) == 1
+        assert solver._jacobian_row_block(6, 6) == 1
         assert np.array_equal(nested_jacobian(r), nested_jacobian_reference(r))
 
     def test_fused_row_scaling_matches_two_pass(self):
         r = _field(5, seed=9)
         z = forward.measure(r)
-        pinv = forward.laplacian_pinv_cached(r)
-        fused = sb.transfer_jacobian(pinv, r, z=z)
+        fused = solver._scaled_jacobian(r, z)
         two_pass = nested_jacobian_reference(r) / z.ravel()[:, None]
         assert np.array_equal(fused, two_pass)
 
     def test_row_block_bounds(self):
-        assert sb.jacobian_row_block(100, 100) >= 1
+        assert solver._jacobian_row_block(100, 100) >= 1
         # One block must stay under the documented byte target unless
         # even a single row exceeds it.
-        block = sb.jacobian_row_block(60, 60)
-        assert block * 8 * 60 * 60 * 60 <= sb.JACOBIAN_BLOCK_TARGET_BYTES
+        block = solver._jacobian_row_block(60, 60)
+        assert block * 8 * 60 * 60 * 60 <= solver.JACOBIAN_BLOCK_TARGET_BYTES
         # Tiny devices take the whole matrix in one block.
-        assert sb.jacobian_row_block(4, 4) == 4
+        assert solver._jacobian_row_block(4, 4) == 4
 
 
 class TestCompiledBackendParity:
+    """The one kernel path every solver shares stays bit-stable.
+
+    These replace the former numpy-vs-compiled parity suite: the
+    compiled kernels are gone, so parity is now checked between the
+    kernel's entry points, the ``solve`` dispatcher and the direct
+    solvers, and cold versus warm factor caches.
+    """
+
     @pytest.mark.parametrize("n", [3, 5])
-    def test_jacobian_bit_identical(self, fake_numba, n):
+    def test_jacobian_bit_identical(self, n):
         r = _field(n, seed=n)
         z = forward.measure(r)
         pinv = forward.laplacian_pinv_cached(r)
+        reference = nested_jacobian_reference(r)
+        assert np.array_equal(solver._transfer_jacobian(pinv, r), reference)
         assert np.array_equal(
-            sb.transfer_jacobian(pinv, r, backend="compiled"),
-            sb.transfer_jacobian(pinv, r, backend="numpy"),
+            solver._transfer_jacobian(pinv, r, z=z),
+            solver._scaled_jacobian(r, z),
         )
         assert np.array_equal(
-            sb.transfer_jacobian(pinv, r, z=z, backend="compiled"),
-            sb.transfer_jacobian(pinv, r, z=z, backend="numpy"),
+            solver._scaled_jacobian(r, z), reference / z.ravel()[:, None]
         )
 
-    def test_fused_jtj_grad_close(self, fake_numba):
+    def test_fused_jtj_grad_close(self):
+        """The Levenberg rescue's ``JᵀJ``/``Jᵀr`` matches the plain products.
+
+        On a linear model the rescue's first trial step must be the
+        damped normal-equation step built from ``jac.T @ jac`` and
+        ``jac.T @ res`` (up to gemm rounding).
+        """
         rng = np.random.default_rng(0)
         jac = rng.normal(size=(16, 16))
         res = rng.normal(size=16)
-        jtj_c, grad_c = sb.fused_jtj_grad(jac, res, backend="compiled")
-        jtj_n, grad_n = sb.fused_jtj_grad(jac, res, backend="numpy")
-        np.testing.assert_allclose(jtj_c, jtj_n, rtol=1e-15)
-        np.testing.assert_allclose(grad_c, grad_n, rtol=1e-15)
+        theta = np.zeros(16)
+
+        def cost_and_res(th):
+            new_res = res + jac @ (th - theta)
+            return 0.5 * float(new_res @ new_res), new_res, th
+
+        cost = 0.5 * float(res @ res)
+        step, new_cost, _, _, new_theta = solver._lm_rescue(
+            jac, res, theta, cost, cost_and_res
+        )
+        jtj = jac.T @ jac
+        damped = jtj + 1e-4 * np.diag(np.diag(jtj)) + 1e-300 * np.eye(16)
+        expected = np.linalg.solve(damped, -(jac.T @ res))
+        np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-12)
+        assert new_cost < cost
+        assert np.array_equal(new_theta, theta + step)
 
     @pytest.mark.parametrize("method", ["nested", "regularized", "bounded"])
     @pytest.mark.parametrize("n", [4, 6])
-    def test_solve_parity_across_methods(self, fake_numba, method, n):
-        """r_estimate parity ≤ 1e-12 and identical iteration counts."""
+    def test_solve_parity_across_methods(self, method, n):
+        """The dispatcher is bit-identical to the direct solver call."""
         r_true = _field(n, seed=10 + n)
         z = forward.measure(r_true)
         kwargs = {"lam": 1e-3} if method == "regularized" else {}
-        a = solve(z, method=method, backend="numpy", **kwargs)
-        b = solve(z, method=method, backend="compiled", **kwargs)
-        assert b.backend == "compiled"
+        direct = {
+            "nested": solve_nested,
+            "regularized": solve_regularized,
+            "bounded": solve_bounded,
+        }[method]
+        a = direct(z, **kwargs)
+        b = solve(z, method=method, **kwargs)
+        assert a.method == b.method == method
         assert a.iterations == b.iterations
-        max_rel = np.max(np.abs(b.r_estimate - a.r_estimate) / a.r_estimate)
-        assert max_rel <= 1e-12
+        assert np.array_equal(a.r_estimate, b.r_estimate)
 
-    def test_solve_parity_with_warm_cache(self, fake_numba):
-        """Parity holds whether or not the factor cache is warm."""
+    def test_solve_parity_with_warm_cache(self):
+        """Results are identical whether or not the factor cache is warm."""
         r_true = _field(5, seed=21)
         z = forward.measure(r_true)
         forward.clear_laplacian_cache()
-        cold = solve_nested(z, backend="compiled")
-        warm = solve_nested(z, backend="compiled")
-        baseline = solve_nested(z, backend="numpy")
+        cold = solve_nested(z)
+        warm = solve_nested(z)
+        forward.clear_laplacian_cache()
+        baseline = solve_nested(z)
         for result in (cold, warm):
             assert result.iterations == baseline.iterations
             assert np.array_equal(result.r_estimate, baseline.r_estimate)
 
-    def test_backend_status_reports_shim(self, fake_numba):
-        status = sb.backend_status()
-        assert status["numba_available"] is True
-        assert status["numba_version"] == "shim"
-
 
 class TestNumbaFallback:
-    def test_resolve_falls_back_and_records_metric(self, no_numba):
-        obs = Observer()
-        assert sb.resolve_backend("compiled", obs) == "numpy"
-        snapshot = obs.metrics.snapshot()
-        assert snapshot["solver.backend.fallback"]["value"] == 1.0
+    """The solve path runs, quietly, with numba unimportable."""
 
-    def test_solve_compiled_without_numba_is_not_an_error(self, no_numba):
-        z = forward.measure(_field(4, seed=2))
-        result = solve_nested(z, backend="compiled")
-        assert result.converged
-        assert result.backend == "numpy"  # records what actually ran
+    def test_solve_compiled_without_numba_is_not_an_error(
+        self, no_numba, tmp_path
+    ):
+        """An old client's ``"backend": "compiled"`` frame is served ok."""
+        from repro.serve.protocol import STATUS_OK, Request
+        from repro.serve.runner import RequestRunner
 
-    def test_import_error_is_cached_and_quiet(self, no_numba):
-        assert sb.numba_available() is False
-        status = sb.backend_status()
-        assert status["numba_available"] is False
-        assert status["numba_version"] is None
+        z = forward.measure(_field(4, seed=2)).tolist()
+        runner = RequestRunner(tmp_path)
+        fields = []
+        for extra in ({"backend": "compiled"}, {}):
+            request = Request.from_dict(
+                {"kind": "solve", "z": z, "id": f"r{len(fields)}", **extra}
+            )
+            assert "backend" not in request.to_dict()
+            response = runner.run(
+                request, batch_size=1, warm=False, queue_seconds=0.0
+            )
+            assert response.status == STATUS_OK, response.error
+            fields.append(np.asarray(response.resistance))
+        assert np.array_equal(fields[0], fields[1])
+
+    def test_import_error_is_cached_and_quiet(self):
+        """Importing every solve-path module never asks for numba."""
+        probe = (
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numba':\n"
+            "            raise AssertionError('numba import attempted')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import repro.cli, repro.core.engine, repro.core.solver\n"
+            "import repro.serve.runner, repro.resilience.degrade\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(_SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_numpy_backend_never_touches_numba(self, no_numba):
         z = forward.measure(_field(4, seed=5))
-        result = solve_nested(z, backend="numpy")
-        assert result.converged and result.backend == "numpy"
+        result = solve_nested(z)
+        assert result.converged and result.method == "nested"
+        assert sys.modules["numba"] is None

@@ -109,7 +109,7 @@ class TestRoundtrip:
         capsys.readouterr()
         assert main([
             "runs", "stats", "--db", str(db),
-            "--group-by", "n,backend", "--metric", "solve_seconds", "--json",
+            "--group-by", "n,solver", "--metric", "solve_seconds", "--json",
         ]) == 0
         entries = json.loads(capsys.readouterr().out)
         assert len(entries) == 1

@@ -6,12 +6,14 @@ then ok", break the stream mid-frame, or close without replying — and
 assert exactly what the client does about it.
 """
 
+import errno
 import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro.serve import client as client_module
 from repro.serve.client import ServeConnectionError, SolveClient
 from repro.serve.protocol import (
     STATUS_OK,
@@ -170,6 +172,20 @@ class TestConnectionContext:
             client.solve(np.asarray(_z()))
         assert info.value.safe_to_retry
         assert not info.value.request_sent
+
+    def test_connect_eagain_is_safe_to_retry(self, tmp_path, monkeypatch):
+        # A full unix listen backlog makes connect() raise EAGAIN; the
+        # request never left, so the client must say it is retriable.
+        def full_backlog(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(client_module, "connect_address", full_backlog)
+        client = SolveClient(tmp_path / "busy.sock")
+        with pytest.raises(ServeConnectionError) as info:
+            client.solve(np.asarray(_z()))
+        assert info.value.safe_to_retry
+        assert not info.value.request_sent
+        assert isinstance(info.value.__cause__, BlockingIOError)
 
     def test_connection_reset_then_retry_succeeds(self, tmp_path):
         path = tmp_path / "serve.sock"

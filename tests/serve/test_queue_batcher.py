@@ -27,7 +27,6 @@ from repro.serve.queue import (
 def _request(
     n: int = 4,
     formation: str = "cached",
-    backend: str = "numpy",
     rid: str | None = None,
     priority: str = PRIORITY_BATCH,
     client_id: str = "",
@@ -35,7 +34,6 @@ def _request(
     return Request(
         z=[[1000.0] * n for _ in range(n)],
         formation=formation,
-        backend=backend,
         id=rid,
         priority=priority,
         client_id=client_id,
@@ -334,17 +332,8 @@ class TestTakeMatchingFairness:
 
 class TestBatcher:
     def test_batch_key(self):
-        assert batch_key(_request(n=4)) == (4, "cached", "numpy")
-        assert batch_key(_request(n=4, formation="legacy")) == (
-            4,
-            "legacy",
-            "numpy",
-        )
-        assert batch_key(_request(n=4, backend="compiled")) == (
-            4,
-            "cached",
-            "compiled",
-        )
+        assert batch_key(_request(n=4)) == (4, "cached")
+        assert batch_key(_request(n=4, formation="legacy")) == (4, "legacy")
 
     def test_coalesces_same_key(self):
         queue = AdmissionQueue(max_depth=16)
@@ -353,10 +342,9 @@ class TestBatcher:
             queue.submit(_request(n=4, rid=rid))
         batch = batcher.next_batch(timeout=1.0)
         assert isinstance(batch, Batch)
-        assert batch.key == (4, "cached", "numpy")
+        assert batch.key == (4, "cached")
         assert [t.request.id for t in batch.tickets] == ["a", "b", "c"]
         assert batch.size == 3 and batch.n == 4 and batch.formation == "cached"
-        assert batch.backend == "numpy"
 
     def test_different_keys_stay_separate(self):
         queue = AdmissionQueue(max_depth=16)
@@ -372,19 +360,6 @@ class TestBatcher:
         third = batcher.next_batch(timeout=1.0)
         assert [t.request.id for t in third.tickets] == ["c"]
         assert third.formation == "legacy"
-
-    def test_backend_splits_batches(self):
-        queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
-        queue.submit(_request(n=4, rid="a"))
-        queue.submit(_request(n=4, backend="compiled", rid="x"))
-        queue.submit(_request(n=4, rid="b"))
-        first = batcher.next_batch(timeout=1.0)
-        assert [t.request.id for t in first.tickets] == ["a", "b"]
-        assert first.backend == "numpy"
-        second = batcher.next_batch(timeout=1.0)
-        assert [t.request.id for t in second.tickets] == ["x"]
-        assert second.backend == "compiled"
 
     def test_max_batch_cap(self):
         queue = AdmissionQueue(max_depth=16)

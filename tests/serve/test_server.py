@@ -227,6 +227,27 @@ class TestAdmissionAndProtocolEdges:
         assert reply["status"] == STATUS_INVALID
         assert "priority" in reply["error"]
 
+    def test_stale_backend_key_is_served_identically(
+        self, service, measurement
+    ):
+        # Older clients still send the removed "backend" knob; the
+        # server must ignore it, not reject it or change the answer.
+        svc, client, obs = service
+        payload = {
+            "kind": "solve",
+            "z": np.asarray(measurement.z_kohm).tolist(),
+            "voltage": measurement.voltage,
+            "hour": measurement.hour,
+        }
+        with_key = client._roundtrip({**payload, "backend": "compiled"})
+        without_key = client._roundtrip(payload)
+        assert with_key["status"] == STATUS_OK, with_key.get("error")
+        assert without_key["status"] == STATUS_OK
+        assert np.array_equal(
+            np.asarray(with_key["resistance"]),
+            np.asarray(without_key["resistance"]),
+        )
+
     def test_queue_full_is_retriable(self, tmp_path, measurement):
         # A dedicated tiny-queue service whose worker is wedged by a
         # slow request, so followers overflow the depth-1 queue.
