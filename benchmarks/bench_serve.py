@@ -117,10 +117,11 @@ def _fleet_topology(root: Path, shards: int) -> tuple[SolveFleet, str]:
 def _probe_sizes(address: str, measurements, warm_probes: int) -> list[dict]:
     """Cold + warm per-``n`` latency on a fresh topology (single client).
 
-    The first solve per ``n`` pays template build + engine warm-up and
-    is recorded as the cold latency; the following ``warm_probes``
-    solves give the warm percentiles that ``sizes`` (and the regress
-    baseline) carry.
+    The first solve per ``n`` is the first that host serves at that
+    size (cold per-``n`` solver caches, engine warm-up) and is recorded
+    as the cold latency; the following ``warm_probes`` solves — which
+    the host labels warm, having already served that ``n`` — give the
+    warm percentiles that ``sizes`` (and the regress baseline) carry.
     """
     client = SolveClient(address, timeout=120.0)
     rows = []

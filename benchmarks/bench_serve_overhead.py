@@ -68,7 +68,7 @@ def run(n: int, requests: int, warmup: int) -> dict:
             if sub_svc.executor_mode != "subprocess":
                 raise RuntimeError("fork unavailable; nothing to compare")
             latencies: dict[str, list[float]] = {"thread": [], "subprocess": []}
-            # Warm both hosts (template build, allocator, engine pools),
+            # Warm both hosts (allocator, engine pools, per-n caches),
             # then interleave so machine drift taxes both equally.
             for _ in range(warmup):
                 assert thread_client.solve(z).ok

@@ -5,9 +5,11 @@ shared-memory heartbeat tick per work chunk, the parent's WNOHANG poll
 loop in place of a blocking ``waitpid``, and the one-off heartbeat
 board allocation per region.  The whole design rests on those being
 noise — a watchdog nobody would enable is a watchdog nobody runs with.
-This benchmark runs the full n = 20 solve (fork, form, solve, detect)
-with and without a :class:`repro.resilience.supervise.Supervisor`
+This benchmark runs the full n = 20 solve (fork, form, persist, solve,
+detect) with and without a :class:`repro.resilience.supervise.Supervisor`
 attached and fails when the supervised run is more than 3 % slower.
+Formation runs only when equations are persisted, so every timed call
+writes them to a fresh temporary directory.
 
 Run directly (not under pytest)::
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,8 +38,16 @@ from repro.mea.wetlab import run_campaign  # noqa: E402
 from repro.parallel.pymp import fork_available  # noqa: E402
 
 
+def _timed(fn) -> float:
+    """Wall time of ``fn(output_dir)`` on a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as output_dir:
+        start = time.perf_counter()
+        fn(output_dir)
+        return time.perf_counter() - start
+
+
 def _interleaved_best(fn_a, fn_b, repeats: int) -> tuple[float, float]:
-    """Best (minimum) wall time of each fn over ``repeats`` rounds.
+    """Best (minimum) :func:`_timed` time of each fn over ``repeats`` rounds.
 
     The two candidates alternate within each round so machine drift
     (thermal throttling, a background process) taxes both equally —
@@ -45,12 +56,8 @@ def _interleaved_best(fn_a, fn_b, repeats: int) -> tuple[float, float]:
     """
     best_a = best_b = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
+        best_a = min(best_a, _timed(fn_a))
+        best_b = min(best_b, _timed(fn_b))
     return best_a, best_b
 
 
@@ -64,14 +71,15 @@ def run(n: int, repeats: int, workers: int, stall_timeout: float) -> dict:
     )
     assert supervised.supervisor is not None
 
-    plain.parametrize(meas)  # warm-up (imports, allocator, caches)
-    supervised.parametrize(meas)
+    def plain_run(output_dir):
+        plain.parametrize(meas, output_dir=output_dir)
 
-    baseline, watched = _interleaved_best(
-        lambda: plain.parametrize(meas),
-        lambda: supervised.parametrize(meas),
-        repeats,
-    )
+    def supervised_run(output_dir):
+        supervised.parametrize(meas, output_dir=output_dir)
+
+    _timed(plain_run)  # warm-up (imports, allocator, caches)
+    _timed(supervised_run)
+    baseline, watched = _interleaved_best(plain_run, supervised_run, repeats)
 
     return {
         "n": n,

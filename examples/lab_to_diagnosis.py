@@ -57,9 +57,11 @@ def main(n: int = 10, seed: int = 23) -> None:
     # 3. Parametrize the whole day.
     engine = ParmaEngine(strategy="pymp", num_workers=4,
                          threshold_sigmas=3.0)
-    out = run_pipeline(campaign, engine=engine, warm_start=True)
+    out = run_pipeline(campaign, engine=engine,
+                       output_dir=workdir / "equations", warm_start=True)
     print("3. parametrized all timepoints "
-          f"({out.total_formation_terms()} terms formed)")
+          f"({out.total_formation_terms()} terms formed and written "
+          "under equations/)")
 
     # 4. Track lesions across the day.
     detections = [r.detection for r in out.results]

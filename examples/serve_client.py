@@ -54,7 +54,7 @@ def main(n_small: int = 10, n_large: int = 14, seed: int = 7) -> None:
             socket_path=Path(tmp) / "parma.sock",
             results_dir=Path(tmp) / "results",
             linger=0.05,  # hold the batch open so the second n_small
-                          # request can join the first one's formation pass
+                          # request can join the first one's batch
             observer=Observer(),  # service-level serve.* metrics for `stats`
         )
         service = SolveService(config)

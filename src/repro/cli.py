@@ -6,9 +6,9 @@ Subcommands mirror the wet-lab workflow:
     Generate a synthetic measurement campaign (the wet-lab stand-in)
     and write it as a measurement text file.
 ``solve``
-    Parametrize one timepoint of a campaign file: form the joint
-    constraints (optionally persisting them), recover R, report
-    anomalies.
+    Parametrize one timepoint of a campaign file: recover R and
+    report anomalies; with ``--equations-dir`` the joint constraints
+    are formed and persisted first.
 ``monitor``
     Run the whole campaign with drift analysis (§II-C monitoring).
 ``screen``
@@ -44,7 +44,7 @@ Subcommands mirror the wet-lab workflow:
     trajectories, and ``watch`` a live ``parma serve`` instance.
 ``serve``
     Run the persistent solve service on a unix-domain socket: a
-    long-lived engine pool with warm formation/pinv caches, request
+    long-lived engine pool with warm solver/pinv caches, request
     batching, bounded admission and graceful SIGTERM drain
     (docs/SERVING.md).
 ``submit``
@@ -161,18 +161,18 @@ def _add_observe_args(parser: argparse.ArgumentParser) -> None:
                              "(requires --trace)")
 
 
-def _add_deadline_args(parser: argparse.ArgumentParser) -> None:
+def _add_deadline_args(
+    parser: argparse.ArgumentParser, *, stall_help: str | None = None
+) -> None:
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole run; on "
                              "expiry in-flight workers are killed and the "
                              f"exit status is {_DEADLINE_EXIT} (partial "
                              "results are reported, not discarded)")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat watchdog: kill a formation worker "
-                             "silent this long and salvage its completed "
-                             "blocks")
+    if stall_help is not None:
+        parser.add_argument("--stall-timeout", type=float, default=None,
+                            metavar="SECONDS", help=stall_help)
 
 
 # Mirrored from repro.resilience.supervise.DEADLINE_EXIT_CODE without
@@ -331,31 +331,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.engine import ParmaEngine
     from repro.core.pipeline import run_pipeline
     from repro.io.textformat import load_campaign
-    from repro.resilience.retry import RetryPolicy
     from repro.resilience.supervise import DEADLINE_EXIT_CODE, DeadlineExceeded
 
     campaign = load_campaign(args.campaign)
-    retry = (
-        RetryPolicy(max_retries=args.max_retries)
-        if args.max_retries is not None
-        else None
-    )
     obs = _make_observer(args)
-    engine = ParmaEngine(
-        strategy=args.strategy,
-        num_workers=args.workers,
-        threshold_sigmas=args.threshold,
-        formation=args.formation,
-        retry=retry,
-        observer=obs,
-        stall_timeout=args.stall_timeout,
-    )
+    # monitor persists no equations, so it runs no formation stage.
+    engine = ParmaEngine(threshold_sigmas=args.threshold, observer=obs)
     config = {
         "command": "monitor",
         "timepoints": len(campaign),
-        "strategy": args.strategy,
-        "workers": args.workers,
-        "formation": args.formation,
         "warm_start": not args.no_warm_start,
     }
     memory = None
@@ -550,6 +534,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ):
         clean = ParmaEngine(strategy="pymp", num_workers=3).form(meas)
 
+    def persisted(engine: ParmaEngine):
+        # Formation runs only when equations are persisted.
+        with tempfile.TemporaryDirectory() as eq:
+            return engine.parametrize(meas, output_dir=eq)
+
     # 1. Worker kill mid-formation -> bounded retry reproduces the
     #    fault-free formation checksum.
     if want("kill"):
@@ -560,7 +549,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 faults=FaultPlan(seed=seed, kill_workers=(1,), kill_attempts=1),
                 retry=RetryPolicy(max_retries=2),
             )
-            result = engine.parametrize(meas)
+            result = persisted(engine)
             check(
                 "worker kill -> retry",
                 bool(result.events)
@@ -581,7 +570,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 stall_timeout=1.5,
                 observer=sup_obs,
             )
-            result = engine.parametrize(meas)
+            result = persisted(engine)
             f = result.formation
             check(
                 "hung worker -> watchdog + salvage",
@@ -612,7 +601,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 ),
                 observer=sup_obs,
             )
-            result = engine.parametrize(meas)
+            result = persisted(engine)
             fired = counter("supervise.stragglers") - before
             check(
                 "slow worker -> straggler speculation",
@@ -655,7 +644,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 faults=plan,
                 retry=RetryPolicy(max_retries=1),
             )
-            result = engine.parametrize(meas)
+            result = persisted(engine)
             check(
                 "signal death -> serial degradation",
                 result.formation.strategy == "single-thread"
@@ -1394,8 +1383,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         linger=args.linger,
         serve_workers=args.serve_workers,
-        strategy=args.strategy,
-        num_workers=args.workers,
         max_deadline=args.max_deadline,
         executor=args.executor,
         stall_timeout=args.stall_timeout,
@@ -1481,8 +1468,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         linger=args.linger,
         serve_workers=args.serve_workers,
-        strategy=args.strategy,
-        num_workers=args.workers,
         max_deadline=args.max_deadline,
         shard_executor=args.shard_executor,
         quota_rate=args.quota_rate,
@@ -1505,8 +1490,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         host, port = fleet.tcp_address
         where = f"{host}:{port}"
     print(
-        f"fleet front on {where} ({args.shards} shard(s) keyed on "
-        f"(n, formation); results under {args.results}; SIGTERM drains)",
+        f"fleet front on {where} ({args.shards} shard(s) keyed on n; "
+        f"results under {args.results}; SIGTERM drains)",
         flush=True,
     )
     try:
@@ -1575,7 +1560,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             voltage=meas.voltage,
             hour=meas.hour,
             solver=args.solver,
-            formation=args.formation,
             threshold_sigmas=args.threshold,
             validate=args.validate,
             deadline=args.deadline,
@@ -2001,8 +1985,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--hour", type=float, default=0.0)
     p_solve.add_argument("--strategy", default="pymp",
                          choices=["single", "parallel", "balanced",
-                                  "pymp", "pymp-dynamic"])
-    p_solve.add_argument("--workers", type=int, default=4)
+                                  "pymp", "pymp-dynamic"],
+                         help="formation strategy (applies with "
+                              "--equations-dir)")
+    p_solve.add_argument("--workers", type=int, default=4,
+                         help="formation region width (applies with "
+                              "--equations-dir)")
     p_solve.add_argument("--solver", default="nested",
                          choices=["nested", "full", "regularized", "bounded"])
     p_solve.add_argument("--lam", type=float, default=1e-3,
@@ -2019,27 +2007,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--formation", default="cached",
                          choices=["cached", "legacy"],
                          help="equation-formation path (template cache "
-                              "or per-pair reference)")
+                              "or per-pair reference; applies with "
+                              "--equations-dir)")
     p_solve.add_argument("--equations-dir", type=Path, default=None,
-                         help="persist formed equations here")
+                         help="form the §IV-A equations and persist them "
+                              "here (without it no formation runs)")
     p_solve.add_argument("--field-out", type=Path, default=None,
                          help="write recovered R field (.npy)")
     p_solve.add_argument("--show", action="store_true",
                          help="render the recovered field as a heatmap")
     _add_observe_args(p_solve)
-    _add_deadline_args(p_solve)
+    _add_deadline_args(
+        p_solve,
+        stall_help="heartbeat watchdog: kill a formation worker silent "
+                   "this long and salvage its completed blocks (applies "
+                   "with --equations-dir)",
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_mon = sub.add_parser("monitor", help="full-campaign drift analysis")
     p_mon.add_argument("campaign", type=Path)
-    p_mon.add_argument("--strategy", default="pymp",
-                       choices=["single", "parallel", "balanced",
-                                "pymp", "pymp-dynamic"])
-    p_mon.add_argument("--workers", type=int, default=4)
-    p_mon.add_argument("--formation", default="cached",
-                       choices=["cached", "legacy"],
-                       help="equation-formation path (template cache "
-                            "or per-pair reference)")
     p_mon.add_argument("--threshold", type=float, default=3.0)
     p_mon.add_argument("--growth", type=float, default=0.25,
                        help="relative growth flag level")
@@ -2049,8 +2036,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "resume from them")
     p_mon.add_argument("--no-resume", action="store_true",
                        help="ignore existing checkpoints (recompute all)")
-    p_mon.add_argument("--max-retries", type=int, default=None,
-                       help="bounded formation retries on worker failure")
     p_mon.add_argument("--show", action="store_true",
                        help="render first/last recovered fields")
     _add_observe_args(p_mon)
@@ -2101,7 +2086,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the BENCH_scaling.json-shaped report "
                               "here")
     _add_observe_args(p_scale)
-    _add_deadline_args(p_scale)
+    _add_deadline_args(
+        p_scale,
+        stall_help="lease watchdog: a worker silent this long loses its "
+                   "lease and is killed and replaced (default 30)",
+    )
     p_scale.set_defaults(func=_cmd_scale)
 
     p_srv = sub.add_parser("serve",
@@ -2120,8 +2109,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound; beyond it requests are "
                             "rejected retriably (exit 75 at the client)")
     p_srv.add_argument("--max-batch", type=int, default=8,
-                       help="max compatible requests (same n, same "
-                            "formation) coalesced into one formation pass")
+                       help="max compatible requests (same n) coalesced "
+                            "into one batch")
     p_srv.add_argument("--linger", type=float, default=0.05,
                        metavar="SECONDS",
                        help="how long a batch head waits for compatible "
@@ -2129,13 +2118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--serve-workers", type=int, default=1,
                        help="executor threads (keep 1 unless solves are "
                             "short and BLAS contention is acceptable)")
-    p_srv.add_argument("--strategy", default="single",
-                       choices=["single", "parallel", "balanced",
-                                "pymp", "pymp-dynamic"],
-                       help="formation strategy for served requests "
-                            "(single avoids forking from a threaded server)")
-    p_srv.add_argument("--workers", type=int, default=4,
-                       help="region width for multi-worker strategies")
     p_srv.add_argument("--max-deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="cap every per-request deadline (and impose "
@@ -2174,8 +2156,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "<results>/shard-i/shard.sock and writes "
                               "its manifests there")
     p_fleet.add_argument("--shards", type=int, default=2,
-                         help="worker processes; requests shard by "
-                              "(n, formation) on a consistent-hash ring")
+                         help="worker processes; requests shard by n "
+                              "on a consistent-hash ring")
     p_fleet.add_argument("--queue-depth", type=int, default=64,
                          help="per-shard admission bound")
     p_fleet.add_argument("--max-batch", type=int, default=8,
@@ -2185,12 +2167,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-shard batch linger window")
     p_fleet.add_argument("--serve-workers", type=int, default=1,
                          help="executor slots inside each shard")
-    p_fleet.add_argument("--strategy", default="single",
-                         choices=["single", "parallel", "balanced",
-                                  "pymp", "pymp-dynamic"],
-                         help="formation strategy inside each shard")
-    p_fleet.add_argument("--workers", type=int, default=4,
-                         help="region width for multi-worker strategies")
     p_fleet.add_argument("--max-deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="cap every per-request deadline fleet-wide")
@@ -2232,10 +2208,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["nested", "full", "regularized", "bounded"])
     p_sub.add_argument("--lam", type=float, default=1e-3,
                        help="Tikhonov weight for --solver regularized")
-    p_sub.add_argument("--formation", default="cached",
-                       choices=["cached", "legacy"],
-                       help="equation-formation path; also the batching "
-                            "compatibility key together with n")
     p_sub.add_argument("--threshold", type=float, default=3.0,
                        help="anomaly threshold in robust sigmas")
     p_sub.add_argument("--validate", default="strict",

@@ -1,15 +1,18 @@
 """ParmaEngine — the library's front door.
 
 Binds together everything §V's prototype does: take a measurement,
-form the joint-constraint system with a chosen parallelization
-strategy, optionally persist the equations, recover the resistance
-field, and localize anomalies.
+recover the resistance field, and localize anomalies.  When an output
+directory is given, the §IV-A joint-constraint system is first formed
+with the chosen parallelization strategy and persisted there (the
+Fig. 9 I/O path); no solver reads the formed equations, so without an
+output directory the formation stage does not run at all.
 
     >>> from repro import ParmaEngine
     >>> from repro.mea import run_campaign, paper_like_spec
     >>> run = run_campaign(paper_like_spec(10, seed=7), seed=7)
     >>> engine = ParmaEngine(strategy="pymp", num_workers=4)
-    >>> result = engine.parametrize(run.campaign.measurements[0])
+    >>> meas = run.campaign.measurements[0]
+    >>> result = engine.parametrize(meas, output_dir="equations")
     >>> result.detection.num_regions
     ...
 
@@ -64,10 +67,15 @@ class ParmaResult:
 
     def summary(self) -> str:
         n = self.measurement.z_kohm.shape[0]
-        text = (
-            f"Parma {n}x{n}: formed {self.formation.terms_formed} terms "
+        formed = (
+            f"formed {self.formation.terms_formed} terms "
             f"({self.formation.strategy}, k={self.formation.num_workers}) "
-            f"in {self.laps.get('formation', 0.0):.3f}s; solve "
+            f"in {self.laps.get('formation', 0.0):.3f}s"
+            if self.formation.terms_formed
+            else "no equations formed"
+        )
+        text = (
+            f"Parma {n}x{n}: {formed}; solve "
             f"{self.solve.method} converged={self.solve.converged} in "
             f"{self.laps.get('solve', 0.0):.3f}s; "
             f"{self.detection.num_regions} anomaly region(s)"
@@ -96,7 +104,9 @@ class ParmaEngine:
     ----------
     strategy:
         Formation strategy name: ``"single"``, ``"parallel"``,
-        ``"balanced"``, ``"pymp"`` or ``"pymp-dynamic"``.
+        ``"balanced"``, ``"pymp"`` or ``"pymp-dynamic"``.  Formation
+        runs only when :meth:`parametrize` persists equations (or
+        :meth:`form` is called directly).
     num_workers:
         Region width for the multi-worker strategies (ignored by
         ``single``; forced to 4 by ``parallel``).
@@ -125,7 +135,8 @@ class ParmaEngine:
     retry:
         A :class:`repro.resilience.RetryPolicy` for the formation
         stage.  When set (or when ``faults`` is), formation runs under
-        bounded retries with a serial re-dispatch fallback.
+        bounded retries with a serial re-dispatch fallback.  Applies
+        only when equations are persisted.
     observer:
         A :class:`repro.observe.Observer` receiving spans, metrics and
         resilience events from every stage.  None (default) defers to
@@ -143,6 +154,8 @@ class ParmaEngine:
         Seconds a region worker may go without a heartbeat before the
         watchdog declares it hung (SIGTERM → SIGKILL) and the parent
         salvages its share.  None (default) disables the watchdog.
+        Applies only when equations are persisted (formation is the
+        only stage with workers).
     supervise:
         A preconfigured :class:`repro.resilience.supervise.Supervisor`
         overriding the one built from ``deadline``/``stall_timeout``.
@@ -276,23 +289,6 @@ class ParmaEngine:
             deadline=self.deadline,
         )
 
-    def warm(self, n: int) -> None:
-        """Prebuild the formation structures for device side ``n``.
-
-        Populates the process-wide :class:`repro.core.templates.
-        PairTemplate` cache so the first real request at this ``n``
-        pays only stamping, not template construction.  The solve
-        service calls this from its batch pass; a long-lived embedder
-        can call it at startup for its expected device sizes.  The
-        Laplacian-pinv LRU cannot be prewarmed (it is keyed by
-        measurement values), but it is process-global and warms itself
-        on first use.
-        """
-        if self.formation == "cached":
-            from repro.core.templates import warm_template_cache
-
-            warm_template_cache(n)
-
     def parametrize(
         self,
         measurement: Measurement | np.ndarray,
@@ -302,7 +298,15 @@ class ParmaEngine:
         voltage: float | None = None,
         hour: float | None = None,
     ) -> ParmaResult:
-        """Full pipeline: validate → form → (persist) → solve → detect.
+        """Full pipeline: validate → (form → persist) → solve → detect.
+
+        The formation stage runs only when ``output_dir`` is given: it
+        forms the §IV-A equations with the engine's strategy (under
+        retry, fault injection, the watchdog and salvage as configured)
+        and writes them there.  Without ``output_dir`` no worker is
+        forked and :attr:`ParmaResult.formation` is an all-zero report
+        with ``strategy="none"``; the recovered field is the same either
+        way, because the solver inverts the forward map directly.
 
         ``measurement`` may be a raw Z ndarray, which goes through the
         engine's ``validate`` policy before entering the pipeline;
@@ -318,35 +322,49 @@ class ParmaEngine:
         n = measurement.z_kohm.shape[0]
         if self.deadline is not None:
             self.deadline.check("parametrization")
-        with sw.lap("formation"), rlog.log_span(
-            "parma.formation", n=n, strategy=self.strategy_name
-        ):
-            if self.retry is not None or self._injector is not None:
-                formation, form_events = form_with_recovery(
-                    self._strategy,
-                    measurement.z_kohm,
-                    voltage=measurement.voltage,
-                    output_dir=output_dir,
-                    fmt=fmt,
-                    policy=self.retry,
-                    faults=self._injector,
-                    observer=obs,
-                    supervise=self.supervisor,
-                    deadline=self.deadline,
+        if output_dir is None:
+            formation = FormationReport(
+                strategy="none",
+                n=n,
+                num_workers=0,
+                elapsed_seconds=0.0,
+                terms_formed=0,
+                checksum=0.0,
+                per_worker_terms=np.zeros(0, dtype=np.int64),
+            )
+        else:
+            with sw.lap("formation"), rlog.log_span(
+                "parma.formation", n=n, strategy=self.strategy_name
+            ):
+                if self.retry is not None or self._injector is not None:
+                    formation, form_events = form_with_recovery(
+                        self._strategy,
+                        measurement.z_kohm,
+                        voltage=measurement.voltage,
+                        output_dir=output_dir,
+                        fmt=fmt,
+                        policy=self.retry,
+                        faults=self._injector,
+                        observer=obs,
+                        supervise=self.supervisor,
+                        deadline=self.deadline,
+                    )
+                    events.extend(form_events)
+                else:
+                    formation = self.form(
+                        measurement, output_dir=output_dir, fmt=fmt
+                    )
+            if formation.stalled_ranks:
+                events.append(
+                    f"watchdog killed hung worker(s) "
+                    f"{tuple(formation.stalled_ranks)} after heartbeat stall"
                 )
-                events.extend(form_events)
-            else:
-                formation = self.form(measurement, output_dir=output_dir, fmt=fmt)
-        if formation.stalled_ranks:
-            events.append(
-                f"watchdog killed hung worker(s) "
-                f"{tuple(formation.stalled_ranks)} after heartbeat stall"
-            )
-        if formation.blocks_salvaged or formation.blocks_reformed:
-            events.append(
-                f"salvaged {formation.blocks_salvaged} completed block(s), "
-                f"re-formed {formation.blocks_reformed} in the parent"
-            )
+            if formation.blocks_salvaged or formation.blocks_reformed:
+                events.append(
+                    f"salvaged {formation.blocks_salvaged} completed "
+                    f"block(s), re-formed {formation.blocks_reformed} in "
+                    "the parent"
+                )
         if self.deadline is not None:
             self.deadline.check("solve")
         degradation = None

@@ -414,19 +414,6 @@ def cache_stats() -> TemplateCacheStats:
         return _STATS.snapshot()
 
 
-def has_template(
-    n: int, categories: Sequence[Category] = ALL_CATEGORIES
-) -> bool:
-    """Whether the template for ``(n, categories)`` is already resident.
-
-    A pure peek: no counters move and nothing is built.  The solve
-    service uses this to label a request's latency as cache-warm or
-    cache-cold *before* executing it.
-    """
-    with _CACHE_LOCK:
-        return (int(n), tuple(categories)) in _CACHE
-
-
 def clear_template_cache() -> None:
     """Drop every cached template and reset the counters (tests)."""
     with _CACHE_LOCK:

@@ -1,14 +1,15 @@
 """Persistent solve service: ``parma serve`` / ``parma submit``.
 
-The batch CLI pays full process startup — importing numpy, rebuilding
-the per-``n`` :class:`repro.core.templates.PairTemplate`, refactoring
-the Laplacian pseudo-inverse — on *every* invocation.  ``repro.serve``
-turns the reproduction into a long-lived local service instead: a
-:class:`SolveService` listens on a unix-domain socket, admits requests
-through a priority-aware bounded queue, coalesces compatible ones —
-same device side ``n``, same formation mode — into one formation pass
-per batch, and executes them on a crash-isolated pool of forked
-executor workers whose engine caches stay warm across requests.
+The batch CLI pays full process startup — importing numpy, rederiving
+the Jacobian structure, refactoring the Laplacian pseudo-inverse — on
+*every* invocation.  ``repro.serve`` turns the reproduction into a
+long-lived local service instead: a :class:`SolveService` listens on a
+unix-domain socket, admits requests through a priority-aware bounded
+queue, coalesces compatible ones — same device side ``n`` — into one
+batch, and executes them on a crash-isolated pool of forked executor
+workers whose engine caches stay warm across requests.  Served
+requests never form the §IV-A equations: that stage runs only when
+equations are persisted.
 
 The pieces, each its own module:
 

@@ -1,11 +1,10 @@
-"""Request batching: coalesce compatible requests into one formation pass.
+"""Request batching: coalesce same-size requests into one pass.
 
 Two requests are *compatible* — and may share a batch — when they
-agree on everything the formation stage depends on: the device side
-``n`` and the formation mode (``cached``/``legacy``).  A batch then
-pays the per-``n`` template lookup, the Jacobian-structure derivation
-and the Laplacian-pinv factorisation once, and every member after the
-first is stamped/solved against warm caches (the measured win is the
+have the same device side ``n``, the key every per-size cache the
+solve reuses (the Jacobian structure, the Laplacian-pinv LRU) is
+built around.  A batch then pays the per-``n`` cache misses once,
+and every member after the first solves against warm caches (the
 ``serve.latency.{cold,warm}`` histogram split; see
 ``docs/SERVING.md``).
 
@@ -37,27 +36,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 MAX_BATCH_LIMIT = 256
 
 
-def batch_key(request: "Request") -> tuple[int, str]:
-    """The compatibility key ``(n, formation)`` for one request."""
-    return (request.n, request.formation)
+def batch_key(request: "Request") -> int:
+    """The compatibility key for one request: its device side ``n``."""
+    return request.n
 
 
 @dataclass(frozen=True)
 class Batch:
     """An ordered group of compatible tickets executed as one pass."""
 
-    key: tuple[int, str]
+    key: int
     tickets: tuple[Ticket, ...]
 
     @property
     def n(self) -> int:
         """Device side length shared by every member."""
-        return self.key[0]
-
-    @property
-    def formation(self) -> str:
-        """Formation mode shared by every member."""
-        return self.key[1]
+        return self.key
 
     @property
     def size(self) -> int:

@@ -250,7 +250,7 @@ class SolveClient:
         """Convenience wrapper: build a :class:`Request` from an array.
 
         ``knobs`` are forwarded to :class:`repro.serve.protocol.
-        Request` (``solver``, ``formation``, ``deadline``,
+        Request` (``solver``, ``deadline``,
         ``threshold_sigmas``, ``validate``, ``solver_kwargs``,
         ``want_field``, ``id``, ``priority``, ``client_id``).
         """

@@ -5,7 +5,7 @@ threads inside the acceptor process (where one native fault — a BLAS
 segfault, an OOM kill — takes down every queued request), the service
 forks a small pool of executor children.  Each child owns a private
 :class:`repro.serve.runner.RequestRunner` (and therefore its own warm
-engine pool and template caches) and speaks a framed channel over an
+engine pool and per-process caches) and speaks a framed channel over an
 inherited ``socketpair``:
 
 * parent → child: ``{"kind": "batch", "requests": [Request, ...],
@@ -143,8 +143,6 @@ class ExecutorPool:
         slots: int,
         results_dir: str | Path,
         *,
-        strategy: str = "single",
-        num_workers: int = 4,
         max_deadline: float | None = None,
         stall_timeout: float = 30.0,
         term_grace: float = 1.0,
@@ -157,8 +155,6 @@ class ExecutorPool:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.slots = int(slots)
         self.results_dir = Path(results_dir)
-        self.strategy = strategy
-        self.num_workers = num_workers
         self.max_deadline = max_deadline
         self.stall_timeout = float(stall_timeout)
         self.term_grace = float(term_grace)
@@ -216,8 +212,6 @@ class ExecutorPool:
                     generation=generation,
                     board=self.board,
                     results_dir=self.results_dir,
-                    strategy=self.strategy,
-                    num_workers=self.num_workers,
                     max_deadline=self.max_deadline,
                     faults=self.faults,
                 )
@@ -389,8 +383,6 @@ def _child_main(
     generation: int,
     board: HeartbeatBoard,
     results_dir: Path,
-    strategy: str,
-    num_workers: int,
     max_deadline: float | None,
     faults: FaultInjector | None,
 ) -> None:  # pragma: no cover - runs in the forked child
@@ -403,12 +395,8 @@ def _child_main(
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    from repro.core.templates import has_template
-
     runner = RequestRunner(
         results_dir,
-        strategy=strategy,
-        num_workers=num_workers,
         max_deadline=max_deadline,
         pool_engines=True,
         observer=Observer(),
@@ -426,20 +414,14 @@ def _child_main(
         requests = message.get("requests") or []
         queue_seconds = message.get("queue_seconds") or []
         batch_size = int(message.get("batch_size", len(requests)))
-        warm_head = True
         for index, request in enumerate(requests):
             board.tick(slot)
-            if index == 0:
-                # Warmth is a property of *this child's* caches.
-                warm_head = request.formation != "cached" or has_template(
-                    request.n
-                )
             if faults is not None:
                 faults.on_serve_request(ordinal, generation)
+            # Warmth is a property of *this child's* runner.
             response = runner.run(
                 request,
                 batch_size=batch_size,
-                warm=warm_head or index > 0,
                 queue_seconds=float(
                     queue_seconds[index] if index < len(queue_seconds) else 0.0
                 ),

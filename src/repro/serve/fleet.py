@@ -10,14 +10,16 @@ solve to one of ``shards`` worker processes, each running a full
 
 Design decisions worth knowing:
 
-* **Sharding key is ``(n, formation)``** — the same key the service
-  batches on — routed through a consistent-hash ring
-  (:class:`ShardMap`).  Everything expensive the serve path reuses
-  (per-``n`` formation templates, Laplacian factor LRU, Jacobian
-  structure) is keyed by device size, so pinning a size to a shard
-  keeps that shard's caches hot while the other shards stay cold for
-  it.  Consistent hashing means a resize only remaps ``1/shards`` of
-  the keyspace instead of reshuffling every cache.
+* **Sharding key is ``n``** — the same key the service batches on —
+  routed through a consistent-hash ring (:class:`ShardMap`).
+  Everything expensive the serve path reuses (Laplacian factor LRU,
+  Jacobian structure) is keyed by device size, so pinning a size to a
+  shard keeps that shard's caches hot while the other shards stay cold
+  for it.  The ring hashes ``n`` together with the fixed
+  :data:`ROUTE_LABEL`, which keeps every size on the shard it has
+  always been placed on.  Consistent hashing means a resize only
+  remaps ``1/shards`` of the keyspace instead of reshuffling every
+  cache.
 * **Any shard can serve any key.**  Sharding is a cache-affinity
   policy, not a correctness boundary — results are bit-identical
   wherever they run (the integration tests assert this).  That is
@@ -83,6 +85,12 @@ _POLL_SECONDS = 0.1
 _WATCHDOG_SECONDS = 0.2
 _BEAT_SECONDS = 0.25
 
+#: Second half of every route key the front hashes.  It is the former
+#: default formation mode, kept so ``n/cached`` keys place each size on
+#: the shard it always had; e2ebench/workloads.py calls
+#: ``fleet.map.shard_for(n, "cached")`` to find that shard.
+ROUTE_LABEL = "cached"
+
 
 # -- shard map ----------------------------------------------------------------
 
@@ -120,9 +128,9 @@ class ShardMap:
         )
 
     @staticmethod
-    def route_key(n: int, formation: str) -> str:
-        """The routing key: device size and formation mode."""
-        return f"{int(n)}/{formation}"
+    def route_key(n: int, label: str) -> str:
+        """The routing key: device size and a label (:data:`ROUTE_LABEL`)."""
+        return f"{int(n)}/{label}"
 
     def preference(self, key: str) -> list[int]:
         """All shards in ring order from ``key`` (each exactly once)."""
@@ -137,10 +145,10 @@ class ShardMap:
         return seen
 
     def shard_for(
-        self, n: int, formation: str, alive: set[int] | None = None
+        self, n: int, label: str, alive: set[int] | None = None
     ) -> int | None:
         """The first (live, if ``alive`` given) shard for a key."""
-        for shard in self.preference(self.route_key(n, formation)):
+        for shard in self.preference(self.route_key(n, label)):
             if alive is None or shard in alive:
                 return shard
         return None
@@ -159,7 +167,7 @@ class FleetConfig:
     :attr:`SolveFleet.tcp_address`).  ``shards`` worker processes are
     forked, each a full :class:`SolveService` on
     ``results_dir/shard-<i>/shard.sock`` with the queue/batching/
-    engine knobs below; ``shard_executor`` picks the execution host
+    deadline knobs below; ``shard_executor`` picks the execution host
     *inside* each shard (default ``thread`` — the shard process is
     already the crash-isolation boundary, and the front respawns it).
     ``quota_rate``/``quota_burst`` meter per-client admission at the
@@ -179,8 +187,6 @@ class FleetConfig:
     max_batch: int = 8
     linger: float = 0.05
     serve_workers: int = 1
-    strategy: str = "single"
-    num_workers: int = 4
     max_deadline: float | None = None
     shard_executor: str = "thread"
     stall_timeout: float = 30.0
@@ -222,8 +228,6 @@ class FleetConfig:
             max_batch=self.max_batch,
             linger=self.linger,
             serve_workers=self.serve_workers,
-            strategy=self.strategy,
-            num_workers=self.num_workers,
             max_deadline=self.max_deadline,
             executor=self.shard_executor,
             stall_timeout=self.stall_timeout,
@@ -729,7 +733,7 @@ class SolveFleet:
         try:
             request = Request.from_dict(message)
             request.z_array()  # shape-check before routing
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             self.observer.count("fleet.rejected.invalid")
             return Response(
                 id=str(message.get("id") or ""),
@@ -764,7 +768,7 @@ class SolveFleet:
             message["id"] = request.id = (
                 f"fleet-{os.getpid():x}-{ordinal:08x}"
             )
-        key = self.map.route_key(request.n, request.formation)
+        key = self.map.route_key(request.n, ROUTE_LABEL)
         self._maybe_inject_fault(ordinal, key)
         preference = self.map.preference(key)
         attempts = 0

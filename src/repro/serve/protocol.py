@@ -141,7 +141,6 @@ class Request:
     voltage: float = 5.0
     hour: float = 0.0
     solver: str = "nested"
-    formation: str = "cached"
     threshold_sigmas: float = 3.0
     validate: str = "strict"
     deadline: float | None = None
@@ -158,7 +157,10 @@ class Request:
 
     def z_array(self) -> np.ndarray:
         """The measurement as a float64 ndarray (shape-checked)."""
-        z = np.asarray(self.z, dtype=np.float64)
+        try:
+            z = np.asarray(self.z, dtype=np.float64)
+        except TypeError as exc:  # e.g. an object among the values
+            raise ValueError(f"z must hold only numbers: {exc}") from None
         if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
             raise ValueError(
                 f"z must be a square matrix with n >= 2, got shape {z.shape}"
@@ -174,7 +176,6 @@ class Request:
             "voltage": self.voltage,
             "hour": self.hour,
             "solver": self.solver,
-            "formation": self.formation,
             "threshold_sigmas": self.threshold_sigmas,
             "validate": self.validate,
             "deadline": self.deadline,
@@ -186,7 +187,14 @@ class Request:
 
     @classmethod
     def from_dict(cls, message: dict) -> "Request":
-        """Parse a ``solve`` message; raises ``ValueError`` when malformed."""
+        """Parse a ``solve`` message; raises ``ValueError`` when malformed.
+
+        Every field is type-checked (a JSON ``true`` is not a number, a
+        string ``"false"`` is not a bool), so a wrongly typed frame is
+        answered ``invalid`` by every host.  Unknown keys are ignored,
+        which keeps frames from older clients — e.g. ones still
+        carrying ``formation`` or ``backend`` — acceptable.
+        """
         if not isinstance(message, dict):
             raise ValueError("request must be a JSON object")
         z = message.get("z")
@@ -195,30 +203,68 @@ class Request:
         kwargs = message.get("solver_kwargs") or {}
         if not isinstance(kwargs, dict):
             raise ValueError("request field 'solver_kwargs' must be an object")
-        priority = str(message.get("priority", PRIORITY_BATCH))
+        priority = _field(message, "priority", str, PRIORITY_BATCH)
         if priority not in PRIORITY_CLASSES:
             raise ValueError(
                 f"unknown priority {priority!r}; "
                 f"expected one of {PRIORITY_CLASSES}"
             )
+        deadline = message.get("deadline")
         return cls(
             z=z,
-            voltage=float(message.get("voltage", 5.0)),
-            hour=float(message.get("hour", 0.0)),
-            solver=str(message.get("solver", "nested")),
-            formation=str(message.get("formation", "cached")),
-            threshold_sigmas=float(message.get("threshold_sigmas", 3.0)),
-            validate=str(message.get("validate", "strict")),
+            voltage=_number(message, "voltage", 5.0),
+            hour=_number(message, "hour", 0.0),
+            solver=_field(message, "solver", str, "nested"),
+            threshold_sigmas=_number(message, "threshold_sigmas", 3.0),
+            validate=_field(message, "validate", str, "strict"),
             deadline=(
-                None if message.get("deadline") is None
-                else float(message["deadline"])
+                None if deadline is None else _number(message, "deadline")
             ),
             solver_kwargs=dict(kwargs),
-            want_field=bool(message.get("want_field", True)),
-            id=(None if message.get("id") is None else str(message["id"])),
+            want_field=_field(message, "want_field", bool, True),
+            id=_label(message, "id"),
             priority=priority,
-            client_id=str(message.get("client_id", "")),
+            client_id=_label(message, "client_id", ""),
         )
+
+
+def _field(message: dict, key: str, kind: type, default: object = None):
+    """``message[key]`` (``default`` when absent); must be a ``kind``."""
+    value = message.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"request field {key!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _label(message: dict, key: str, default: str | None = None):
+    """An identifier field as a string; JSON numbers (not bools) are
+    accepted and stringified, as clients have always sent numeric ids."""
+    value = message.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(
+            f"request field {key!r} must be a string or number, "
+            f"got {type(value).__name__}"
+        )
+    return str(value)
+
+
+def _number(message: dict, key: str, default: float | None = None) -> float:
+    """A numeric request field as a float; bools are not numbers."""
+    value = message.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(
+            f"request field {key!r} must be a number, "
+            f"got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"request field {key!r} is out of range") from None
 
 
 @dataclass(frozen=True)
@@ -228,9 +274,9 @@ class Response:
     ``manifest_path`` points at the per-request run manifest written
     through :mod:`repro.observe` (absent for rejected/invalid
     requests); ``batch_size`` and ``cache_warm`` describe how the
-    request was executed (how many compatible requests shared its
-    formation pass, and whether the per-``n`` template was already
-    resident); ``queue_seconds``/``elapsed_seconds`` split latency
+    request was executed (how many same-``n`` requests shared its
+    batch, and whether the executing host had already served that
+    ``n``); ``queue_seconds``/``elapsed_seconds`` split latency
     into waiting and working.
     """
 

@@ -10,11 +10,14 @@ fallback for dirty payloads, same per-request
 ``results_dir/req-<id>/``, same status mapping.
 
 The runner owns a pool of :class:`repro.core.engine.ParmaEngine`
-keyed on solver knobs so the per-``n`` pair template, the
-Jacobian-structure cache and the Laplacian-pinv LRU stay warm across
-requests.  ``pool_engines=False`` (used when several threads share
-one runner) hands out throwaway engines instead, because the observer
-handle and deadline are mutable engine state.
+keyed on solver knobs; the Jacobian-structure cache and the
+Laplacian-pinv LRU those engines use are process-global and stay warm
+across requests.  Served requests never persist equations, so the
+engines never run the formation stage.  ``pool_engines=False`` (used
+when several threads share one runner) hands out throwaway engines
+instead, because the observer handle and deadline are mutable engine
+state.  The runner also owns the warm/cold label: a request is warm
+when this runner has already run a request of the same ``n``.
 
 Service-level counters (``serve.responses.*``, ``serve.latency.*``)
 and each request's merged metric registry land in the runner's
@@ -24,6 +27,7 @@ the executor child snapshots back over its pipe.
 
 from __future__ import annotations
 
+import threading
 import time
 from pathlib import Path
 
@@ -53,6 +57,7 @@ class RequestRunner:
         self,
         results_dir: str | Path,
         *,
+        # Unused; kept because e2ebench/workloads.py passes them.
         strategy: str = "single",
         num_workers: int = 4,
         max_deadline: float | None = None,
@@ -60,12 +65,12 @@ class RequestRunner:
         observer: object | None = None,
     ) -> None:
         self.results_dir = Path(results_dir)
-        self.strategy = strategy
-        self.num_workers = num_workers
         self.max_deadline = max_deadline
         self.pool_engines = pool_engines
         self.observer = as_observer(observer)
         self._engines: dict[tuple, ParmaEngine] = {}
+        self._sizes_run: set[int] = set()
+        self._sizes_lock = threading.Lock()  # runners may be shared by threads
 
     def engine_for(
         self, request: Request, deadline: Deadline | None
@@ -78,56 +83,49 @@ class RequestRunner:
         deadlined requests — and every request when the runner is
         shared across threads (``pool_engines=False``) — get a
         throwaway.  Engine construction is cheap; the expensive state
-        (templates, pinv LRU, Jacobian structure) is process-global
+        (pinv LRU, Jacobian structure) is process-global
         either way.
         """
-        key = (
-            request.solver,
-            request.formation,
-            request.threshold_sigmas,
-            request.validate,
-        )
+        key = (request.solver, request.threshold_sigmas, request.validate)
         if deadline is not None or not self.pool_engines:
             return ParmaEngine(
-                strategy=self.strategy,
-                num_workers=self.num_workers,
                 solver=request.solver,
                 threshold_sigmas=request.threshold_sigmas,
-                formation=request.formation,
                 validate=request.validate,
                 deadline=deadline,
             )
         engine = self._engines.get(key)
         if engine is None:
             engine = ParmaEngine(
-                strategy=self.strategy,
-                num_workers=self.num_workers,
                 solver=request.solver,
                 threshold_sigmas=request.threshold_sigmas,
-                formation=request.formation,
                 validate=request.validate,
             )
             self._engines[key] = engine
         return engine
-
-    def warm(self, n: int) -> None:
-        """Prewarm the per-``n`` formation template (best-effort)."""
-        try:
-            ParmaEngine(strategy="single").warm(n)
-        except Exception:  # noqa: BLE001 - warming is advisory
-            pass
 
     def run(
         self,
         request: Request,
         *,
         batch_size: int,
-        warm: bool,
+        warm: bool | None = None,
         queue_seconds: float,
     ) -> Response:
-        """Execute one request; always returns a :class:`Response`."""
+        """Execute one request; always returns a :class:`Response`.
+
+        ``warm`` labels the request for ``Response.cache_warm`` and the
+        ``serve.latency.{warm,cold}_seconds`` split.  Left as None, the
+        runner decides: warm when it has already run a request of the
+        same ``n`` (so a batch head of a new size is cold and every
+        member behind it warm).
+        """
         started = time.perf_counter()
         try:
+            with self._sizes_lock:
+                if warm is None:
+                    warm = request.n in self._sizes_run
+                self._sizes_run.add(request.n)
             return self._run(request, batch_size, warm, queue_seconds, started)
         except Exception as exc:  # noqa: BLE001 - hosts need a response
             self.observer.count("serve.responses.failed")
@@ -136,7 +134,7 @@ class RequestRunner:
                 status=STATUS_FAILED,
                 error=f"{type(exc).__name__}: {exc}",
                 batch_size=batch_size,
-                cache_warm=warm,
+                cache_warm=bool(warm),
                 queue_seconds=queue_seconds,
                 elapsed_seconds=time.perf_counter() - started,
             )
@@ -144,7 +142,7 @@ class RequestRunner:
     def _fold_request_metrics(self, request_observer: Observer) -> None:
         """Aggregate a finished request's registry into the runner's.
 
-        Per-request observers own their formation/solve/cache counters
+        Per-request observers own their solve/cache counters
         (they land in that request's manifest); merging them here keeps
         the host's running totals covering every request served.
         """
@@ -174,8 +172,6 @@ class RequestRunner:
             "n": request.n,
             "hour": request.hour,
             "solver": request.solver,
-            "formation": request.formation,
-            "strategy": self.strategy,
             "validate": request.validate,
             "batch_size": batch_size,
             "cache_warm": warm,

@@ -52,7 +52,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.templates import has_template
 from repro.observe.observer import as_observer
 from repro.parallel.pymp import fork_available
 from repro.serve.batcher import Batch, Batcher
@@ -95,9 +94,6 @@ _REJECT_COUNTERS = {
 class ServiceConfig:
     """Everything a :class:`SolveService` needs to run.
 
-    ``strategy``/``num_workers`` configure the engines (the default
-    ``single`` strategy avoids forking *inside* an executor; forked
-    strategies work but are the operator's informed choice).
     ``serve_workers`` is the number of executor slots.  ``executor``
     picks the execution host: ``"subprocess"`` (default; falls back to
     ``"thread"`` where fork is unavailable) isolates solves in forked
@@ -126,8 +122,6 @@ class ServiceConfig:
     max_batch: int = 8
     linger: float = 0.05
     serve_workers: int = 1
-    strategy: str = "single"
-    num_workers: int = 4
     max_deadline: float | None = None
     observer: object | None = None
     executor: str = "subprocess"
@@ -207,8 +201,6 @@ class SolveService:
         if self.executor_mode == "thread":
             self._runner = RequestRunner(
                 config.results_dir,
-                strategy=config.strategy,
-                num_workers=config.num_workers,
                 max_deadline=config.max_deadline,
                 pool_engines=(config.serve_workers == 1),
                 observer=self.observer,
@@ -255,8 +247,6 @@ class SolveService:
             self.pool = ExecutorPool(
                 self.config.serve_workers,
                 self.config.results_dir,
-                strategy=self.config.strategy,
-                num_workers=self.config.num_workers,
                 max_deadline=self.config.max_deadline,
                 stall_timeout=self.config.stall_timeout,
                 term_grace=self.config.term_grace,
@@ -634,40 +624,22 @@ class SolveService:
         self.observer.observe_hist("serve.batch_size", float(batch.size))
         if self.pool is not None:
             with self.observer.span(
-                "serve.batch",
-                n=batch.n,
-                formation=batch.formation,
-                size=batch.size,
+                "serve.batch", n=batch.n, size=batch.size,
                 executor="subprocess",
             ):
                 self.pool.run_batch(rank, list(batch.tickets))
             return
-        warm = batch.formation != "cached" or has_template(batch.n)
-        with self.observer.span(
-            "serve.batch",
-            n=batch.n,
-            formation=batch.formation,
-            size=batch.size,
-            cache_warm=warm,
-        ):
-            for index, ticket in enumerate(batch.tickets):
-                # One formation pass per batch: the head member's
-                # formation stage builds (or finds) the per-n template,
-                # and every member behind it only stamps values into
-                # the shared structure.  The head of a cold batch is
-                # labelled cold — its latency covers the build.
-                self._execute_ticket(ticket, batch, warm or index > 0)
+        with self.observer.span("serve.batch", n=batch.n, size=batch.size):
+            for ticket in batch.tickets:
+                self._execute_ticket(ticket, batch)
 
-    def _execute_ticket(self, ticket: Ticket, batch: Batch, warm: bool) -> None:
+    def _execute_ticket(self, ticket: Ticket, batch: Batch) -> None:
         """Execute one request in-process and resolve its ticket."""
         assert self._runner is not None
         queue_seconds = ticket.queue_seconds()
         self.observer.observe_hist("serve.queue_wait_seconds", queue_seconds)
         response = self._runner.run(
-            ticket.request,
-            batch_size=batch.size,
-            warm=warm,
-            queue_seconds=queue_seconds,
+            ticket.request, batch_size=batch.size, queue_seconds=queue_seconds
         )
         ticket.try_resolve(response)
         self._on_executed(ticket, response)

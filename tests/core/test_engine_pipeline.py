@@ -1,5 +1,7 @@
 """Tests for ParmaEngine and the campaign pipeline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,17 @@ def noise_free_run():
 
 
 class TestEngine:
-    def test_parametrize_recovers_truth(self, noise_free_run):
+    def test_parametrize_recovers_truth(self, noise_free_run, tmp_path):
         _, run = noise_free_run
         engine = ParmaEngine(strategy="single")
         result = engine.parametrize(run.campaign.measurements[0])
         err = result.solve.max_relative_error(run.ground_truth[0])
         assert err < 1e-6
-        assert result.formation.terms_formed == 2 * 8**4
-        assert set(result.laps) == {"formation", "solve", "detect"}
+        persisted = engine.parametrize(
+            run.campaign.measurements[0], output_dir=tmp_path
+        )
+        assert persisted.formation.terms_formed == 2 * 8**4
+        assert set(persisted.laps) == {"formation", "solve", "detect"}
 
     def test_detects_planted_anomaly(self, noise_free_run):
         spec, run = noise_free_run
@@ -38,11 +43,20 @@ class TestEngine:
         assert score.recall >= 0.4
         assert score.precision >= 0.9
 
-    def test_strategy_choice_does_not_change_solution(self, noise_free_run):
+    def test_strategy_choice_does_not_change_solution(
+        self, noise_free_run, tmp_path
+    ):
         _, run = noise_free_run
         meas = run.campaign.measurements[0]
-        r_single = ParmaEngine(strategy="single").parametrize(meas)
-        r_pymp = ParmaEngine(strategy="pymp", num_workers=2).parametrize(meas)
+        # Strategies only act when equations are persisted.
+        r_single = ParmaEngine(strategy="single").parametrize(
+            meas, output_dir=tmp_path / "single"
+        )
+        r_pymp = ParmaEngine(strategy="pymp", num_workers=2).parametrize(
+            meas, output_dir=tmp_path / "pymp"
+        )
+        assert r_single.formation.strategy != r_pymp.formation.strategy
+        assert r_single.formation.checksum == r_pymp.formation.checksum
         np.testing.assert_allclose(
             r_single.resistance, r_pymp.resistance, rtol=1e-9
         )
@@ -71,10 +85,49 @@ class TestEngine:
         np.testing.assert_allclose(result.resistance, r, rtol=1e-4)
 
 
-class TestPipeline:
-    def test_campaign_all_timepoints(self, noise_free_run):
+class TestFormationOnlyWhenPersisting:
+    def test_no_fork_and_no_terms_without_output_dir(
+        self, noise_free_run, monkeypatch
+    ):
         _, run = noise_free_run
-        out = run_pipeline(run.campaign, engine=ParmaEngine(strategy="single"))
+
+        def no_fork():
+            raise AssertionError("parametrize forked without output_dir")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        result = ParmaEngine(strategy="pymp").parametrize(
+            run.campaign.measurements[0]
+        )
+        assert result.solve.converged
+        assert result.formation.terms_formed == 0
+        assert result.formation.bytes_written == 0
+        assert result.formation.num_workers == 0
+        assert result.formation.strategy == "none"
+        assert len(result.formation.per_worker_terms) == 0
+        assert "formation" not in result.laps
+        assert "no equations formed" in result.summary()
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_field_identical_to_persisting_run(self, n, tmp_path):
+        spec = paper_like_spec(n, num_anomalies=1, seed=n)
+        meas = run_campaign(spec, seed=n).campaign.measurements[0]
+        engine = ParmaEngine(strategy="pymp")
+        plain = engine.parametrize(meas)
+        persisted = engine.parametrize(meas, output_dir=tmp_path)
+        assert persisted.formation.terms_formed == 2 * n**4
+        assert persisted.formation.bytes_written > 0
+        assert np.array_equal(plain.resistance, persisted.resistance)
+        assert plain.solve.iterations == persisted.solve.iterations
+
+
+class TestPipeline:
+    def test_campaign_all_timepoints(self, noise_free_run, tmp_path):
+        _, run = noise_free_run
+        out = run_pipeline(
+            run.campaign,
+            engine=ParmaEngine(strategy="single"),
+            output_dir=tmp_path,
+        )
         assert out.hours == (0.0, 6.0, 12.0, 24.0)
         assert out.resistance_series().shape == (4, 8, 8)
         assert out.total_formation_terms() == 4 * 2 * 8**4

@@ -76,7 +76,9 @@ class TestHangSalvageBitIdentical:
                 clean_dir / name
             ).read_bytes(), f"part file {name} differs after salvage"
 
-    def test_salvage_survives_full_parametrize_with_events(self, campaign20):
+    def test_salvage_survives_full_parametrize_with_events(
+        self, campaign20, tmp_path
+    ):
         meas = campaign20.measurements[0]
         engine = ParmaEngine(
             strategy="pymp",
@@ -84,7 +86,8 @@ class TestHangSalvageBitIdentical:
             faults=FaultPlan(seed=7, hang_workers=(2,), hang_after_items=1),
             stall_timeout=1.0,
         )
-        result = engine.parametrize(meas)
+        # Formation (and so the watchdog) runs when equations persist.
+        result = engine.parametrize(meas, output_dir=tmp_path / "eq")
         assert result.solve.converged
         assert result.formation.stalled_ranks == (2,)
         assert any("watchdog" in e for e in result.events)
@@ -109,7 +112,13 @@ class TestDeadlineExitAndManifest:
             observer=obs,
         )
         with pytest.raises(DeadlineExceeded) as err:
-            run_pipeline(campaign, engine=engine, deadline=2.3, observer=obs)
+            run_pipeline(
+                campaign,
+                engine=engine,
+                output_dir=tmp_path / "eq",
+                deadline=2.3,
+                observer=obs,
+            )
         # Partial results ride on the exception instead of being lost.
         assert err.value.partial is not None
         assert len(err.value.partial.results) >= 1

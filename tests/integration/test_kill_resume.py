@@ -151,7 +151,7 @@ class TestStreamCorruptionNeverConsumed:
 
 @pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 class TestWorkerKillRecovery:
-    def test_killed_worker_retried_to_clean_checksum(self, day):
+    def test_killed_worker_retried_to_clean_checksum(self, day, tmp_path):
         meas = day.campaign.measurements[0]
         clean = ParmaEngine(strategy="pymp", num_workers=3).form(meas)
         engine = ParmaEngine(
@@ -160,6 +160,6 @@ class TestWorkerKillRecovery:
             faults=FaultPlan(seed=SEED, kill_workers=(1,), kill_attempts=1),
             retry=RetryPolicy(max_retries=2),
         )
-        result = engine.parametrize(meas)
+        result = engine.parametrize(meas, output_dir=tmp_path)
         assert result.formation.checksum == pytest.approx(clean.checksum)
         assert any("attempt 1 failed" in e for e in result.events)

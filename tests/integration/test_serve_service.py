@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ParmaEngine
-from repro.core.templates import clear_template_cache
 from repro.kirchhoff.forward import clear_laplacian_cache
 from repro.mea.synthetic import paper_like_spec
 from repro.mea.wetlab import run_campaign
@@ -102,40 +101,45 @@ class TestConcurrentBatching:
             manifest = validate_manifest(load_manifest(r.manifest_path))
             assert manifest["config"]["request_id"] == name
             assert manifest["config"]["n"] == meas.z_kohm.shape[0]
-            assert manifest["metrics"]["formation.runs"]["value"] >= 1
+            # Served requests never run the formation stage.
+            assert not any(
+                key.startswith("formation.") for key in manifest["metrics"]
+            )
+            assert "formation" not in manifest["phases"]
             # Bit-identical to a standalone engine run on the same input.
             reference = ParmaEngine(
                 strategy="single", threshold_sigmas=3.0
             ).parametrize(meas)
             assert np.array_equal(r.resistance_array(), reference.resistance)
             assert r.num_regions == reference.detection.num_regions
-        # Batching actually coalesced: fewer formation batches than
+        # Batching actually coalesced: fewer batches than
         # requests (the 0.05s linger holds same-n requests together).
         snapshot = obs.metrics.snapshot()
         assert snapshot["serve.requests"]["value"] == 8
         assert 2 <= snapshot["serve.batches"]["value"] < 8
 
     def test_second_same_n_request_is_faster_warm(self, service):
-        """Acceptance: warm caches make the second same-n request faster."""
+        """The first request of an n is labelled cold, later ones warm.
+
+        Warm means the executing host already served that ``n``.  No
+        timing is asserted: the per-n template build the cold request
+        used to pay is no longer on the serve path.
+        """
         svc, client, obs = service
-        # Unusual n so no other test has warmed this template; clear
-        # process-global caches for an honest cold start.
-        clear_template_cache()
+        # Unusual n so no other test has served this size here.
         clear_laplacian_cache()
         meas = _measurements(14, seed=5)
 
         cold = client.solve(meas[0].z_kohm, hour=meas[0].hour, id="cold")
         assert cold.ok and not cold.cache_warm
-        warm_elapsed = []
         for i in range(3):
             warm = client.solve(
                 meas[1 + i % 3].z_kohm, hour=float(i), id=f"warm{i}"
             )
             assert warm.ok and warm.cache_warm
-            warm_elapsed.append(warm.elapsed_seconds)
-        # min-of-3 shields against scheduler noise; the cold request
-        # paid the per-n template build, the warm ones reuse it.
-        assert min(warm_elapsed) < cold.elapsed_seconds
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["serve.latency.cold_seconds"]["count"] >= 1
+        assert snapshot["serve.latency.warm_seconds"]["count"] >= 3
 
     def test_example_client_runs_green(self):
         """The shipped serving example must stay runnable."""

@@ -54,8 +54,7 @@ class TestProducerWiring:
     def test_monitor_status_stamped(self, campaign_file, tmp_path):
         run_dir = tmp_path / "run"
         assert main([
-            "monitor", str(campaign_file), "--strategy", "single",
-            "--trace", str(run_dir),
+            "monitor", str(campaign_file), "--trace", str(run_dir),
         ]) == 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config"]["status"] == "ok"

@@ -24,7 +24,7 @@ class TestSolveTrace:
         run_dir = tmp_path / "run"
         code = main([
             "solve", str(campaign_file), "--strategy", "single",
-            "--trace", str(run_dir),
+            "--trace", str(run_dir), "--equations-dir", str(tmp_path / "eq"),
         ])
         assert code == 0
         for name in ("trace.jsonl", "trace.chrome.json", "manifest.json"):
@@ -37,9 +37,23 @@ class TestSolveTrace:
         out = capsys.readouterr().out
         assert "trace:" in out and "manifest:" in out
 
-    def test_metrics_flag_prints_table(self, campaign_file, capsys):
+    def test_formation_phase_absent_without_equations_dir(
+        self, campaign_file, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        code = main([
+            "solve", str(campaign_file), "--trace", str(run_dir),
+        ])
+        assert code == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "formation" not in manifest["phases"]
+        assert "solve" in manifest["phases"]
+        assert "no equations formed" in capsys.readouterr().out
+
+    def test_metrics_flag_prints_table(self, campaign_file, tmp_path, capsys):
         code = main([
             "solve", str(campaign_file), "--strategy", "single", "--metrics",
+            "--equations-dir", str(tmp_path / "eq"),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -79,7 +93,7 @@ class TestMonitorTrace:
     ):
         run_dir = tmp_path / "run"
         code = main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--trace", str(run_dir),
         ])
@@ -90,7 +104,7 @@ class TestMonitorTrace:
         # a second run resumes; its trace shows the resume events
         run2 = tmp_path / "run2"
         code = main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--trace", str(run2),
         ])

@@ -98,17 +98,29 @@ class TestFinalize:
 
 
 class TestEngineIntegration:
-    def test_single_thread_trace(self, measurement):
+    def test_single_thread_trace(self, measurement, tmp_path):
         from repro.core.engine import ParmaEngine
 
         obs = Observer()
         engine = ParmaEngine(strategy="single", observer=obs)
-        result = engine.parametrize(measurement)
+        result = engine.parametrize(measurement, output_dir=tmp_path)
         assert result.solve.converged
         names = {s.name for s in obs.spans}
         assert {"formation", "solve", "detect"} <= names
         snap = obs.metrics.snapshot()
         assert snap["formation.terms"]["value"] == result.formation.terms_formed
+
+    def test_no_formation_span_without_output_dir(self, measurement):
+        from repro.core.engine import ParmaEngine
+
+        obs = Observer()
+        ParmaEngine(strategy="single", observer=obs).parametrize(measurement)
+        names = {s.name for s in obs.spans}
+        assert {"solve", "detect"} <= names
+        assert not any(name.startswith("formation") for name in names)
+        assert not any(
+            key.startswith("formation.") for key in obs.metrics.snapshot()
+        )
 
     def test_phase_rollup_tracks_laps(self, measurement):
         from repro.core.engine import ParmaEngine

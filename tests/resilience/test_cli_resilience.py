@@ -51,14 +51,14 @@ class TestMonitorCheckpoint:
     ):
         ck = tmp_path / "ck"
         assert main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(ck),
         ]) == 0
         capsys.readouterr()
         assert (ck / "manifest.json").exists()
 
         assert main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(ck),
         ]) == 0
         out = capsys.readouterr().out
@@ -67,12 +67,12 @@ class TestMonitorCheckpoint:
     def test_no_resume_recomputes(self, campaign_file, tmp_path, capsys):
         ck = tmp_path / "ck"
         main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(ck),
         ])
         capsys.readouterr()
         assert main([
-            "monitor", str(campaign_file), "--strategy", "single",
+            "monitor", str(campaign_file),
             "--checkpoint-dir", str(ck), "--no-resume",
         ]) == 0
         assert "restored from checkpoint" not in capsys.readouterr().out

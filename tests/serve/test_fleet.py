@@ -22,14 +22,18 @@ from repro.mea.wetlab import run_campaign
 from repro.parallel.pymp import fork_available
 from repro.serve import (
     STATUS_DRAINING,
+    STATUS_INVALID,
     STATUS_OK,
     STATUS_QUOTA,
     FleetConfig,
     ServeConnectionError,
+    ServiceConfig,
     ShardMap,
     SolveClient,
     SolveFleet,
+    SolveService,
 )
+from repro.serve.fleet import ROUTE_LABEL
 from repro.serve.protocol import (
     Response,
     connect_address,
@@ -106,6 +110,16 @@ class TestShardMap:
             before.shard_for(n, f) != after.shard_for(n, f) for n, f in keys
         )
         assert moved < len(keys) // 2
+
+    def test_route_label_keeps_placement(self):
+        # The front hashes n with a fixed label; with it, sizes keep
+        # the shards they had when the key also carried the formation
+        # mode (default "cached").  A bare str(n) key would move most.
+        ring = ShardMap(2)
+        placed = {n: ring.shard_for(n, ROUTE_LABEL) for n in (8, 12, 16, 20)}
+        assert placed == {8: 1, 12: 1, 16: 0, 20: 1}
+        moved = sum(ring.preference(str(n))[0] != placed[n] for n in placed)
+        assert moved == 3
 
     def test_dead_shard_skipped(self):
         ring = ShardMap(3)
@@ -244,7 +258,7 @@ class TestFleetInProcess:
             assert client.solve(measurement.z_kohm).ok
         stats = client.stats()
         routed = stats["fleet"]["routed"]
-        # One (n, formation) key -> one home shard; the other stays cold.
+        # One n -> one home shard; the other stays cold.
         assert sorted(routed) in ([0, 3], [3, 0])
 
     def test_stats_aggregate_across_shards(self, fleet, measurement):
@@ -288,6 +302,60 @@ class TestFleetInProcess:
             assert second.retriable
         finally:
             f.stop()
+
+
+#: Frames a typed client never sends; each must be answered ``invalid``.
+_MALFORMED_FIELDS = [
+    {"voltage": None},
+    {"hour": [0.0]},
+    {"hour": {"h": 0}},
+    {"threshold_sigmas": [3.0]},
+    {"threshold_sigmas": {"s": 3}},
+    {"want_field": "false"},
+    {"deadline": False},
+]
+
+
+@pytest.fixture()
+def thread_service(tmp_path):
+    """A started thread-mode service on a tmp socket."""
+    svc = SolveService(ServiceConfig(
+        socket_path=tmp_path / "svc.sock",
+        results_dir=tmp_path / "svc",
+        linger=0.0,
+        executor="thread",
+    ))
+    svc.start()
+    yield svc
+    svc.stop()
+
+
+def _raw_roundtrip(address, message: dict) -> dict:
+    sock = connect_address(address, timeout=30.0)
+    try:
+        send_message(sock, message)
+        reply = recv_message(sock)
+    finally:
+        sock.close()
+    assert reply is not None, "host closed the connection without a reply"
+    return reply
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("field", _MALFORMED_FIELDS, ids=str)
+    def test_service_and_fleet_both_answer_invalid(
+        self, field, thread_service, fleet
+    ):
+        f, _ = fleet
+        message = {"kind": "solve", "z": _z(4), **field}
+        for address in (
+            thread_service.config.socket_path,
+            format_address(f.tcp_address),
+        ):
+            reply = _raw_roundtrip(address, message)
+            assert reply["status"] == STATUS_INVALID, (address, reply)
+            assert reply["exit_status"] == 2
+            assert next(iter(field)) in reply["error"]
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")

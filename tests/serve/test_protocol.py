@@ -166,6 +166,64 @@ class TestRequestSchema:
         with pytest.raises(ValueError, match="unknown priority"):
             Request.from_dict({"kind": "solve", "z": _z(3), "priority": "vip"})
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"voltage": None},
+            {"voltage": True},
+            {"voltage": "5"},
+            {"hour": [1.0]},
+            {"threshold_sigmas": {"x": 1}},
+            {"deadline": False},
+            {"deadline": "10"},
+            {"want_field": "false"},
+            {"want_field": 0},
+            {"solver": None},
+            {"validate": 3},
+            {"priority": None},
+            {"client_id": True},
+            {"client_id": {"a": 1}},
+            {"id": ["a"]},
+            {"id": False},
+            {"hour": 10**400},
+        ],
+    )
+    def test_wrongly_typed_fields_raise_value_error(self, field):
+        with pytest.raises(ValueError, match=f"'{next(iter(field))}'"):
+            Request.from_dict({"kind": "solve", "z": _z(3), **field})
+
+    @pytest.mark.parametrize("cell", [{"a": 1}, [1.0]])
+    def test_non_numeric_z_is_value_error(self, cell):
+        z = _z(3)
+        z[1][1] = cell
+        with pytest.raises(ValueError):
+            Request.from_dict({"kind": "solve", "z": z}).z_array()
+
+    def test_integer_numbers_accepted(self):
+        parsed = Request.from_dict(
+            {"kind": "solve", "z": _z(3), "voltage": 5, "deadline": 2}
+        )
+        assert parsed.voltage == 5.0 and parsed.deadline == 2.0
+
+    def test_numeric_ids_stringified(self):
+        parsed = Request.from_dict(
+            {"kind": "solve", "z": _z(3), "id": 17, "client_id": 7}
+        )
+        assert parsed.id == "17" and parsed.client_id == "7"
+
+    def test_null_ids_take_defaults(self):
+        parsed = Request.from_dict(
+            {"kind": "solve", "z": _z(3), "id": None, "client_id": None}
+        )
+        assert parsed.id is None and parsed.client_id == ""
+
+    def test_stale_formation_key_ignored(self):
+        parsed = Request.from_dict(
+            {"kind": "solve", "z": _z(3), "formation": "legacy"}
+        )
+        assert parsed == Request.from_dict({"kind": "solve", "z": _z(3)})
+        assert "formation" not in parsed.to_dict()
+
 
 class TestResponseSchema:
     def test_roundtrip(self):

@@ -117,7 +117,9 @@ class TestSolvePath:
         assert snapshot["serve.batch_size"]["count"] >= 1
         assert snapshot["serve.queue_wait_seconds"]["count"] >= 1
         # Per-request registries fold into the service registry.
-        assert snapshot["formation.runs"]["value"] >= 1
+        assert snapshot["degrade.rung.primary"]["value"] >= 1
+        # Served requests never run the formation stage.
+        assert not any(key.startswith("formation.") for key in snapshot)
 
     def test_deadline_maps_to_94(self, service, measurement):
         svc, client, obs = service
@@ -247,6 +249,29 @@ class TestAdmissionAndProtocolEdges:
             np.asarray(with_key["resistance"]),
             np.asarray(without_key["resistance"]),
         )
+
+    def test_stale_formation_key_is_served_identically(
+        self, service, measurement
+    ):
+        # Older clients still send the removed "formation" knob; the
+        # server must ignore it, not reject it or change the answer.
+        svc, client, obs = service
+        payload = {
+            "kind": "solve",
+            "z": np.asarray(measurement.z_kohm).tolist(),
+            "voltage": measurement.voltage,
+            "hour": measurement.hour,
+        }
+        with_key = client._roundtrip({**payload, "formation": "legacy"})
+        without_key = client._roundtrip(payload)
+        assert with_key["status"] == STATUS_OK, with_key.get("error")
+        assert without_key["status"] == STATUS_OK
+        assert np.array_equal(
+            np.asarray(with_key["resistance"]),
+            np.asarray(without_key["resistance"]),
+        )
+        manifest = load_manifest(with_key["manifest_path"])
+        assert "formation" not in manifest["config"]
 
     def test_queue_full_is_retriable(self, tmp_path, measurement):
         # A dedicated tiny-queue service whose worker is wedged by a

@@ -72,8 +72,7 @@ class TestMonitor:
     def test_monitor_reports_drift(self, campaign_file, capsys):
         path, _ = campaign_file
         code = main([
-            "monitor", str(path), "--strategy", "single",
-            "--growth", "0.1",
+            "monitor", str(path), "--growth", "0.1",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -83,8 +82,7 @@ class TestMonitor:
     def test_warm_start_flag(self, campaign_file, capsys):
         path, _ = campaign_file
         assert main([
-            "monitor", str(path), "--strategy", "single",
-            "--no-warm-start",
+            "monitor", str(path), "--no-warm-start",
         ]) == 0
 
 
@@ -125,7 +123,7 @@ class TestShow:
     def test_monitor_show_renders_comparison(self, campaign_file, capsys):
         path, _ = campaign_file
         assert main([
-            "monitor", str(path), "--strategy", "single", "--show",
+            "monitor", str(path), "--show",
         ]) == 0
         out = capsys.readouterr().out
         assert "shared scale" in out
