@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.solver import SolveResult, _scaled_jacobian, predict_z
+from repro.core.solver import SolveResult, _dense_scaled_jacobian, predict_z
 from repro.utils.validation import require_positive_array
 
 #: Stationarity floor for a stalled solve: when no damped step lowers
@@ -128,7 +128,7 @@ def solve_regularized(
     converged = False
     for iterations in range(1, max_iter + 1):
         iter_start = time.perf_counter()
-        jac_data = _scaled_jacobian(r_cur, z)
+        jac_data = _dense_scaled_jacobian(r_cur, z)
         jac = np.concatenate([jac_data, sqrt_lam * lop], axis=0)
         full_res = np.concatenate([res, prior])
         grad = jac.T @ full_res

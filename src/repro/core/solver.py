@@ -29,18 +29,39 @@ Fast path
 *square* system ``J s = -res`` directly instead of the normal
 equations: normal equations square the condition number
 (``cond(JᵀJ) = cond(J)²``), which stalls the late iterations near
-``tol``; the direct step — a single-precision LU factorisation
-polished by iterative refinement against the double-precision
-Jacobian — is accurate to ~1e-13, restoring quadratic convergence
-(fewer iterations *and* tighter recoveries).  Rejected steps fall to a
-backtracking line search whose trial evaluations are single forward
-solves (~1 ms), not new factorisations; only when the line search
-exhausts does the solver assemble the Levenberg normal equations as a
-rescue, with the damping ridge hoisted out of the retry loop and
-applied to the diagonal in place.
+``tol``.  How ``J s = -res`` is solved depends on the device size:
 
-The Jacobian is assembled in row blocks over measurement pairs so the
-O(n⁴) transfer tensor never materialises at once (see
+* up to :data:`DENSE_STEP_MAX` resistors the Jacobian is assembled
+  densely and the step is a single-precision LU factorisation polished
+  by iterative refinement against the double-precision Jacobian,
+  accurate to ~1e-13;
+* above it the Jacobian is never formed.  Each entry is a squared
+  transfer potential ``(hh[s,a] - hv[s,b] - hv[a,t] + vv[t,b])²``
+  over the blocks of ``P = L⁺``; expanding the square gives ten
+  separable terms, so :class:`TransferOperator` applies ``J·v`` and
+  ``Jᵀ·w`` in seven n×n matmuls (O(n³) time, O(n²) memory instead
+  of the dense path's O(n⁶) and O(n⁴)).  The step is scipy's
+  Jacobi-preconditioned GMRES (:func:`_krylov_step`) to the same
+  ~1e-13; the preconditioner is just ``Ẑ²/(R·Z)``, since a pair's
+  transfer potential onto its own resistor is the predicted ``Ẑ``.
+  When GMRES misses :data:`_REFINE_LIMIT` (rough fields, e.g.
+  lognormal σ ≥ 2) the iteration takes the dense step instead and
+  counts ``solver.gn.krylov_fallbacks``.
+
+Both give the same step to ~1e-13, hence the same iterates to ~1e-10
+and the same iteration counts and verdicts; the dense path wins only
+on small devices, where ~25 Krylov iterations (and scipy's per-call
+Python overhead) cost more than one small LU.
+
+Rejected steps fall to a backtracking line search whose trial
+evaluations are single forward solves (~1 ms), not new
+factorisations; only when the line search exhausts does the solver
+assemble the dense Levenberg normal equations as a rescue, with the
+damping ridge hoisted out of the retry loop and applied to the
+diagonal in place.
+
+The dense Jacobian is assembled in row blocks over measurement pairs
+so the O(n⁴) transfer tensor never materialises at once (see
 :func:`_jacobian_row_block`); at ``n = 100`` peak extra memory is one
 ~64 MB block instead of an 800 MB tensor.
 """
@@ -53,6 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 from repro.core.residual import JointSystem
 from repro.kirchhoff.forward import (
@@ -70,6 +93,17 @@ _REFINE_TARGET = 1e-13
 _REFINE_LIMIT = 1e-10
 #: Maximum refinement sweeps before giving up on the float32 factor.
 _REFINE_SWEEPS = 6
+#: Largest device, in resistors ``m * n``, whose Gauss–Newton step is
+#: assembled and LU-factored densely; larger devices take the
+#: matrix-free Krylov step.  Measured per cold solve on 2 vCPUs (dense
+#: vs matrix-free, median of 7): 12 vs 26 ms at n = 16, 20–26 vs
+#: 28–32 ms at n = 18, 27–41 vs 28–47 ms at n = 20, 49–67 vs 31–40 ms
+#: at n = 22.  n = 20 is a tie and stays dense, so every device up to
+#: 20×20 keeps bit-identical results.
+DENSE_STEP_MAX = 400
+#: GMRES restart length and restart cycles of the matrix-free step.
+_KRYLOV_RESTART = 50
+_KRYLOV_CYCLES = 4
 #: Maximum step halvings in the backtracking line search.
 _LINESEARCH_HALVINGS = 20
 #: Target bytes for one Jacobian assembly row block: the blocked
@@ -169,31 +203,140 @@ def _transfer_jacobian(
     return out
 
 
-def _scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+class TransferOperator(scipy.sparse.linalg.LinearOperator):
+    """Matrix-free relative-residual Jacobian ``∂Z_st/∂θ_ab / Z_st``.
+
+    Entry ``((s, t), (a, b))`` is ``T² / (R_ab Z_st)`` with the
+    transfer potential ``T = hh[s,a] - hv[s,b] - hv[a,t] + vv[t,b]``
+    over the blocks of the Laplacian pseudo-inverse.  ``T`` is
+    symmetric under ``(s, t) ↔ (a, b)``, so ``J = diag(1/Z) S
+    diag(1/R)`` with one symmetric ``S = T²`` and both ``J·v`` and
+    ``Jᵀ·w`` are scaled products with ``S`` (:meth:`_square_product`).
+    Works for non-square ``m × n`` devices.
+    """
+
+    def __init__(self, pinv: np.ndarray, r: np.ndarray, z: np.ndarray):
+        m, n = r.shape
+        super().__init__(np.float64, (m * n, m * n))
+        self.pinv, self.r, self.z = pinv, r, z
+        self.hh, self.hv, self.vv = pinv[:m, :m], pinv[:m, m:], pinv[m:, m:]
+        self.hh2, self.hv2, self.vv2 = self.hh**2, self.hv**2, self.vv**2
+        self._dense: np.ndarray | None = None
+
+    def _square_product(self, w: np.ndarray) -> np.ndarray:
+        """``Σ_ab T[s,t,a,b]² w[a,b]`` for an ``(m, n)`` weight ``w``.
+
+        Expanding ``T²`` gives four squares and six cross terms, each
+        a product of factors indexed by at most two of (s, a), (s, b),
+        (a, t), (t, b): the squares and the two cross terms that share
+        only ``s`` (only ``t``) reduce to one vector over ``s`` (over
+        ``t``), the other four are n×n matmuls.
+        """
+        hh, hv, vv = self.hh, self.hv, self.vv
+        wa, wb = w.sum(axis=1), w.sum(axis=0)
+        hw, wv = hh @ w, w @ vv
+        per_s = self.hh2 @ wa + self.hv2 @ wb - 2.0 * (hw * hv).sum(1)
+        per_t = self.hv2.T @ wa + self.vv2 @ wb - 2.0 * (wv * hv).sum(0)
+        out = hw @ vv + hv @ w.T @ hv - (hh * wa) @ hv - (hv * wb) @ vv
+        out *= 2.0
+        out += per_s[:, None]
+        out += per_t[None, :]
+        return out
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
+        w = v.reshape(self.r.shape) / self.r
+        return (self._square_product(w) / self.z).ravel()
+
+    def _rmatvec(self, u: np.ndarray) -> np.ndarray:
+        w = u.reshape(self.z.shape) / self.z
+        return (self._square_product(w) / self.r).ravel()
+
+    def diagonal(self) -> np.ndarray:
+        """``Ẑ² / (R·Z)``: a pair's transfer potential onto its own
+        resistor is the predicted effective resistance ``Ẑ``."""
+        hh, hv, vv = self.hh, self.hv, self.vv
+        z_hat = np.diag(hh)[:, None] - 2.0 * hv + np.diag(vv)[None, :]
+        return (z_hat * z_hat / (self.r * self.z)).ravel()
+
+    def dense(self) -> np.ndarray:
+        """The assembled matrix (blocked kernel, memoised)."""
+        if self._dense is None:
+            self._dense = _transfer_jacobian(self.pinv, self.r, z=self.z)
+        return self._dense
+
+
+def _scaled_jacobian(
+    r: np.ndarray, z: np.ndarray
+) -> np.ndarray | TransferOperator:
     """The relative-residual Jacobian ``nested_jacobian(r) / z`` rows.
 
-    The per-row ``1/z_st`` scaling is fused into the blocked assembly
-    (same division, so bit-identical to the two-pass expression)
-    instead of a second full-matrix pass.  Reuses the factorisation
-    the residual evaluation left in the cache.
+    Dense up to :data:`DENSE_STEP_MAX` resistors — the per-row
+    ``1/z_st`` scaling fused into the blocked assembly (same division,
+    so bit-identical to the two-pass expression) — and a
+    :class:`TransferOperator` above.  Reuses the factorisation the
+    residual evaluation left in the cache.
     """
     pinv = laplacian_factor_cached(r).pinv
-    return _transfer_jacobian(pinv, r, z=z)
+    if r.size <= DENSE_STEP_MAX:
+        return _transfer_jacobian(pinv, r, z=z)
+    return TransferOperator(pinv, r, z)
 
 
-def _gn_step(jac: np.ndarray, rhs: np.ndarray, obs) -> np.ndarray | None:
+def _dense_scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`_scaled_jacobian` assembled densely at every size."""
+    return _transfer_jacobian(laplacian_factor_cached(r).pinv, r, z=z)
+
+
+def _krylov_step(
+    op: TransferOperator, rhs: np.ndarray, rhs_norm: float
+) -> np.ndarray | None:
+    """Jacobi-preconditioned restarted GMRES for ``op @ step = rhs``.
+
+    Runs to :data:`_REFINE_TARGET` relative residual, at most
+    :data:`_KRYLOV_CYCLES` restart cycles; the step is accepted when
+    the true residual reaches :data:`_REFINE_LIMIT` relative to
+    ``rhs``, as the dense step is, and is ``None`` otherwise.
+    """
+    with np.errstate(all="ignore"):
+        step, _ = scipy.sparse.linalg.gmres(
+            op,
+            rhs,
+            rtol=_REFINE_TARGET,
+            atol=0.0,
+            restart=_KRYLOV_RESTART,
+            maxiter=_KRYLOV_CYCLES,
+            M=scipy.sparse.diags_array(1.0 / op.diagonal()),
+        )
+        relres = float(np.linalg.norm(rhs - op.matvec(step))) / rhs_norm
+    if np.isfinite(relres) and relres <= _REFINE_LIMIT:
+        return step
+    return None
+
+
+def _gn_step(
+    jac: np.ndarray | TransferOperator, rhs: np.ndarray, obs
+) -> np.ndarray | None:
     """Solve the square system ``jac @ step = rhs`` to ~1e-13.
 
-    Factorise once in float32 (half the memory traffic of dgetrf on
-    this n²×n² matrix), then polish by iterative refinement against
-    the double-precision ``jac``.  If refinement cannot reach
-    :data:`_REFINE_LIMIT` — ill-conditioned or overflowed float32
-    factor — re-factorise in double precision; ``None`` only when even
-    that is singular.
+    A :class:`TransferOperator` takes the matrix-free
+    :func:`_krylov_step`; if that misses, the step counts
+    ``solver.gn.krylov_fallbacks`` and continues on ``jac.dense()``.
+    A dense ``jac`` is factorised once in float32 (half the memory
+    traffic of dgetrf on this n²×n² matrix), then polished by iterative
+    refinement against the double-precision ``jac``.  If refinement
+    cannot reach :data:`_REFINE_LIMIT` — ill-conditioned or overflowed
+    float32 factor — re-factorise in double precision; ``None`` only
+    when even that is singular.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
+    if isinstance(jac, TransferOperator):
+        step = _krylov_step(jac, rhs, rhs_norm)
+        if step is not None:
+            return step
+        obs.count("solver.gn.krylov_fallbacks")
+        jac = jac.dense()
     step = None
     try:
         lu32 = scipy.linalg.lu_factor(
@@ -234,11 +377,12 @@ def solve_nested(
     """Variable-projection solve of Z(R) = Z_measured.
 
     Gauss–Newton on ``θ = log R`` with residuals ``(Z̃ - Z)/Z``, the
-    analytic blocked Jacobian, and the direct refined step of
-    :func:`_gn_step`; rejected steps backtrack along the GN direction
-    (cheap forward evaluations) before escalating to a Levenberg
-    rescue.  Per-iteration wall time lands in the
-    ``solver.iteration.seconds`` histogram of the active observer.
+    analytic Jacobian (dense or matrix-free by size, see
+    :func:`_scaled_jacobian`), and the step of :func:`_gn_step`;
+    rejected steps backtrack along the GN direction (cheap forward
+    evaluations) before escalating to a dense Levenberg rescue.
+    Per-iteration wall time lands in the ``solver.iteration.seconds``
+    histogram of the active observer.
     """
     from repro.observe.observer import as_observer
 
@@ -253,25 +397,38 @@ def solve_nested(
     theta = np.log(require_positive_array(r0, "r0")).ravel()
     z_flat = z.ravel()
 
-    def cost_and_res(th: np.ndarray):
-        """(cost, res, r) at θ — (inf, None, None) for unusable trials.
-
-        A large trial step can overflow ``exp`` (non-finite field) or
-        produce a non-finite cost; both read as "worse than anything"
-        so the line search / rescue rejects them instead of crashing.
-        """
+    def evaluate(th: np.ndarray):
+        """(cost, res, r) at θ — (inf, None, None) for a non-finite
+        field or cost; errors from factorising the Laplacian raise."""
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.exp(th).reshape(m, n)
         if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
             return np.inf, None, None
-        pred = predict_z(r).ravel()
-        res = (pred - z_flat) / z_flat
+        res = (predict_z(r).ravel() - z_flat) / z_flat
         cost = 0.5 * float(res @ res)
         if not np.isfinite(cost):
             return np.inf, None, None
         return cost, res, r
 
-    cost, res, r_cur = cost_and_res(theta)
+    def cost_and_res(th: np.ndarray):
+        """:func:`evaluate` for trial points, which never raise.
+
+        A large trial step can overflow ``exp``, leave a Laplacian too
+        ill-conditioned to Cholesky-factor (``LinAlgError``) or whose
+        conductance sums overflow (``ValueError`` from the
+        non-finite-input check), or produce a non-finite cost; all
+        read as "worse than anything" so the line search / rescue
+        rejects them instead of crashing.
+        """
+        try:
+            return evaluate(th)
+        except (np.linalg.LinAlgError, ValueError):
+            return np.inf, None, None
+
+    # The start point's errors propagate: a warm start the Laplacian
+    # cannot factorise is the caller's to handle (the degradation
+    # ladder steps down to ``cold-start`` on it).
+    cost, res, r_cur = evaluate(theta)
     if res is None:
         raise ValueError("r0 produces a non-finite forward prediction")
     iterations = 0
@@ -297,6 +454,8 @@ def solve_nested(
                 alpha *= 0.5
         if accepted_step is None:
             obs.count("solver.gn.lm_rescues")
+            if isinstance(jac, TransferOperator):
+                jac = jac.dense()
             rescue = _lm_rescue(jac, res, theta, cost, cost_and_res)
             if rescue is not None:
                 accepted_step, cost, res, r_cur, theta = rescue
@@ -395,13 +554,25 @@ def solve_full(
     )
 
 
+#: Half-width, in natural-log units, of the box :func:`solve_bounded`
+#: confines ``θ = log R`` to around :func:`uniform_log_field` (a factor
+#: ``e^6 ≈ 400`` in resistance either way).
+BOUNDED_SPREAD = 6.0
+
+
+def uniform_log_field(z: np.ndarray) -> float:
+    """``log R`` of the uniform field that best explains ``z``."""
+    m, n = z.shape
+    return float(np.log(np.median(z) * m * n / (m + n - 1)))
+
+
 def solve_bounded(
     z: np.ndarray,
     voltage: float = 5.0,
     r0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_nfev: int = 200,
-    spread: float = 6.0,
+    spread: float = BOUNDED_SPREAD,
     observer=None,
 ) -> SolveResult:
     """Box-bounded trust-region solve on ``θ = log R`` (safety net).
@@ -422,7 +593,7 @@ def solve_bounded(
     require_positive(voltage, "voltage")
     m, n = z.shape
     start = time.perf_counter()
-    theta_unif = float(np.log(np.median(z) * m * n / (m + n - 1)))
+    theta_unif = uniform_log_field(z)
     lo = theta_unif - spread
     hi = theta_unif + spread
     if r0 is None:
@@ -440,7 +611,7 @@ def solve_bounded(
 
     def jacobian(th: np.ndarray) -> np.ndarray:
         r = np.exp(th).reshape(m, n)
-        return _scaled_jacobian(require_positive_array(r, "r"), z)
+        return _dense_scaled_jacobian(require_positive_array(r, "r"), z)
 
     result = scipy.optimize.least_squares(
         residual,

@@ -28,7 +28,9 @@ plus per-class ``serve.queue_depth.{interactive,batch}`` gauges),
 ``serve.worker_respawns`` / ``serve.requests_salvaged`` /
 ``serve.worker_lost`` — documented in ``docs/SERVING.md``.  The solver fast path adds the ``solver.*``
 family — ``solver.iteration.seconds`` (per-Gauss–Newton-iteration
-histogram), ``solver.gn.refine_fallbacks`` (float32 step factorisation
+histogram), ``solver.gn.krylov_fallbacks`` (matrix-free GMRES step
+missed its residual limit, dense step taken instead),
+``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
 exhausted, Levenberg normal equations assembled) — documented in
 ``docs/OBSERVABILITY.md``.

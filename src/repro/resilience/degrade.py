@@ -15,13 +15,17 @@ engine walks a ladder of progressively more conservative solves:
    (:func:`repro.core.solver.solve_bounded`): cannot diverge, always
    returns a finite field.
 
-A rung is *accepted* when it produced a finite field and residual —
-degradation is for **divergence** (raised numerical errors,
-non-finite results), not for slow convergence: a finite
-``converged=False`` result is the requested solver's honest answer
-and is returned as-is (callers and the CLI's exit status inspect
-``SolveResult.converged``).  If no rung produced anything finite,
-:class:`SolverDegradationError` names every rung and why it failed.
+A rung is *accepted* when it produced a finite field and residual
+and, if it did not converge, a field still inside the bounded rung's
+box (``log R`` within :data:`~repro.core.solver.BOUNDED_SPREAD` of the
+uniform-field estimate) — degradation is for **divergence** (raised
+numerical errors, non-finite results, an unconverged field that ran
+off to e.g. 1e100 kΩ), not for slow convergence: a finite
+``converged=False`` result inside the box is the requested solver's
+honest answer and is returned as-is (callers and the CLI's exit
+status inspect ``SolveResult.converged``).  If no rung produced an
+acceptable result, :class:`SolverDegradationError` names every rung
+and why it failed.
 
 The rung actually used is recorded in
 :class:`DegradationReport` and surfaces in
@@ -34,7 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.solver import SolveResult, solve
+from repro.core.solver import (
+    BOUNDED_SPREAD,
+    SolveResult,
+    solve,
+    uniform_log_field,
+)
 from repro.resilience.faults import FaultInjector, InjectedSolverFault
 from repro.utils import logging as rlog
 
@@ -81,12 +90,18 @@ class DegradationReport:
         return f"{status}: {tail}"
 
 
-def _acceptable(result: SolveResult) -> str:
+def _acceptable(result: SolveResult, z: np.ndarray) -> str:
     """'' when the rung's result is usable, else the rejection reason."""
     if not np.all(np.isfinite(result.r_estimate)):
         return "non-finite field"
     if not np.isfinite(result.residual_norm):
         return "non-finite residual"
+    if not result.converged:
+        spread = np.max(np.abs(np.log(result.r_estimate) - uniform_log_field(z)))
+        # The slack keeps a bounded-rung field resting on its own box
+        # edge (log ∘ exp may round it out by an ulp) acceptable.
+        if spread > BOUNDED_SPREAD + 1e-9:
+            return "unconverged field outside the physical range"
     return ""
 
 
@@ -104,8 +119,9 @@ def solve_with_degradation(
     warm start and is dropped from rung 2 on; ``lam`` feeds the
     regularized rung).  Configuration errors — e.g. an unknown
     ``method`` — propagate immediately; only numerical failures
-    (:data:`DEGRADABLE_ERRORS` or a non-converged/non-finite result)
-    step down the ladder.  Each rejected rung lands on the observer
+    (:data:`DEGRADABLE_ERRORS`, a non-finite result, or a non-converged
+    result whose field left the bounded rung's box) step down the
+    ladder.  Each rejected rung lands on the observer
     stream as a ``degrade.rung_failed`` event; each rung runs inside a
     ``solve.rung`` span.
     """
@@ -162,7 +178,7 @@ def solve_with_degradation(
                 reason=f"{type(exc).__name__}: {exc}",
             )
             continue
-        reason = _acceptable(result)
+        reason = _acceptable(result, z)
         reasons.append(reason)
         if reason:
             obs.event("degrade.rung_failed", rung=rung, reason=reason)

@@ -9,7 +9,7 @@ trial costs, and agreement with the reference solver oracle.
 import numpy as np
 import pytest
 
-from repro.core.solver import solve, solve_nested
+from repro.core.solver import SolveResult, solve, solve_nested
 from repro.kirchhoff import forward
 from repro.observe.observer import Observer
 from tests.oracles.solver_reference import solve_nested_reference
@@ -90,6 +90,33 @@ class TestRobustness:
         assert np.isfinite(result.residual_norm)
         assert np.all(np.isfinite(result.r_estimate))
         assert np.all(result.r_estimate > 0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_unfactorable_trial_is_rejected_not_raised(self):
+        # A rough field (lognormal sigma = 2) sends a line-search trial
+        # to a Laplacian whose Cholesky factorisation fails ("leading
+        # minor not positive definite").  That used to escape the
+        # primary rung; it now reads as an infinite trial cost.
+        rng = np.random.default_rng(3)
+        r_true = np.exp(rng.normal(np.log(5000.0), 2.0, (8, 8)))
+        z = forward.measure(r_true)
+        result = solve_nested(z)
+        assert isinstance(result, SolveResult)
+        assert result.converged
+        assert np.max(np.abs(result.r_estimate - r_true) / r_true) < 1e-8
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trial_laplacian_is_rejected_not_raised(self):
+        # Rougher still (sigma = 2.5): a trial field so extreme that the
+        # Laplacian's conductances overflow fails scipy's finite-input
+        # check with a plain ValueError, which no ladder rung catches.
+        # It now reads as an infinite trial cost too.
+        rng = np.random.default_rng(5)
+        r_true = np.exp(rng.normal(np.log(5000.0), 2.5, (12, 12)))
+        result = solve_nested(forward.measure(r_true))
+        assert isinstance(result, SolveResult)
+        assert np.all(np.isfinite(result.r_estimate))
 
     def test_result_records_backend(self):
         # One kernel path serves every solver, so the result records

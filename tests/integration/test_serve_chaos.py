@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ParmaEngine
+from repro.kirchhoff import forward
 from repro.observe import Observer
 from repro.parallel.pymp import fork_available
 from repro.resilience.faults import FaultPlan
@@ -37,8 +38,12 @@ N = 10
 
 
 def _z(seed: int) -> np.ndarray:
+    # A consistent measurement of a random field, so every solve
+    # converges on the primary rung: these tests are about executor
+    # death, not about the degradation ladder (uniform noise as Z has
+    # no consistent field and walks the ladder for seconds).
     rng = np.random.default_rng(seed)
-    return rng.uniform(2000.0, 11000.0, size=(N, N))
+    return forward.measure(rng.uniform(2000.0, 11000.0, size=(N, N)))
 
 
 def _expected(seed: int) -> np.ndarray:

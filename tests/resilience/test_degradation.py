@@ -1,14 +1,24 @@
 """The solver degradation ladder engages in order and reports its rung."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.engine import ParmaEngine
-from repro.core.solver import solve_bounded
+from repro.core.solver import (
+    BOUNDED_SPREAD,
+    SolveResult,
+    solve_bounded,
+    uniform_log_field,
+)
+from repro.kirchhoff import forward
+from repro.mea.dataset import Measurement
 from repro.mea.wetlab import quick_device_data
 from repro.resilience.degrade import (
     LADDER_RUNGS,
     SolverDegradationError,
+    _acceptable,
     solve_with_degradation,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -70,6 +80,49 @@ class TestLadderOrder:
     def test_config_errors_propagate(self, z6):
         with pytest.raises(ValueError, match="unknown"):
             solve_with_degradation(z6, method="does-not-exist")
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+class TestDivergedPrimary:
+    """An unconverged primary whose field ran off steps down the ladder."""
+
+    @pytest.fixture(scope="class")
+    def rough(self):
+        # Lognormal σ = 2 around 5 MΩ on 20×20: Gauss–Newton from the
+        # uniform start stalls unconverged with R ~ 1e240 kΩ.
+        rng = np.random.default_rng(1)
+        r_true = np.exp(rng.normal(np.log(5000.0), 2.0, (20, 20)))
+        z = forward.measure(r_true)
+        return z, ParmaEngine(strategy="single").parametrize(Measurement(z_kohm=z))
+
+    def test_primary_rejected_as_outside_physical_range(self, rough):
+        _, result = rough
+        report = result.degradation
+        assert report.rungs_tried[0] == "primary"
+        assert report.reasons[0] == "unconverged field outside the physical range"
+        assert report.rung_used != "primary"
+
+    def test_not_reported_ok(self, rough):
+        # `parma solve` and the serve runner report `ok` only for an
+        # undegraded result.
+        z, result = rough
+        assert result.degradation.degraded
+        spread = np.max(np.abs(np.log(result.resistance) - uniform_log_field(z)))
+        assert result.solve.converged or spread <= BOUNDED_SPREAD
+
+    def test_unconverged_field_on_the_box_edge_is_accepted(self):
+        z = np.full((4, 4), 3000.0)
+        edge = SolveResult(
+            r_estimate=np.full((4, 4), np.exp(uniform_log_field(z) + BOUNDED_SPREAD)),
+            method="bounded",
+            iterations=1,
+            residual_norm=1.0,
+            elapsed_seconds=0.0,
+            converged=False,
+        )
+        assert _acceptable(edge, z) == ""
+        beyond = dataclasses.replace(edge, r_estimate=edge.r_estimate * 1.01)
+        assert _acceptable(beyond, z) == "unconverged field outside the physical range"
 
 
 class TestBoundedSolver:
