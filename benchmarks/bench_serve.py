@@ -87,7 +87,6 @@ def _single_topology(root: Path) -> tuple[SolveService, str]:
     config = ServiceConfig(
         socket_path=root / "single.sock",
         results_dir=root / "single-results",
-        linger=0.0,
         executor="thread",
         serve_workers=1,
         tcp="127.0.0.1:0",
@@ -103,7 +102,6 @@ def _fleet_topology(root: Path, shards: int) -> tuple[SolveFleet, str]:
         listen="127.0.0.1:0",
         results_dir=root / "fleet-results",
         shards=shards,
-        linger=0.0,
         shard_executor="thread",
         serve_workers=1,
         max_inflight_per_shard=64,  # bench measures latency, not shedding

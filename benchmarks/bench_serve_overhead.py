@@ -41,7 +41,6 @@ def _service(root: Path, executor: str) -> tuple[SolveService, SolveClient]:
     config = ServiceConfig(
         socket_path=root / f"{executor}.sock",
         results_dir=root / f"{executor}-results",
-        linger=0.0,
         executor=executor,
         serve_workers=1,
     )

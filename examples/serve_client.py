@@ -8,11 +8,11 @@ Runs in a few seconds, entirely in-process (no daemon left behind):
 2. simulate two devices (different grid sizes) with the wet-lab
    generator;
 3. submit three solve requests concurrently from client threads —
-   two at one grid size (they share the warm per-``n`` template
-   cache; with a linger window they may ride the same batch) and one
-   at another;
-4. print each request's status, batch/caching telemetry, and the run
-   manifest path written under the service's results directory.
+   two at one grid size (whichever runs second finds its host warm
+   for that ``n``) and one at another; each runs as soon as the
+   dispatcher is free, one request per dispatch;
+4. print each request's status, caching/queueing telemetry, and the
+   run manifest path written under the service's results directory.
 
 Usage::
 
@@ -53,8 +53,6 @@ def main(n_small: int = 10, n_large: int = 14, seed: int = 7) -> None:
         config = ServiceConfig(
             socket_path=Path(tmp) / "parma.sock",
             results_dir=Path(tmp) / "results",
-            linger=0.05,  # hold the batch open so the second n_small
-                          # request can join the first one's batch
             observer=Observer(),  # service-level serve.* metrics for `stats`
         )
         service = SolveService(config)
@@ -87,13 +85,14 @@ def main(n_small: int = 10, n_large: int = 14, seed: int = 7) -> None:
                 r = responses[name]
                 caches = "warm" if r.cache_warm else "cold"
                 print(f"[{name}] {r.status} in {r.elapsed_seconds:.3f}s "
-                      f"(batch of {r.batch_size}, {caches} caches)")
+                      f"({caches} caches, queued {r.queue_seconds:.3f}s)")
                 print(f"  {r.summary}")
                 print(f"  manifest: {r.manifest_path}")
 
             stats = client.stats()
+            ok = stats["metrics"]["serve.responses.ok"]["value"]
             print(f"\nservice totals: {stats['requests']:g} requests, "
-                  f"{stats['metrics']['serve.batches']['value']:g} batches")
+                  f"{ok:g} ok")
         finally:
             service.stop()
         print("service drained and stopped.")

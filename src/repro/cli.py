@@ -44,8 +44,8 @@ Subcommands mirror the wet-lab workflow:
     trajectories, and ``watch`` a live ``parma serve`` instance.
 ``serve``
     Run the persistent solve service on a unix-domain socket: a
-    long-lived engine pool with warm solver/pinv caches, request
-    batching, bounded admission and graceful SIGTERM drain
+    long-lived engine pool with warm solver/pinv caches, priority
+    dispatch, bounded admission and graceful SIGTERM drain
     (docs/SERVING.md).
 ``submit``
     Submit one timepoint to a running ``parma serve`` instance and
@@ -840,7 +840,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     config = ServiceConfig(
                         socket_path=sd / "chaos.sock",
                         results_dir=sd / "results",
-                        linger=0.0,
                         executor="subprocess",
                         serve_workers=1,
                         term_grace=0.2,
@@ -925,7 +924,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     listen=fd / "front.sock",
                     results_dir=fd / "results",
                     shards=2,
-                    linger=0.0,
                     term_grace=0.2,
                     faults=FaultPlan(seed=seed, fleet_kill_requests=(2,)),
                 ))
@@ -1380,8 +1378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         results_dir=args.results,
         tcp=args.tcp,
         max_queue_depth=args.queue_depth,
-        max_batch=args.max_batch,
-        linger=args.linger,
         serve_workers=args.serve_workers,
         max_deadline=args.max_deadline,
         executor=args.executor,
@@ -1408,7 +1404,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving on {args.socket}{tcp_note} "
         f"({service.executor_mode} executors; "
         f"results under {args.results}; "
-        f"batch<= {args.max_batch}, queue<= {args.queue_depth}; "
+        f"queue<= {args.queue_depth}; "
         "SIGTERM drains)",
         flush=True,
     )
@@ -1465,8 +1461,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         results_dir=args.results,
         shards=args.shards,
         max_queue_depth=args.queue_depth,
-        max_batch=args.max_batch,
-        linger=args.linger,
         serve_workers=args.serve_workers,
         max_deadline=args.max_deadline,
         shard_executor=args.shard_executor,
@@ -1608,8 +1602,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return response.exit_status
     print(response.summary)
     print(
-        f"  served: batch of {response.batch_size}, "
-        f"{'warm' if response.cache_warm else 'cold'} caches, "
+        f"  served: {'warm' if response.cache_warm else 'cold'} caches, "
         f"queued {response.queue_seconds:.3f}s, "
         f"ran {response.elapsed_seconds:.3f}s"
     )
@@ -2108,13 +2101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--queue-depth", type=int, default=64,
                        help="admission bound; beyond it requests are "
                             "rejected retriably (exit 75 at the client)")
-    p_srv.add_argument("--max-batch", type=int, default=8,
-                       help="max compatible requests (same n) coalesced "
-                            "into one batch")
-    p_srv.add_argument("--linger", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="how long a batch head waits for compatible "
-                            "followers before executing")
     p_srv.add_argument("--serve-workers", type=int, default=1,
                        help="executor threads (keep 1 unless solves are "
                             "short and BLAS contention is acceptable)")
@@ -2160,11 +2146,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "on a consistent-hash ring")
     p_fleet.add_argument("--queue-depth", type=int, default=64,
                          help="per-shard admission bound")
-    p_fleet.add_argument("--max-batch", type=int, default=8,
-                         help="per-shard batch coalescing bound")
-    p_fleet.add_argument("--linger", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="per-shard batch linger window")
     p_fleet.add_argument("--serve-workers", type=int, default=1,
                          help="executor slots inside each shard")
     p_fleet.add_argument("--max-deadline", type=float, default=None,

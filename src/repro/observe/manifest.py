@@ -21,6 +21,7 @@ The file is written atomically (:mod:`repro.resilience.atomio`), and
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import socket
@@ -55,8 +56,13 @@ class ManifestError(ValueError):
     """A manifest file is missing required structure."""
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe() -> str:
-    """Best-effort ``git describe`` of the source tree (never raises)."""
+    """Best-effort ``git describe`` of the source tree (never raises).
+
+    Run once per process: a long-lived server records the tree as it
+    was when the process started.
+    """
     root = Path(__file__).resolve().parents[3]
     try:
         out = subprocess.run(
@@ -71,6 +77,7 @@ def _git_describe() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+@functools.lru_cache(maxsize=None)
 def _blas_info() -> str:
     """One-line description of numpy's BLAS backend (best effort)."""
     import numpy as np

@@ -18,18 +18,20 @@ Canonical metric names are dotted lowercase (``formation.terms``,
 ``retry.attempts``, ``degrade.rung.bounded``, ``checkpoint.writes``,
 ``atomio.bytes_committed``, ``cache.pair-template.hits``).  The solve
 service adds the ``serve.*`` family — ``serve.requests``,
-``serve.batches``, ``serve.batch_size``, ``serve.queue_depth`` (total
-plus per-class ``serve.queue_depth.{interactive,batch}`` gauges),
+``serve.queue_depth`` (total plus per-class
+``serve.queue_depth.{interactive,batch}`` gauges),
 ``serve.queue_wait_seconds``, ``serve.latency.{cold,warm}_seconds``,
 ``serve.rejected.{queue_full,draining,invalid,quota}``,
 ``serve.responses.{ok,failed,deadline,worker_lost}``,
 ``serve.shed.{interactive,batch}``, ``serve.idempotent_hits``,
 ``serve.drains``, and the executor-supervision counters
 ``serve.worker_respawns`` / ``serve.requests_salvaged`` /
-``serve.worker_lost`` — documented in ``docs/SERVING.md``.  The solver fast path adds the ``solver.*``
-family — ``solver.iteration.seconds`` (per-Gauss–Newton-iteration
-histogram), ``solver.gn.krylov_fallbacks`` (matrix-free GMRES step
-missed its residual limit, dense step taken instead),
+``serve.worker_lost`` — and the per-request ``serve.dispatch`` span
+(carrying ``n``), documented in ``docs/SERVING.md``.  The solver fast
+path adds the ``solver.*`` family — ``solver.iteration.seconds``
+(per-Gauss–Newton-iteration histogram), ``solver.gn.krylov_fallbacks``
+(matrix-free GMRES step missed its residual limit, dense step taken
+instead),
 ``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
 exhausted, Levenberg normal equations assembled) — documented in

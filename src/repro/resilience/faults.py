@@ -115,7 +115,7 @@ class FaultPlan:
         and must treat the worker as lost.
     serve_drop_connections:
         Request ordinals at which the executor worker closes its pipe
-        mid-batch (clean EOF instead of a crash) and exits.
+        mid-request (clean EOF instead of a crash) and exits.
     fleet_kill_requests:
         Front solve ordinals (counted at the fleet front, from 1) at
         which the *routed shard process* is SIGKILLed before the

@@ -5,9 +5,9 @@ the Jacobian structure, refactoring the Laplacian pseudo-inverse — on
 *every* invocation.  ``repro.serve`` turns the reproduction into a
 long-lived local service instead: a :class:`SolveService` listens on a
 unix-domain socket, admits requests through a priority-aware bounded
-queue, coalesces compatible ones — same device side ``n`` — into one
-batch, and executes them on a crash-isolated pool of forked executor
-workers whose engine caches stay warm across requests.  Served
+queue, and executes them one per dispatch, in priority order, on a
+crash-isolated pool of forked executor workers whose engine caches
+stay warm across requests.  Served
 requests never form the §IV-A equations: that stage runs only when
 equations are persisted.
 
@@ -21,12 +21,11 @@ The pieces, each its own module:
 * :mod:`repro.serve.queue` — the bounded admission queue: priority
   classes with an anti-starvation age bound, load shedding,
   per-client token-bucket quotas, drain-aware retriable rejections;
-* :mod:`repro.serve.batcher` — compatibility keying and batch
-  coalescing with a short linger window;
+* :mod:`repro.serve.batcher` — the dispatchers' one-ticket take;
 * :mod:`repro.serve.runner` — the per-request execution pipeline both
   hosts share (which is what keeps their results bit-identical);
 * :mod:`repro.serve.executor` — the forked executor pool: heartbeat
-  supervision, stall/deadline kills, respawn and batch salvage;
+  supervision, stall/deadline kills, respawn and request salvage;
 * :mod:`repro.serve.server` — :class:`SolveService` itself: socket
   accept loop, dispatchers, idempotency cache, per-request run
   manifests via :mod:`repro.observe`, graceful drain on SIGTERM;
@@ -44,7 +43,7 @@ semantics, and ``docs/ARCHITECTURE.md`` for where serving sits in the
 stack.
 """
 
-from repro.serve.batcher import Batch, Batcher, batch_key
+from repro.serve.batcher import Batcher
 from repro.serve.client import ServeConnectionError, SolveClient
 from repro.serve.executor import ExecutorPool
 from repro.serve.fleet import FleetConfig, ShardMap, SolveFleet
@@ -80,7 +79,6 @@ from repro.serve.server import ServiceConfig, SolveService
 
 __all__ = [
     "AdmissionQueue",
-    "Batch",
     "Batcher",
     "ExecutorPool",
     "FleetConfig",
@@ -112,6 +110,5 @@ __all__ = [
     "SolveService",
     "Ticket",
     "TokenBucket",
-    "batch_key",
     "exit_status_for",
 ]

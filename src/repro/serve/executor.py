@@ -1,6 +1,6 @@
 """:class:`ExecutorPool` — forked, supervised solve executor workers.
 
-Crash isolation for the solve service: instead of executing batches on
+Crash isolation for the solve service: instead of executing requests on
 threads inside the acceptor process (where one native fault — a BLAS
 segfault, an OOM kill — takes down every queued request), the service
 forks a small pool of executor children.  Each child owns a private
@@ -8,11 +8,13 @@ forks a small pool of executor children.  Each child owns a private
 engine pool and per-process caches) and speaks a framed channel over an
 inherited ``socketpair``:
 
-* parent → child: ``{"kind": "batch", "requests": [Request, ...],
-  "queue_seconds": [...], "batch_size": N}``
-* child → parent: one ``{"kind": "result", "index": i, "response":
-  Response, "metrics": {...}}`` per member, then ``{"kind":
-  "batch-done"}``.
+* parent → child: ``{"kind": "solve", "request": Request,
+  "queue_seconds": float}``
+* child → parent: ``{"kind": "result", "response": Response,
+  "metrics": {...}}``.
+
+One request is in flight per child at a time, so a lost child costs
+only that request.
 
 The channel reuses the protocol's 4-byte length prefix and size bound
 but carries pickled objects rather than JSON: both ends are the same
@@ -29,11 +31,11 @@ The dispatching parent kills a child via
 :func:`repro.resilience.supervise.kill_process` when its heartbeat age
 exceeds ``stall_timeout`` (or the in-flight request's capped
 ``Deadline`` plus grace), then respawns the slot and either
-*salvages* the batch's unresolved tickets onto the fresh child (at
-most ``max_salvage`` times per ticket) or resolves them with the
-retriable ``worker-lost`` status.  Crashes, clean EOFs and corrupt
-frames all funnel into the same loss path, which is what the serve
-chaos modes of :mod:`repro.resilience.faults` exercise.
+*salvages* the ticket onto the fresh child (at most ``max_salvage``
+times) or resolves it with the retriable ``worker-lost`` status.
+Crashes, clean EOFs and corrupt frames all funnel into the same loss
+path, which is what the serve chaos modes of
+:mod:`repro.resilience.faults` exercise.
 """
 
 from __future__ import annotations
@@ -129,9 +131,9 @@ class _Child:
 class ExecutorPool:
     """A fixed set of executor slots, each backed by a forked child.
 
-    One dispatcher thread drives one slot at a time through
-    :meth:`run_batch`; the pool itself owns spawning, supervision,
-    loss handling and salvage.  Metrics land on ``observer``
+    One dispatcher thread drives one slot, one ticket at a time,
+    through :meth:`run_batch`; the pool itself owns spawning,
+    supervision, loss handling and salvage.  Metrics land on ``observer``
     (``serve.worker_respawns``, ``serve.requests_salvaged``,
     ``serve.worker_lost`` plus everything the children snapshot back);
     ``on_response`` fires in the parent for every delivered response
@@ -254,75 +256,64 @@ class ExecutorPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def run_batch(self, slot: int, tickets: list[Ticket]) -> None:
-        """Execute a batch on ``slot``, salvaging across worker loss.
+    def run_batch(self, slot: int, ticket: Ticket) -> None:
+        """Execute one ticket on ``slot``, salvaging across worker loss.
 
-        Every ticket ends resolved: with its solve response, or — after
+        The ticket ends resolved: with its solve response, or — after
         ``max_salvage`` re-dispatches onto fresh children — with the
         retriable ``worker-lost`` status.
         """
-        pending = list(tickets)
-        while pending:
-            if self._attempt(slot, pending):
-                return
-            lost = [t for t in pending if not t.resolved]
-            if not lost:
-                return
-            pending = []
-            for ticket in lost:
-                ticket.salvage_count += 1
-                if ticket.salvage_count <= self.max_salvage:
-                    self.salvaged += 1
-                    self.observer.count("serve.requests_salvaged")
-                    pending.append(ticket)
-                else:
-                    self.lost_responses += 1
-                    self.observer.count("serve.responses.worker_lost")
-                    ticket.try_resolve(
-                        Response(
-                            id=ticket.request.id or "",
-                            status=STATUS_WORKER_LOST,
-                            error=(
-                                "executor worker died while running this "
-                                "request; retry with the same request id"
-                            ),
-                            queue_seconds=ticket.queue_seconds(),
-                        )
+        while not self._attempt(slot, ticket):
+            ticket.salvage_count += 1
+            if ticket.salvage_count > self.max_salvage:
+                self.lost_responses += 1
+                self.observer.count("serve.responses.worker_lost")
+                ticket.try_resolve(
+                    Response(
+                        id=ticket.request.id or "",
+                        status=STATUS_WORKER_LOST,
+                        error=(
+                            "executor worker died while running this "
+                            "request; retry with the same request id"
+                        ),
+                        queue_seconds=ticket.queue_seconds(),
                     )
+                )
+                return
+            self.salvaged += 1
+            self.observer.count("serve.requests_salvaged")
 
-    def _attempt(self, slot: int, tickets: list[Ticket]) -> bool:
-        """One dispatch of ``tickets`` to the slot's (live) child.
+    def _attempt(self, slot: int, ticket: Ticket) -> bool:
+        """One dispatch of ``ticket`` to the slot's (live) child.
 
-        True when the child answered ``batch-done``; False after any
+        True when the child answered with its result; False after any
         loss (the child is already killed and the slot left empty for
         the next attempt to respawn).
         """
         child = self._children[slot]
         if child is None:
             child = self._spawn(slot)
-        job = {
-            "kind": "batch",
-            "requests": [t.request for t in tickets],
-            "queue_seconds": [t.queue_seconds() for t in tickets],
-            "batch_size": len(tickets),
-        }
-        for ticket in tickets:
-            self.observer.observe_hist(
-                "serve.queue_wait_seconds", ticket.queue_seconds()
-            )
+        queue_seconds = ticket.queue_seconds()
+        self.observer.observe_hist("serve.queue_wait_seconds", queue_seconds)
         try:
-            _send_frame(child.sock, job)
+            _send_frame(
+                child.sock,
+                {
+                    "kind": "solve",
+                    "request": ticket.request,
+                    "queue_seconds": queue_seconds,
+                },
+            )
         except OSError:
             self._lose(slot, reason="send-failed")
             return False
-        unresolved = {index: t for index, t in enumerate(tickets)}
+        limit = self._stall_limit(ticket)
         while True:
             try:
                 ready, _, _ = select.select([child.sock], [], [], _POLL_SECONDS)
             except OSError:  # pragma: no cover - socket died under select
                 ready = []
             if not ready:
-                limit = self._stall_limit(unresolved)
                 if self.board.age(slot) > limit:
                     self._lose(slot, reason="stall")
                     return False
@@ -336,13 +327,9 @@ class ExecutorPool:
                 self._lose(slot, reason="eof")
                 return False
             kind = message.get("kind")
-            if kind == "batch-done":
-                return True
             if kind != "result":  # pragma: no cover - unknown frame kind
                 self._lose(slot, reason=f"unexpected-{kind}")
                 return False
-            index = int(message.get("index", -1))
-            ticket = unresolved.pop(index, None)
             response = message.get("response")
             if not isinstance(response, Response):
                 self._lose(slot, reason="bad-response")
@@ -350,13 +337,13 @@ class ExecutorPool:
             metrics = message.get("metrics")
             if metrics and self.observer.metrics is not None:
                 self.observer.metrics.merge(metrics)
-            if ticket is not None:
-                ticket.try_resolve(response)
-                if self.on_response is not None:
-                    self.on_response(ticket, response)
+            ticket.try_resolve(response)
+            if self.on_response is not None:
+                self.on_response(ticket, response)
+            return True
 
-    def _stall_limit(self, unresolved: dict[int, Ticket]) -> float:
-        """Heartbeat-age bound for the request currently in flight.
+    def _stall_limit(self, ticket: Ticket) -> float:
+        """Heartbeat-age bound for the request in flight.
 
         The child ticks at request boundaries, so "age" is "seconds
         inside the current request".  A deadline-bearing request gets
@@ -364,10 +351,7 @@ class ExecutorPool:
         normally answers ``deadline-exceeded`` well before this); the
         stall timeout is the ceiling either way.
         """
-        if not unresolved:
-            return self.stall_timeout
-        current = unresolved[min(unresolved)]
-        deadline = Deadline.capped(current.request.deadline, self.max_deadline)
+        deadline = Deadline.capped(ticket.request.deadline, self.max_deadline)
         if deadline is None:
             return self.stall_timeout
         return min(self.stall_timeout, deadline.seconds + self.term_grace + 1.0)
@@ -409,59 +393,43 @@ def _child_main(
             os._exit(1)
         if message is None:  # parent closed the pipe: clean retirement
             os._exit(0)
-        if message.get("kind") != "batch":
+        if message.get("kind") != "solve":
             continue
-        requests = message.get("requests") or []
-        queue_seconds = message.get("queue_seconds") or []
-        batch_size = int(message.get("batch_size", len(requests)))
-        for index, request in enumerate(requests):
-            board.tick(slot)
-            if faults is not None:
-                faults.on_serve_request(ordinal, generation)
-            # Warmth is a property of *this child's* runner.
-            response = runner.run(
-                request,
-                batch_size=batch_size,
-                queue_seconds=float(
-                    queue_seconds[index] if index < len(queue_seconds) else 0.0
-                ),
-            )
-            snapshot = (
-                runner.observer.metrics.snapshot()
-                if runner.observer.metrics is not None
-                else {}
-            )
-            if runner.observer.metrics is not None:
-                runner.observer.metrics.clear()
-            payload = {
-                "kind": "result",
-                "index": index,
-                "response": response,
-                "metrics": snapshot,
-            }
-            fate = (
-                faults.serve_frame_fate(ordinal, generation)
-                if faults is not None
-                else "ok"
-            )
-            ordinal += 1
-            try:
-                if fate == "drop":
-                    sock.close()
-                    os._exit(75)
-                frame = _encode_frame(payload)
-                if fate == "corrupt":
-                    # An impossible length prefix: the parent's framing
-                    # layer rejects it deterministically.
-                    frame = (
-                        struct.pack(_LENGTH_FORMAT, MAX_MESSAGE_BYTES + 1)
-                        + frame[_LENGTH_BYTES:]
-                    )
-                sock.sendall(frame)
-            except OSError:
-                os._exit(1)
-            board.tick(slot)
+        board.tick(slot)
+        if faults is not None:
+            faults.on_serve_request(ordinal, generation)
+        # Warmth is a property of *this child's* runner.
+        response = runner.run(
+            message["request"],
+            queue_seconds=float(message.get("queue_seconds", 0.0)),
+        )
+        snapshot = (
+            runner.observer.metrics.snapshot()
+            if runner.observer.metrics is not None
+            else {}
+        )
+        if runner.observer.metrics is not None:
+            runner.observer.metrics.clear()
+        payload = {"kind": "result", "response": response, "metrics": snapshot}
+        fate = (
+            faults.serve_frame_fate(ordinal, generation)
+            if faults is not None
+            else "ok"
+        )
+        ordinal += 1
         try:
-            _send_frame(sock, {"kind": "batch-done"})
+            if fate == "drop":
+                sock.close()
+                os._exit(75)
+            frame = _encode_frame(payload)
+            if fate == "corrupt":
+                # An impossible length prefix: the parent's framing
+                # layer rejects it deterministically.
+                frame = (
+                    struct.pack(_LENGTH_FORMAT, MAX_MESSAGE_BYTES + 1)
+                    + frame[_LENGTH_BYTES:]
+                )
+            sock.sendall(frame)
         except OSError:
             os._exit(1)
+        board.tick(slot)

@@ -10,9 +10,8 @@ solve to one of ``shards`` worker processes, each running a full
 
 Design decisions worth knowing:
 
-* **Sharding key is ``n``** — the same key the service batches on —
-  routed through a consistent-hash ring (:class:`ShardMap`).
-  Everything expensive the serve path reuses (Laplacian factor LRU,
+* **Sharding key is ``n``**, routed through a consistent-hash ring
+  (:class:`ShardMap`).  Everything expensive the serve path reuses (Laplacian factor LRU,
   Jacobian structure) is keyed by device size, so pinning a size to a
   shard keeps that shard's caches hot while the other shards stay cold
   for it.  The ring hashes ``n`` together with the fixed
@@ -166,10 +165,10 @@ class FleetConfig:
     port 0 picks an ephemeral port, observable as
     :attr:`SolveFleet.tcp_address`).  ``shards`` worker processes are
     forked, each a full :class:`SolveService` on
-    ``results_dir/shard-<i>/shard.sock`` with the queue/batching/
-    deadline knobs below; ``shard_executor`` picks the execution host
-    *inside* each shard (default ``thread`` — the shard process is
-    already the crash-isolation boundary, and the front respawns it).
+    ``results_dir/shard-<i>/shard.sock`` with the queue/deadline knobs
+    below; ``shard_executor`` picks the execution host *inside* each
+    shard (default ``thread`` — the shard process is already the
+    crash-isolation boundary, and the front respawns it).
     ``quota_rate``/``quota_burst`` meter per-client admission at the
     front, ``max_inflight_per_shard`` sheds batch-priority work aimed
     at a saturated shard, ``max_reroutes`` bounds ring-walk retries
@@ -184,8 +183,6 @@ class FleetConfig:
     shards: int = 2
     replicas: int = 64
     max_queue_depth: int = 64
-    max_batch: int = 8
-    linger: float = 0.05
     serve_workers: int = 1
     max_deadline: float | None = None
     shard_executor: str = "thread"
@@ -225,8 +222,6 @@ class FleetConfig:
             socket_path=self.shard_socket(index),
             results_dir=self.shard_dir(index),
             max_queue_depth=self.max_queue_depth,
-            max_batch=self.max_batch,
-            linger=self.linger,
             serve_workers=self.serve_workers,
             max_deadline=self.max_deadline,
             executor=self.shard_executor,

@@ -273,11 +273,11 @@ class Response:
 
     ``manifest_path`` points at the per-request run manifest written
     through :mod:`repro.observe` (absent for rejected/invalid
-    requests); ``batch_size`` and ``cache_warm`` describe how the
-    request was executed (how many same-``n`` requests shared its
-    batch, and whether the executing host had already served that
-    ``n``); ``queue_seconds``/``elapsed_seconds`` split latency
-    into waiting and working.
+    requests); ``cache_warm`` says whether the executing host had
+    already served that ``n``; ``batch_size`` is 1 for every executed
+    request (one request per dispatch) and 0 for rejected ones;
+    ``queue_seconds``/``elapsed_seconds`` split latency into waiting
+    and working.
     """
 
     id: str

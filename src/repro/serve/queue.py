@@ -16,8 +16,7 @@ Three refinements layer on top of the plain depth bound:
   oldest ticket of the most urgent class present (class order is
   :data:`repro.serve.protocol.PRIORITY_CLASSES`), except that a ticket
   of *any* class older than ``max_bypass_age`` seconds is taken first,
-  which bounds how long priority (or batch-key affinity, see
-  :meth:`AdmissionQueue.take_matching`) can starve FIFO order.
+  which bounds how long priority can starve FIFO order.
 * **Load shedding** — when the queue is saturated (at depth, or the
   estimated queue-seconds exceed ``max_queue_seconds``), an incoming
   ticket of strictly higher priority evicts the *newest* ticket of the
@@ -343,42 +342,6 @@ class AdmissionQueue:
             if ticket.priority_rank < best.priority_rank:
                 best = ticket  # first hit per class = oldest in class
         return best
-
-    def take_matching(
-        self, predicate: Callable[["Request"], bool], limit: int
-    ) -> list[Ticket]:
-        """Pop up to ``limit`` queued tickets whose request matches.
-
-        Non-blocking; preserves FIFO order among the matches and
-        leaves non-matching tickets queued in their original order.
-        The batcher uses this to coalesce same-key requests behind a
-        just-taken head ticket.  The sweep *stops* at the first
-        non-matching ticket that has waited longer than
-        ``max_bypass_age``: nothing younger may overtake it, which
-        bounds how long a stream of mutually compatible requests can
-        starve an older incompatible one.
-        """
-        if limit <= 0:
-            return []
-        taken: list[Ticket] = []
-        with self._cond:
-            kept: deque[Ticket] = deque()
-            blocked = False
-            while self._items:
-                ticket = self._items.popleft()
-                if blocked:
-                    kept.append(ticket)
-                elif len(taken) < limit and predicate(ticket.request):
-                    taken.append(ticket)
-                else:
-                    if ticket.queue_seconds() > self.max_bypass_age:
-                        blocked = True  # aged head: nothing overtakes it
-                    kept.append(ticket)
-            self._items = kept
-            depth = len(self._items)
-        if taken and self._on_depth is not None:
-            self._on_depth(depth)
-        return taken
 
     # -- load estimation -----------------------------------------------------
 

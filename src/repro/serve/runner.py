@@ -108,7 +108,7 @@ class RequestRunner:
         self,
         request: Request,
         *,
-        batch_size: int,
+        batch_size: int = 1,
         warm: bool | None = None,
         queue_seconds: float,
     ) -> Response:
@@ -117,8 +117,9 @@ class RequestRunner:
         ``warm`` labels the request for ``Response.cache_warm`` and the
         ``serve.latency.{warm,cold}_seconds`` split.  Left as None, the
         runner decides: warm when it has already run a request of the
-        same ``n`` (so a batch head of a new size is cold and every
-        member behind it warm).
+        same ``n``.  ``batch_size`` is only echoed into the response
+        and manifest; the serve stack runs one request per dispatch,
+        so it is always 1 there.
         """
         started = time.perf_counter()
         try:

@@ -8,9 +8,9 @@ of forked executor workers:
 * **handlers** read one request, admit it to the
   :class:`repro.serve.queue.AdmissionQueue` (or answer a retriable
   rejection), block on the ticket, and write the response;
-* **dispatchers** pull compatible batches through the
-  :class:`repro.serve.batcher.Batcher` and execute them — on the
-  forked children of :class:`repro.serve.executor.ExecutorPool`
+* **dispatchers** take one ticket at a time, in priority order,
+  through the :class:`repro.serve.batcher.Batcher` and execute it — on
+  the forked children of :class:`repro.serve.executor.ExecutorPool`
   (``executor="subprocess"``, the default: a native crash, OOM kill or
   hang takes out one child, not the service), or in-process through a
   shared :class:`repro.serve.runner.RequestRunner`
@@ -27,7 +27,7 @@ of a completed one returns the cached response instead of re-solving.
 
 Graceful drain (SIGTERM, or an admin ``drain`` message): admission
 closes, queued-but-unstarted tickets are answered with the retriable
-``rejected-draining`` status, in-flight batches run to completion and
+``rejected-draining`` status, in-flight requests run to completion and
 their responses are delivered, then the dispatchers exit, executor
 children are retired and the socket is unlinked.  Nothing already
 being computed is discarded.
@@ -54,7 +54,7 @@ from pathlib import Path
 
 from repro.observe.observer import as_observer
 from repro.parallel.pymp import fork_available
-from repro.serve.batcher import Batch, Batcher
+from repro.serve.batcher import Batcher
 from repro.serve.executor import ExecutorPool
 from repro.serve.protocol import (
     PRIORITY_CLASSES,
@@ -98,13 +98,12 @@ class ServiceConfig:
     picks the execution host: ``"subprocess"`` (default; falls back to
     ``"thread"`` where fork is unavailable) isolates solves in forked
     children supervised by ``stall_timeout``/``term_grace`` and
-    salvages a dying worker's batch up to ``max_salvage`` times per
-    request; ``"thread"`` runs solves in-process.  ``max_deadline``
+    salvages a dying worker's request up to ``max_salvage`` times; ``"thread"`` runs solves in-process.  ``max_deadline``
     caps any per-request budget; ``None`` accepts the request's own
     value unchanged.  ``quota_rate``/``quota_burst`` meter per-client
     admission, ``max_queue_seconds`` triggers load shedding on
-    estimated wait, ``max_bypass_age`` bounds priority/batching
-    starvation and ``idempotency_cache`` sizes the completed-response
+    estimated wait, ``max_bypass_age`` bounds priority starvation
+    and ``idempotency_cache`` sizes the completed-response
     LRU.  ``faults`` (a ``FaultPlan``/``FaultInjector``) arms the
     serve chaos hooks inside executor children.  ``catalog_path``
     auto-ingests every executed request's run manifest into the SQLite
@@ -119,8 +118,6 @@ class ServiceConfig:
     results_dir: Path
     tcp: str | None = None
     max_queue_depth: int = 64
-    max_batch: int = 8
-    linger: float = 0.05
     serve_workers: int = 1
     max_deadline: float | None = None
     observer: object | None = None
@@ -193,9 +190,7 @@ class SolveService:
             quota_burst=config.quota_burst,
             on_shed=self._on_shed,
         )
-        self.batcher = Batcher(
-            self.queue, max_batch=config.max_batch, linger=config.linger
-        )
+        self.batcher = Batcher(self.queue)
         self.pool: ExecutorPool | None = None
         self._runner: RequestRunner | None = None
         if self.executor_mode == "thread":
@@ -305,7 +300,6 @@ class SolveService:
             "serve.started",
             socket=str(path),
             workers=self.config.serve_workers,
-            max_batch=self.config.max_batch,
             executor=self.executor_mode,
         )
 
@@ -314,7 +308,7 @@ class SolveService:
 
         New submissions are rejected with ``rejected-draining``,
         queued-but-unstarted tickets are resolved with the same
-        retriable status, and dispatchers exit once in-flight batches
+        retriable status, and dispatchers exit once in-flight requests
         finish.  :meth:`wait` observes completion.
         """
         if self._stopping.is_set():
@@ -609,37 +603,29 @@ class SolveService:
     # -- dispatchers ---------------------------------------------------------
 
     def _worker_loop(self, rank: int) -> None:
-        """Pull batches until the queue is drained empty, then exit."""
+        """Take tickets until the queue is drained empty, then exit."""
         while True:
-            batch = self.batcher.next_batch(timeout=_POLL_SECONDS)
-            if batch is None:
+            ticket = self.batcher.next_batch(timeout=_POLL_SECONDS)
+            if ticket is None:
                 if self._stopping.is_set() and self.queue.depth() == 0:
                     return
                 continue
-            self._execute_batch(rank, batch)
+            self._execute(rank, ticket)
 
-    def _execute_batch(self, rank: int, batch: Batch) -> None:
-        """Run one compatible batch on this dispatcher's execution host."""
-        self.observer.count("serve.batches")
-        self.observer.observe_hist("serve.batch_size", float(batch.size))
+    def _execute(self, rank: int, ticket: Ticket) -> None:
+        """Run one request on this dispatcher's execution host."""
         if self.pool is not None:
             with self.observer.span(
-                "serve.batch", n=batch.n, size=batch.size,
-                executor="subprocess",
+                "serve.dispatch", n=ticket.request.n, executor="subprocess"
             ):
-                self.pool.run_batch(rank, list(batch.tickets))
+                self.pool.run_batch(rank, ticket)
             return
-        with self.observer.span("serve.batch", n=batch.n, size=batch.size):
-            for ticket in batch.tickets:
-                self._execute_ticket(ticket, batch)
-
-    def _execute_ticket(self, ticket: Ticket, batch: Batch) -> None:
-        """Execute one request in-process and resolve its ticket."""
         assert self._runner is not None
-        queue_seconds = ticket.queue_seconds()
-        self.observer.observe_hist("serve.queue_wait_seconds", queue_seconds)
-        response = self._runner.run(
-            ticket.request, batch_size=batch.size, queue_seconds=queue_seconds
-        )
-        ticket.try_resolve(response)
-        self._on_executed(ticket, response)
+        with self.observer.span("serve.dispatch", n=ticket.request.n):
+            queue_seconds = ticket.queue_seconds()
+            self.observer.observe_hist("serve.queue_wait_seconds", queue_seconds)
+            response = self._runner.run(
+                ticket.request, queue_seconds=queue_seconds
+            )
+            ticket.try_resolve(response)
+            self._on_executed(ticket, response)

@@ -56,7 +56,6 @@ def _service(tmp_path, obs, **overrides):
     config = ServiceConfig(
         socket_path=tmp_path / "chaos.sock",
         results_dir=tmp_path / "results",
-        linger=0.0,
         executor="subprocess",
         term_grace=0.2,
         observer=obs,
@@ -72,8 +71,8 @@ def _service(tmp_path, obs, **overrides):
 
 class TestWorkerDeathUnderLoad:
     def test_injected_kill_mid_batch_salvages_every_request(self, tmp_path):
-        # Generation 0 dies at its second request; all members of the
-        # wedged batch must be salvaged onto the respawn.
+        # Generation 0 dies at its second request; the request it was
+        # running must be salvaged onto the respawn.
         obs = Observer()
         svc, client = _service(
             tmp_path, obs, faults=FaultPlan(serve_kill_requests=(1,))

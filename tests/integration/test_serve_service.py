@@ -55,8 +55,6 @@ def service(tmp_path):
         socket_path=tmp_path / "parma.sock",
         results_dir=tmp_path / "results",
         max_queue_depth=32,
-        max_batch=8,
-        linger=0.05,
         observer=obs,
     )
     svc = SolveService(config)
@@ -112,11 +110,10 @@ class TestConcurrentBatching:
             ).parametrize(meas)
             assert np.array_equal(r.resistance_array(), reference.resistance)
             assert r.num_regions == reference.detection.num_regions
-        # Batching actually coalesced: fewer batches than
-        # requests (the 0.05s linger holds same-n requests together).
+            # One request per dispatch: nothing shares a batch.
+            assert r.batch_size == 1
         snapshot = obs.metrics.snapshot()
         assert snapshot["serve.requests"]["value"] == 8
-        assert 2 <= snapshot["serve.batches"]["value"] < 8
 
     def test_second_same_n_request_is_faster_warm(self, service):
         """The first request of an n is labelled cold, later ones warm.
@@ -174,8 +171,6 @@ class TestSigtermDrain:
                 str(socket_path),
                 "--results",
                 str(results_dir),
-                "--linger",
-                "0.02",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

@@ -170,7 +170,6 @@ class TestWatch:
         config = ServiceConfig(
             socket_path=tmp_path / "watch.sock",
             results_dir=tmp_path / "results",
-            linger=0.0,
             observer=Observer(),
         )
         svc = SolveService(config)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.observe.manifest as manifest_mod
 from repro.observe.manifest import (
     REQUIRED_KEYS,
     ManifestError,
@@ -55,6 +56,24 @@ class TestBuild:
         env = environment_info()
         for key in ("host", "platform", "python", "numpy", "blas", "git"):
             assert isinstance(env[key], str) and env[key]
+
+    def test_git_describe_runs_once_per_process(self, monkeypatch):
+        calls = []
+        real_run = manifest_mod.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest_mod.subprocess, "run", counting_run)
+        manifest_mod._git_describe.cache_clear()
+        try:
+            first = environment_info()
+            second = environment_info()
+        finally:
+            manifest_mod._git_describe.cache_clear()
+        assert len(calls) == 1
+        assert first["git"] == second["git"]
 
     def test_json_serializable(self):
         json.dumps(_manifest())

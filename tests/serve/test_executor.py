@@ -1,8 +1,8 @@
 """Executor-pool unit tests: forked workers, supervision, salvage.
 
 These run real forks and real (tiny) solves, but no service socket:
-tickets go straight into :meth:`ExecutorPool.run_batch`, which is the
-exact path the service dispatchers use.
+tickets go straight into :meth:`ExecutorPool.run_batch`, one at a time,
+which is the exact path the service dispatchers use.
 """
 
 import numpy as np
@@ -33,6 +33,12 @@ def _tickets(count: int, n: int = 6) -> list[Ticket]:
     ]
 
 
+def _run(pool: ExecutorPool, tickets: list[Ticket]) -> None:
+    """Dispatch tickets one after another, as a service dispatcher does."""
+    for ticket in tickets:
+        pool.run_batch(0, ticket)
+
+
 def _pool(tmp_path, **kwargs) -> ExecutorPool:
     kwargs.setdefault("observer", Observer())
     kwargs.setdefault("stall_timeout", 10.0)
@@ -46,7 +52,7 @@ class TestHappyPath:
         pool.start()
         try:
             tickets = _tickets(3)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         engine = ParmaEngine(strategy="single", threshold_sigmas=3.0)
@@ -62,7 +68,7 @@ class TestHappyPath:
         pool.start()
         try:
             tickets = _tickets(1)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
@@ -74,7 +80,7 @@ class TestHappyPath:
         pool = _pool(tmp_path, observer=observer)
         pool.start()
         try:
-            pool.run_batch(0, _tickets(2))
+            _run(pool, _tickets(2))
         finally:
             pool.stop()
         snapshot = observer.metrics.snapshot()
@@ -92,7 +98,7 @@ class TestWorkerLoss:
         pool.start()
         try:
             tickets = _tickets(3)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         engine = ParmaEngine(strategy="single", threshold_sigmas=3.0)
@@ -102,12 +108,12 @@ class TestWorkerLoss:
             expected = engine.parametrize(_z(6, seed=i)).resistance
             assert np.array_equal(response.resistance_array(), expected)
         assert pool.respawns == 1
-        # Members 1 and 2 were unresolved when the child died at its
-        # second request; member 0's result had already landed.
-        assert pool.salvaged == 2
+        # The child died at its second request: only that request was
+        # in flight, so it alone is salvaged.
+        assert pool.salvaged == 1
         snapshot = observer.metrics.snapshot()
         assert snapshot["serve.worker_respawns"]["value"] == 1.0
-        assert snapshot["serve.requests_salvaged"]["value"] == 2.0
+        assert snapshot["serve.requests_salvaged"]["value"] == 1.0
         assert snapshot["serve.worker_lost"]["value"] == 1.0
 
     def test_salvage_exhaustion_answers_worker_lost(self, tmp_path):
@@ -121,7 +127,7 @@ class TestWorkerLoss:
         pool.start()
         try:
             tickets = _tickets(1)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
@@ -139,7 +145,7 @@ class TestWorkerLoss:
         pool.start()
         try:
             tickets = _tickets(1)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
@@ -151,7 +157,7 @@ class TestWorkerLoss:
         pool.start()
         try:
             tickets = _tickets(1)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
@@ -163,7 +169,7 @@ class TestWorkerLoss:
         pool.start()
         try:
             tickets = _tickets(1)
-            pool.run_batch(0, tickets)
+            _run(pool, tickets)
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
@@ -180,7 +186,7 @@ class TestWorkerLoss:
             ticket = Ticket(
                 Request(z=_z(12).tolist(), id="dl", deadline=1e-9)
             )
-            pool.run_batch(0, [ticket])
+            pool.run_batch(0, ticket)
         finally:
             pool.stop()
         response = ticket.wait(timeout=1.0)

@@ -220,7 +220,6 @@ def fleet(tmp_path):
         listen="127.0.0.1:0",
         results_dir=tmp_path / "fleet",
         shards=2,
-        linger=0.0,
         processes=False,
     )
     f = SolveFleet(config)
@@ -285,7 +284,6 @@ class TestFleetInProcess:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "quota-fleet",
             shards=2,
-            linger=0.0,
             processes=False,
             quota_rate=0.001,
             quota_burst=1.0,
@@ -322,7 +320,6 @@ def thread_service(tmp_path):
     svc = SolveService(ServiceConfig(
         socket_path=tmp_path / "svc.sock",
         results_dir=tmp_path / "svc",
-        linger=0.0,
         executor="thread",
     ))
     svc.start()
@@ -365,7 +362,6 @@ class TestFleetProcesses:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "proc-fleet",
             shards=2,
-            linger=0.0,
             processes=True,
             term_grace=0.2,
         )

@@ -1,4 +1,4 @@
-"""Admission-queue and batcher unit tests (no sockets, no engines)."""
+"""Admission-queue and dispatch unit tests (no sockets, no engines)."""
 
 import threading
 import time
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.batcher import Batch, Batcher, batch_key
+from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
@@ -29,11 +29,9 @@ def _request(
     rid: str | None = None,
     priority: str = PRIORITY_BATCH,
     client_id: str = "",
-    solver: str = "nested",
 ):
     return Request(
         z=[[1000.0] * n for _ in range(n)],
-        solver=solver,
         id=rid,
         priority=priority,
         client_id=client_id,
@@ -161,14 +159,6 @@ class TestAdmissionQueue:
         assert not thread.is_alive()
         assert result[0] is None
 
-    def test_take_matching_preserves_order_of_rest(self):
-        queue = AdmissionQueue(max_depth=8)
-        for rid, n in [("a", 4), ("b", 5), ("c", 4), ("d", 5)]:
-            queue.submit(_request(n=n, rid=rid))
-        taken = queue.take_matching(lambda req: req.n == 5, limit=10)
-        assert [t.request.id for t in taken] == ["b", "d"]
-        assert [queue.take().request.id for _ in range(2)] == ["a", "c"]
-
     def test_on_depth_callback_mirrors_depth(self):
         seen: list[int] = []
         queue = AdmissionQueue(max_depth=4, on_depth=seen.append)
@@ -290,108 +280,26 @@ class TestQuotas:
             queue.submit(_request(rid=str(i), client_id="alice"))
 
 
-class TestTakeMatchingFairness:
-    def test_compatible_stream_cannot_starve_aged_incompatible(self):
-        # The satellite regression: a stream of compatible (n=4)
-        # requests behind an *aged* incompatible (n=5) head must not be
-        # swept past it — the FIFO-age bound holds.
-        queue = AdmissionQueue(max_depth=16, max_bypass_age=0.5)
-        old = queue.submit(_request(n=5, rid="starved"))
-        _age(old, 10.0)
-        for rid in ("a", "b", "c"):
-            queue.submit(_request(n=4, rid=rid))
-        taken = queue.take_matching(lambda req: req.n == 4, limit=10)
-        assert taken == []  # nothing may overtake the aged head
-        assert queue.take().request.id == "starved"
-        # With the aged head gone the stream coalesces normally.
-        taken = queue.take_matching(lambda req: req.n == 4, limit=10)
-        assert [t.request.id for t in taken] == ["a", "b", "c"]
-
-    def test_young_incompatible_head_is_bypassed(self):
-        queue = AdmissionQueue(max_depth=16, max_bypass_age=60.0)
-        queue.submit(_request(n=5, rid="young"))
-        queue.submit(_request(n=4, rid="a"))
-        queue.submit(_request(n=4, rid="b"))
-        taken = queue.take_matching(lambda req: req.n == 4, limit=10)
-        assert [t.request.id for t in taken] == ["a", "b"]
-        assert queue.take().request.id == "young"
-
-    def test_sweep_stops_at_aged_ticket_mid_queue(self):
-        queue = AdmissionQueue(max_depth=16, max_bypass_age=0.5)
-        queue.submit(_request(n=4, rid="a"))
-        aged = queue.submit(_request(n=5, rid="aged"))
-        _age(aged, 10.0)
-        queue.submit(_request(n=4, rid="behind"))
-        taken = queue.take_matching(lambda req: req.n == 4, limit=10)
-        # "a" is ahead of the aged ticket and may be taken; "behind"
-        # must stay queued behind it.
-        assert [t.request.id for t in taken] == ["a"]
-        assert queue.take().request.id == "aged"
-        assert queue.take().request.id == "behind"
-
-
 class TestBatcher:
-    def test_batch_key(self):
-        assert batch_key(_request(n=4)) == 4
-        assert batch_key(_request(n=5)) == 5
-        # Solver knobs are honoured per member, not part of the key.
-        assert batch_key(_request(n=4, solver="full")) == 4
-
-    def test_coalesces_same_key(self):
+    def test_next_batch_takes_one_ticket(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
+        batcher = Batcher(queue)
         for rid in "abc":
             queue.submit(_request(n=4, rid=rid))
-        batch = batcher.next_batch(timeout=1.0)
-        assert isinstance(batch, Batch)
-        assert batch.key == 4
-        assert [t.request.id for t in batch.tickets] == ["a", "b", "c"]
-        assert batch.size == 3 and batch.n == 4
+        taken = [batcher.next_batch(timeout=1.0) for _ in range(3)]
+        assert all(isinstance(t, Ticket) for t in taken)
+        assert [t.request.id for t in taken] == ["a", "b", "c"]
+        assert queue.depth() == 0
 
-    def test_different_keys_stay_separate(self):
+    def test_next_batch_follows_priority_order(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
-        queue.submit(_request(n=4, rid="a"))
-        queue.submit(_request(n=5, rid="x"))
-        queue.submit(_request(n=4, rid="b"))
-        queue.submit(_request(n=4, solver="full", rid="c"))
-        first = batcher.next_batch(timeout=1.0)
-        assert [t.request.id for t in first.tickets] == ["a", "b", "c"]
-        second = batcher.next_batch(timeout=1.0)
-        assert [t.request.id for t in second.tickets] == ["x"]
-        assert batcher.next_batch(timeout=0.05) is None
-
-    def test_max_batch_cap(self):
-        queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=2, linger=0.0)
-        for rid in "abcd":
-            queue.submit(_request(n=4, rid=rid))
-        assert batcher.next_batch(timeout=1.0).size == 2
-        assert batcher.next_batch(timeout=1.0).size == 2
-
-    def test_linger_sweeps_late_arrivals(self):
-        queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.5)
-        queue.submit(_request(n=4, rid="early"))
-
-        def late_submitter():
-            time.sleep(0.05)
-            queue.submit(_request(n=4, rid="late"))
-
-        thread = threading.Thread(target=late_submitter)
-        thread.start()
-        batch = batcher.next_batch(timeout=1.0)
-        thread.join()
-        assert [t.request.id for t in batch.tickets] == ["early", "late"]
+        batcher = Batcher(queue)
+        queue.submit(_request(rid="b1", priority=PRIORITY_BATCH))
+        queue.submit(_request(rid="i1", priority=PRIORITY_INTERACTIVE))
+        assert batcher.next_batch(timeout=1.0).request.id == "i1"
+        assert batcher.next_batch(timeout=1.0).request.id == "b1"
 
     def test_timeout_returns_none(self):
         queue = AdmissionQueue(max_depth=4)
-        batcher = Batcher(queue, max_batch=4, linger=0.0)
+        batcher = Batcher(queue)
         assert batcher.next_batch(timeout=0.05) is None
-
-    def test_bad_knobs_rejected(self):
-        queue = AdmissionQueue(max_depth=4)
-        with pytest.raises(ValueError):
-            Batcher(queue, max_batch=0)
-        with pytest.raises(ValueError):
-            Batcher(queue, linger=-1.0)
