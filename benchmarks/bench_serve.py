@@ -53,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.mea.synthetic import paper_like_spec  # noqa: E402
 from repro.mea.wetlab import run_campaign  # noqa: E402
 from repro.observe import Observer  # noqa: E402
+from repro.parallel import blas  # noqa: E402
 from repro.parallel.pymp import fork_available  # noqa: E402
 from repro.serve import (  # noqa: E402
     FleetConfig,
@@ -359,6 +360,7 @@ def run(
         "benchmark": "serve_slo",
         "host": {
             "cpus": os.cpu_count(),
+            "blas_threads": blas.threads(),
             "note": (
                 "measured rows are real wall-clock on this host; "
                 "projected rows replay the measured warm service-time "

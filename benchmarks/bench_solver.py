@@ -40,6 +40,7 @@ sys.path.insert(0, str(_ROOT))
 from repro.core.solver import DENSE_STEP_MAX, solve_nested  # noqa: E402
 from repro.kirchhoff import forward  # noqa: E402
 from repro.observe.observer import Observer  # noqa: E402
+from repro.parallel import blas  # noqa: E402
 from tests.oracles.solver_reference import solve_nested_reference  # noqa: E402
 
 #: Largest device side the legacy reference solver is timed at.
@@ -153,6 +154,7 @@ def run_benchmark(sizes: list[int]) -> dict:
             "retained reference solver"
         ),
         "nproc": os.cpu_count(),
+        "blas_threads": blas.threads(),
         "dense_step_max": DENSE_STEP_MAX,
         "seed": 7,
         "target_speedup_at_n60": 3.0,

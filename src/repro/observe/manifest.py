@@ -5,7 +5,8 @@ A manifest is written next to the trace by
 
 * identity — run id, start time, schema version;
 * config — the caller's knob dict (strategy, n, workers, solver, ...);
-* environment — host, platform, Python, numpy + BLAS, git describe;
+* environment — host, platform, Python, numpy + BLAS and its live
+  thread count, git describe, usable CPUs;
 * phases — per-span-name wall rollups (count / total / self seconds)
   reconstructed from the trace;
 * metrics — the full :class:`repro.observe.metrics.MetricsRegistry`
@@ -99,8 +100,15 @@ def _blas_info() -> str:
 
 
 def environment_info() -> dict[str, Any]:
-    """Host/toolchain facts pinned into every manifest."""
+    """Host/toolchain facts pinned into every manifest.
+
+    ``blas_threads`` is read back from the loaded OpenBLAS on every
+    call, so a budgeted child reports its own count; ``cpu_count`` is
+    the usable CPUs that budget divides.
+    """
     import numpy as np
+
+    from repro.parallel import blas
 
     return {
         "host": socket.gethostname(),
@@ -109,7 +117,8 @@ def environment_info() -> dict[str, Any]:
         "numpy": np.__version__,
         "blas": _blas_info(),
         "git": _git_describe(),
-        "cpu_count": __import__("os").cpu_count(),
+        "blas_threads": blas.threads(),
+        "cpu_count": blas.usable_cpus(),
     }
 
 

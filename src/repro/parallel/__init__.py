@@ -13,6 +13,8 @@
 * :mod:`repro.parallel.elastic` — churn-tolerant campaign dispatch:
   lease-based work chunks, a grow/shrink-able forked pool, and the
   strategy × rank scaling sweep behind ``BENCH_scaling.json``.
+* :mod:`repro.parallel.blas` — the BLAS thread budget of forked
+  solve children (executor slots, fleet shards).
 
 ``elastic`` sits *above* the resilience layer (it uses the growable
 ``HeartbeatBoard`` and fault injection), so its names are exported

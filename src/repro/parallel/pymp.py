@@ -130,6 +130,10 @@ class Parallel:
             # The heartbeat board is shared memory, so it must exist
             # before the first fork.
             sup.begin_region(self.num_threads)
+        # No BLAS thread budget here (unlike executor and fleet
+        # children, repro.parallel.blas): region bodies form equations,
+        # whose BLAS calls are too small for OpenBLAS to thread, so a
+        # child never starts a pool unless a cap forces one.
         for child_rank in range(1, self.num_threads):
             pid = os.fork()
             if pid == 0:

@@ -52,6 +52,7 @@ from typing import Callable
 
 from repro.observe import Observer
 from repro.observe.observer import as_observer
+from repro.parallel import blas
 from repro.resilience.faults import FaultInjector, FaultPlan, as_injector
 from repro.resilience.supervise import Deadline, HeartbeatBoard, kill_process
 from repro.serve.protocol import (
@@ -181,8 +182,11 @@ class ExecutorPool:
         forking from a still-single-threaded process sidesteps the
         classic fork-with-locks hazards; later *respawns* do fork from
         a threaded parent, which CPython's at-fork lock reinit makes
-        survivable for the narrow executor code path.
+        survivable for the narrow executor code path.  The OpenBLAS
+        thread setters are resolved here, before the first fork, so
+        each child can cap itself at its share of the CPUs.
         """
+        blas.resolve()
         for slot in range(self.slots):
             self._spawn(slot)
 
@@ -204,10 +208,12 @@ class ExecutorPool:
         self._generations[slot] += 1
         self.board.assign(slot, 0)  # reset the heartbeat clock pre-fork
         parent_sock, child_sock = socket.socketpair()
+        blas_threads = blas.budget(self.slots)
         pid = os.fork()
         if pid == 0:  # pragma: no cover - child process, exits via os._exit
             try:
                 parent_sock.close()
+                blas.apply(blas_threads)
                 _child_main(
                     child_sock,
                     slot=slot,

@@ -58,6 +58,7 @@ from pathlib import Path
 from repro.observe import Observer
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.observer import as_observer
+from repro.parallel import blas
 from repro.resilience.faults import as_injector
 from repro.resilience.supervise import HeartbeatBoard, kill_process
 from repro.serve.protocol import (
@@ -297,6 +298,9 @@ class SolveFleet:
         # The board must exist before the first fork so every child
         # inherits the same shared-memory mapping.
         self.board = HeartbeatBoard(self.config.shards)
+        # Resolved before the first fork so each shard can cap its
+        # BLAS pool at its share of the CPUs.
+        blas.resolve()
         # Bind before forking: a bind failure (port already in use)
         # must not leak orphaned shard processes.
         self._bind_front()
@@ -368,8 +372,10 @@ class SolveFleet:
         assert self.board is not None
         self.board.assign(shard.index, 0)  # fresh heartbeat pre-fork
         if self._processes:
+            blas_threads = blas.budget(self.config.shards)
             pid = os.fork()
             if pid == 0:  # pragma: no cover - exercised in child process
+                blas.apply(blas_threads)
                 _shard_main(
                     shard.index,
                     self.board,
