@@ -52,10 +52,10 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def run(n: int, repeats: int, formation: str) -> dict:
+def run(n: int, repeats: int) -> dict:
     z = _device(n)
     get_template(n)  # warm: template build is a one-off, not overhead
-    strategy = SingleThread(formation=formation)
+    strategy = SingleThread()
 
     strategy.run(z)  # warm-up run (imports, allocator, caches)
 
@@ -74,7 +74,6 @@ def run(n: int, repeats: int, formation: str) -> dict:
     enabled_overhead = enabled / baseline - 1.0
     return {
         "n": n,
-        "formation": formation,
         "repeats": repeats,
         "baseline_seconds": baseline,
         "disabled_seconds": disabled,
@@ -88,18 +87,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=40, help="device side")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--formation", default="cached",
-                        choices=["cached", "legacy"])
     parser.add_argument("--max-overhead", type=float, default=0.02,
                         help="acceptance bar for disabled tracing")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the JSON report here")
     args = parser.parse_args(argv)
 
-    result = run(args.n, args.repeats, args.formation)
+    result = run(args.n, args.repeats)
     print(
-        f"observer overhead at n={result['n']} ({result['formation']}, "
-        f"best of {result['repeats']}):"
+        f"observer overhead at n={result['n']} "
+        f"(best of {result['repeats']}):"
     )
     print(f"  baseline (no observer arg): {result['baseline_seconds']:.4f} s")
     print(

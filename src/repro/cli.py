@@ -237,7 +237,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         solver=args.solver,
         threshold_sigmas=args.threshold,
-        formation=args.formation,
         validate=args.validate,
         faults=faults,
         observer=obs,
@@ -254,7 +253,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "workers": args.workers,
         "solver": args.solver,
-        "formation": args.formation,
         "validate": args.validate,
     }
     memory = None
@@ -1997,11 +1995,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(e.g. primary,regularized)")
     p_solve.add_argument("--threshold", type=float, default=3.0,
                          help="anomaly threshold in robust sigmas")
-    p_solve.add_argument("--formation", default="cached",
-                         choices=["cached", "legacy"],
-                         help="equation-formation path (template cache "
-                              "or per-pair reference; applies with "
-                              "--equations-dir)")
     p_solve.add_argument("--equations-dir", type=Path, default=None,
                          help="form the §IV-A equations and persist them "
                               "here (without it no formation runs)")

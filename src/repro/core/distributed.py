@@ -19,14 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.equations import form_pair_block
 from repro.core.partition import partition_betti
 from repro.core.strategies import FormationReport
-from repro.core.templates import (
-    check_formation_mode,
-    form_worker_share,
-    warm_template_cache,
-)
+from repro.core.templates import form_worker_share, warm_template_cache
 from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
 from repro.parallel.mpi import Comm, MPITimeout, run_mpi
@@ -39,7 +34,6 @@ def _rank_program(
     z: np.ndarray,
     voltage: float,
     output_dir: str | None,
-    formation: str = "cached",
 ):
     """SPMD body: form my share, reduce totals, report my stats."""
     t0 = time.perf_counter()
@@ -55,33 +49,17 @@ def _rank_program(
         fh = open(path, "wb")
     try:
         mine = np.flatnonzero(part.worker_of == rank)
-        if formation == "cached":
-            batches, placement = form_worker_share(
-                n, part.items, mine, z, voltage=voltage
-            )
-            my_terms = sum(b.num_terms for b in batches.values())
-            my_checksum = sum(float(b.checksums().sum()) for b in batches.values())
-            if fh is not None:
-                # Original item order keeps rank files byte-identical
-                # to the legacy per-item loop.
-                for idx in mine:
-                    cat, pos = placement[int(idx)]
-                    my_bytes += write_block_binary(batches[cat].block(pos), fh)
-        else:
+        batches, placement = form_worker_share(
+            n, part.items, mine, z, voltage=voltage
+        )
+        my_terms = sum(b.num_terms for b in batches.values())
+        my_checksum = sum(float(b.checksums().sum()) for b in batches.values())
+        if fh is not None:
+            # Original item order keeps rank files byte-identical to
+            # per-item formation of the same partition.
             for idx in mine:
-                item = part.items[idx]
-                block = form_pair_block(
-                    n,
-                    item.row,
-                    item.col,
-                    z[item.row, item.col],
-                    voltage=voltage,
-                    categories=[item.category],
-                )
-                my_terms += block.num_terms
-                my_checksum += block.checksum()
-                if fh is not None:
-                    my_bytes += write_block_binary(block, fh)
+                cat, pos = placement[int(idx)]
+                my_bytes += write_block_binary(batches[cat].block(pos), fh)
     finally:
         if fh is not None:
             fh.close()
@@ -111,9 +89,8 @@ class MPIFormation:
 
     name = "mpi"
 
-    def __init__(self, size: int, formation: str = "cached") -> None:
+    def __init__(self, size: int) -> None:
         self.num_workers = require_positive_int(size, "size")
-        self.formation = check_formation_mode(formation)
 
     def run(
         self,
@@ -139,14 +116,13 @@ class MPIFormation:
         if output_dir is not None:
             out = Path(output_dir)
             out.mkdir(parents=True, exist_ok=True)
-        if self.formation == "cached":
-            # Warm the per-category templates in the launcher so forked
-            # ranks inherit them copy-on-write.
-            part = partition_betti(z.shape[0], self.num_workers)
-            warm_template_cache(
-                z.shape[0],
-                [(cat,) for cat in sorted({it.category for it in part.items})],
-            )
+        # Warm the per-category templates in the launcher so forked
+        # ranks inherit them copy-on-write.
+        part = partition_betti(z.shape[0], self.num_workers)
+        warm_template_cache(
+            z.shape[0],
+            [(cat,) for cat in sorted({it.category for it in part.items})],
+        )
         obs = as_observer(observer)
         with obs.span(
             "formation",
@@ -159,12 +135,7 @@ class MPIFormation:
                 results = run_mpi(
                     _rank_program,
                     self.num_workers,
-                    args=(
-                        z,
-                        voltage,
-                        str(out) if out is not None else None,
-                        self.formation,
-                    ),
+                    args=(z, voltage, str(out) if out is not None else None),
                     timeout=deadline,
                 )
             except MPITimeout as exc:

@@ -114,9 +114,6 @@ class ParmaEngine:
         ``"nested"`` (recommended) or ``"full"``.
     threshold_sigmas / min_region_size:
         Anomaly-detection knobs (see :mod:`repro.anomaly.detect`).
-    formation:
-        ``"cached"`` (default) forms equations from the per-n template
-        cache; ``"legacy"`` uses the original per-pair reference path.
     degradation:
         When True (default) the solve walks the resilience ladder
         (primary → cold-start → regularized → bounded) instead of
@@ -168,7 +165,6 @@ class ParmaEngine:
         solver: str = "nested",
         threshold_sigmas: float = 4.0,
         min_region_size: int = 1,
-        formation: str = "cached",
         degradation: bool = True,
         validate: str = "strict",
         faults=None,
@@ -179,8 +175,7 @@ class ParmaEngine:
         stall_timeout: float | None = None,
         supervise: Supervisor | None = None,
     ) -> None:
-        self._strategy = make_strategy(strategy, num_workers, formation=formation)
-        self.formation = self._strategy.formation
+        self._strategy = make_strategy(strategy, num_workers)
         self.solver = solver
         self.threshold_sigmas = threshold_sigmas
         self.min_region_size = min_region_size

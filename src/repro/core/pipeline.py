@@ -115,7 +115,6 @@ def run_pipeline(
     output_dir: str | Path | None = None,
     growth_threshold: float = 0.25,
     warm_start: bool = True,
-    formation: str = "cached",
     checkpoint_dir: str | Path | None = None,
     resume: bool = True,
     faults=None,
@@ -137,10 +136,6 @@ def run_pipeline(
     first inner-circuit solve is served from the pseudo-inverse cache
     (:func:`repro.kirchhoff.forward.laplacian_pinv_cached`) instead of
     being refactorised.
-
-    ``formation`` selects the equation-formation path for the default
-    engine ("cached" template fast path or the "legacy" per-pair
-    reference); it is ignored when an ``engine`` is supplied.
 
     With ``checkpoint_dir`` set, each completed timepoint is persisted
     (field + metadata, atomically, digest-protected) to a
@@ -174,7 +169,7 @@ def run_pipeline(
     (checkpointed ones included), so callers salvage instead of
     discard.
     """
-    engine = engine or ParmaEngine(formation=formation)
+    engine = engine or ParmaEngine()
     obs = as_observer(observer)
     if observer is not None:
         engine.observer = observer

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.categories import Category
-from repro.core.equations import form_pair_block, iter_pair_blocks
+from repro.core.equations import form_pair_block
 from repro.core.partition import (
     Partition,
     WorkItem,
@@ -41,7 +41,6 @@ from repro.core.partition import (
     partition_by_category,
 )
 from repro.core.templates import (
-    check_formation_mode,
     form_worker_share,
     get_template,
     iter_pair_batches,
@@ -115,16 +114,11 @@ def _validate_z(z: np.ndarray) -> np.ndarray:
 class SingleThread:
     """Serial formation of every pair block (baseline [15]).
 
-    ``formation="cached"`` (default) stamps blocks from the per-n
-    template cache; ``"legacy"`` is the original from-scratch per-pair
-    path, kept as the reference implementation.
+    Blocks are stamped in batches from the per-n template cache.
     """
 
     name = "single-thread"
     num_workers = 1
-
-    def __init__(self, formation: str = "cached") -> None:
-        self.formation = check_formation_mode(formation)
 
     def run(
         self,
@@ -150,7 +144,6 @@ class SingleThread:
         z = _validate_z(z)
         require_positive(voltage, "voltage")
         obs = as_observer(observer)
-        tracing = obs.enabled
         deadline = _resolve_deadline(deadline, supervise)
         n = z.shape[0]
         start = time.perf_counter()
@@ -162,32 +155,14 @@ class SingleThread:
         ok = False
         try:
             with obs.span("formation", strategy=self.name, n=n, workers=1):
-                if self.formation == "cached":
-                    for batch in iter_pair_batches(z, voltage=voltage):
-                        if deadline is not None:
-                            deadline.check("serial formation")
-                        with obs.span("form.batch", pairs=batch.num_pairs):
-                            terms += batch.num_terms
-                            checksum += float(batch.checksums().sum())
-                            if writer is not None:
-                                for block in batch:
-                                    bytes_written += writer(block, fh)
-                else:
-                    for block in iter_pair_blocks(z, voltage=voltage):
-                        if deadline is not None:
-                            deadline.check("serial formation")
-                        if tracing:
-                            with obs.span(
-                                "form", pair=(block.row, block.col)
-                            ):
-                                terms += block.num_terms
-                                checksum += block.checksum()
-                                if writer is not None:
-                                    bytes_written += writer(block, fh)
-                        else:
-                            terms += block.num_terms
-                            checksum += block.checksum()
-                            if writer is not None:
+                for batch in iter_pair_batches(z, voltage=voltage):
+                    if deadline is not None:
+                        deadline.check("serial formation")
+                    with obs.span("form.batch", pairs=batch.num_pairs):
+                        terms += batch.num_terms
+                        checksum += float(batch.checksums().sum())
+                        if writer is not None:
+                            for block in batch:
                                 bytes_written += writer(block, fh)
             ok = True
         finally:
@@ -214,9 +189,8 @@ class _PartitionedStrategy:
 
     name = "partitioned"
 
-    def __init__(self, num_workers: int, formation: str = "cached") -> None:
+    def __init__(self, num_workers: int) -> None:
         self.num_workers = require_positive_int(num_workers, "num_workers")
-        self.formation = check_formation_mode(formation)
 
     def _partition(self, n: int) -> Partition:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -256,18 +230,17 @@ class _PartitionedStrategy:
         per_worker_terms = pymp.shared_array((workers,), dtype=np.int64)
         per_worker_checksum = pymp.shared_array((workers,), dtype=np.float64)
         per_worker_bytes = pymp.shared_array((workers,), dtype=np.int64)
-        if self.formation == "cached":
-            # Build the per-category templates in the parent so forked
-            # workers inherit them copy-on-write instead of each paying
-            # the build cost (and each missing the shared cache).
-            warm_template_cache(
-                n, [(cat,) for cat in sorted({it.category for it in items})]
-            )
+        # Build the per-category templates in the parent so forked
+        # workers inherit them copy-on-write instead of each paying
+        # the build cost (and each missing the shared cache).
+        warm_template_cache(
+            n, [(cat,) for cat in sorted({it.category for it in items})]
+        )
         # Speculative tail shares formed in the parent by the straggler
-        # hook: rank -> (head_count, batches, placement).  Only the
-        # cached path speculates (formation is deterministic, so the
-        # speculative result is identical to what the worker would
-        # produce — the checksum verification in _salvage is the dedup).
+        # hook: rank -> (head_count, batches, placement).  Formation is
+        # deterministic, so the speculative result is identical to what
+        # the worker would produce — the checksum verification in
+        # _salvage is the dedup.
         spec: dict[int, tuple[int, dict, dict]] = {}
 
         def _on_straggler(rank: int, items_done: int) -> None:
@@ -287,9 +260,7 @@ class _PartitionedStrategy:
                 workers,
                 total_items=len(items),
                 observer=obs,
-                on_straggler=(
-                    _on_straggler if self.formation == "cached" else None
-                ),
+                on_straggler=_on_straggler,
             )
         if tracing:
             # The spool directory must exist before the fork so every
@@ -319,69 +290,44 @@ class _PartitionedStrategy:
                     with obs.span(
                         "formation.worker", worker=me, items=len(mine)
                     ):
-                        if self.formation == "cached":
-                            # Unsupervised: one batched call per worker.
-                            # Supervised: the same share in contiguous
-                            # chunks, heartbeating per chunk (output is
-                            # byte-identical; see _SUPERVISED_CHUNK).
-                            chunk = (
-                                _heartbeat_chunk(len(mine))
-                                if sup is not None or injector is not None
-                                else max(1, len(mine))
+                        # Unsupervised: one batched call per worker.
+                        # Supervised: the same share in contiguous
+                        # chunks, heartbeating per chunk (output is
+                        # byte-identical; see _SUPERVISED_CHUNK).
+                        chunk = (
+                            _heartbeat_chunk(len(mine))
+                            if sup is not None or injector is not None
+                            else max(1, len(mine))
+                        )
+                        done = 0
+                        for lo in range(0, len(mine), chunk):
+                            sub = mine[lo : lo + chunk]
+                            with obs.span("form.share", worker=me):
+                                batches, placement = form_worker_share(
+                                    n, items, sub, z, voltage=voltage
+                                )
+                            my_terms += sum(
+                                b.num_terms for b in batches.values()
                             )
-                            done = 0
-                            for lo in range(0, len(mine), chunk):
-                                sub = mine[lo : lo + chunk]
-                                with obs.span("form.share", worker=me):
-                                    batches, placement = form_worker_share(
-                                        n, items, sub, z, voltage=voltage
-                                    )
-                                my_terms += sum(
-                                    b.num_terms for b in batches.values()
-                                )
-                                my_checksum += sum(
-                                    float(b.checksums().sum())
-                                    for b in batches.values()
-                                )
-                                if writer is not None:
-                                    # Emit in original item order so part
-                                    # files are byte-identical to the
-                                    # legacy per-item loop.
-                                    with obs.span("form.write", worker=me):
-                                        for idx in sub:
-                                            cat, pos = placement[int(idx)]
-                                            my_bytes += writer(
-                                                batches[cat].block(pos), fh
-                                            )
-                                done += len(sub)
-                                if sup is not None:
-                                    sup.tick(me, advance=len(sub))
-                                if injector is not None:
-                                    injector.on_progress(me, done)
-                        else:
-                            for k, idx in enumerate(mine):
-                                item = items[idx]
-                                with obs.span(
-                                    "form",
-                                    pair=(item.row, item.col),
-                                    category=int(item.category),
-                                ) if tracing else _NO_SPAN:
-                                    block = form_pair_block(
-                                        n,
-                                        item.row,
-                                        item.col,
-                                        z[item.row, item.col],
-                                        voltage=voltage,
-                                        categories=[item.category],
-                                    )
-                                    my_terms += block.num_terms
-                                    my_checksum += block.checksum()
-                                    if writer is not None:
-                                        my_bytes += writer(block, fh)
-                                if sup is not None:
-                                    sup.tick(me)
-                                if injector is not None:
-                                    injector.on_progress(me, k + 1)
+                            my_checksum += sum(
+                                float(b.checksums().sum())
+                                for b in batches.values()
+                            )
+                            if writer is not None:
+                                # Emit in original item order so part
+                                # files are byte-identical to per-item
+                                # formation of the same partition.
+                                with obs.span("form.write", worker=me):
+                                    for idx in sub:
+                                        cat, pos = placement[int(idx)]
+                                        my_bytes += writer(
+                                            batches[cat].block(pos), fh
+                                        )
+                            done += len(sub)
+                            if sup is not None:
+                                sup.tick(me, advance=len(sub))
+                            if injector is not None:
+                                injector.on_progress(me, done)
                     ok = True
                 finally:
                     _close_writer(fh, ok)
@@ -393,12 +339,7 @@ class _PartitionedStrategy:
                 per_worker_checksum[me] = my_checksum
                 per_worker_bytes[me] = my_bytes
         except pymp.ParallelError as exc:
-            if (
-                sup is None
-                or not sup.salvage
-                or self.formation != "cached"
-                or not exc.failed_ranks
-            ):
+            if sup is None or not sup.salvage or not exc.failed_ranks:
                 raise
             salvage_stats = _salvage_lost_shares(
                 exc,
@@ -445,8 +386,8 @@ class ParallelStrategy(_PartitionedStrategy):
 
     name = "parallel"
 
-    def __init__(self, formation: str = "cached") -> None:
-        super().__init__(4, formation=formation)
+    def __init__(self) -> None:
+        super().__init__(4)
 
     def _partition(self, n: int) -> Partition:
         return partition_by_category(n)
@@ -471,10 +412,8 @@ class PyMPStrategy(_PartitionedStrategy):
 
     name = "pymp"
 
-    def __init__(
-        self, num_workers: int, schedule: str = "static", formation: str = "cached"
-    ) -> None:
-        super().__init__(num_workers, formation=formation)
+    def __init__(self, num_workers: int, schedule: str = "static") -> None:
+        super().__init__(num_workers)
         if schedule not in ("static", "dynamic"):
             raise ValueError(f"unknown schedule {schedule!r}")
         self.schedule = schedule
@@ -543,10 +482,9 @@ class PyMPStrategy(_PartitionedStrategy):
         per_worker_terms = pymp.shared_array((workers,), dtype=np.int64)
         per_worker_checksum = pymp.shared_array((workers,), dtype=np.float64)
         per_worker_bytes = pymp.shared_array((workers,), dtype=np.int64)
-        if self.formation == "cached":
-            warm_template_cache(
-                n, [(cat,) for cat in sorted({it.category for it in items})]
-            )
+        warm_template_cache(
+            n, [(cat,) for cat in sorted({it.category for it in items})]
+        )
         if sup is not None:
             # Dynamic assignment has no per-rank share to salvage; the
             # supervisor still heartbeats (via p.xrange ticks) and the
@@ -584,24 +522,14 @@ class PyMPStrategy(_PartitionedStrategy):
                             pair=(item.row, item.col),
                             category=int(item.category),
                         ) if tracing else _NO_SPAN:
-                            if self.formation == "cached":
-                                block = stamp_pair_block(
-                                    n,
-                                    item.row,
-                                    item.col,
-                                    z[item.row, item.col],
-                                    voltage=voltage,
-                                    categories=(item.category,),
-                                )
-                            else:
-                                block = form_pair_block(
-                                    n,
-                                    item.row,
-                                    item.col,
-                                    z[item.row, item.col],
-                                    voltage=voltage,
-                                    categories=[item.category],
-                                )
+                            block = stamp_pair_block(
+                                n,
+                                item.row,
+                                item.col,
+                                z[item.row, item.col],
+                                voltage=voltage,
+                                categories=(item.category,),
+                            )
                             my_terms += block.num_terms
                             my_checksum += block.checksum()
                             if writer is not None:
@@ -809,20 +737,19 @@ def _part_files(output_dir, fmt, workers) -> tuple[str, ...]:
 
 
 def make_strategy(
-    name: str, num_workers: int = 4, formation: str = "cached"
+    name: str, num_workers: int = 4
 ) -> "SingleThread | _PartitionedStrategy":
     """Factory by paper name: 'single' | 'parallel' | 'balanced' | 'pymp'."""
-    formation = check_formation_mode(formation)
     if name in ("single", "single-thread"):
-        return SingleThread(formation=formation)
+        return SingleThread()
     if name == "parallel":
-        return ParallelStrategy(formation=formation)
+        return ParallelStrategy()
     if name in ("balanced", "balanced-parallel"):
-        return BalancedParallel(num_workers, formation=formation)
+        return BalancedParallel(num_workers)
     if name == "pymp":
-        return PyMPStrategy(num_workers, formation=formation)
+        return PyMPStrategy(num_workers)
     if name == "pymp-dynamic":
-        return PyMPStrategy(num_workers, schedule="dynamic", formation=formation)
+        return PyMPStrategy(num_workers, schedule="dynamic")
     raise ValueError(f"unknown strategy {name!r}")
 
 
@@ -834,30 +761,23 @@ def calibrate_sec_per_term(
     voltage: float = 5.0,
     sample_pairs: int = 64,
     seed_z: float = 1000.0,
-    formation: str = "legacy",
 ) -> float:
     """Measured seconds per formed term on this machine.
 
-    Forms ``sample_pairs`` representative full pair blocks and divides
+    Forms ``sample_pairs`` representative full pair blocks with the
+    per-pair former (:func:`repro.core.equations.form_pair_block`, the
+    cost model the scaling figures were fit against) and divides
     elapsed time by terms produced.  Formation cost is data-independent
-    (pure index arithmetic), so a constant Z is fine.  The default
-    calibrates the legacy path (the cost model the scaling figures were
-    fit against); pass ``formation="cached"`` to measure the template
-    fast path instead (template build time is excluded by warming the
-    cache before the clock starts).
+    (pure index arithmetic), so a constant Z is fine.
     """
     require_positive_int(n, "n", minimum=2)
-    formation = check_formation_mode(formation)
     count = min(sample_pairs, n * n)
     sample = np.linspace(0, n * n - 1, count).astype(np.int64)
-    if formation == "cached":
-        warm_template_cache(n)
-    former = stamp_pair_block if formation == "cached" else form_pair_block
     start = time.perf_counter()
     terms = 0
     for p in sample:
         row, col = divmod(int(p), n)
-        block = former(n, row, col, seed_z, voltage=voltage)
+        block = form_pair_block(n, row, col, seed_z, voltage=voltage)
         terms += block.num_terms
     elapsed = time.perf_counter() - start
     return elapsed / max(terms, 1)

@@ -21,8 +21,8 @@ from typing import BinaryIO, Protocol
 
 import numpy as np
 
-from repro.core.equations import PairBlock, iter_pair_blocks
-from repro.core.templates import check_formation_mode, iter_pair_blocks_cached
+from repro.core.equations import PairBlock
+from repro.core.templates import iter_pair_blocks_cached
 from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
 from repro.resilience.atomio import atomic_open
@@ -110,19 +110,17 @@ def stream_formation(
     z: np.ndarray,
     sink: FormationSink,
     voltage: float = 5.0,
-    formation: str = "cached",
     faults=None,
     observer=None,
     deadline: Deadline | float | None = None,
 ) -> StreamReport:
     """Form every pair block of ``z`` and feed it to ``sink``.
 
-    Memory stays bounded (one block legacy, one fixed-size batch
-    cached); the returned report carries throughput so benchmarks can
-    extrapolate wall time for any n.  ``formation="cached"`` stamps
-    blocks from the per-n template (blocks handed to the sink are
-    views into the current batch — the no-retention contract above is
-    what makes that safe); ``"legacy"`` is the original per-pair path.
+    Memory stays bounded (one fixed-size batch); the returned report
+    carries throughput so benchmarks can extrapolate wall time for any
+    n.  Blocks are stamped from the per-n template, and the blocks
+    handed to the sink are views into the current batch — the
+    no-retention contract above is what makes that safe.
 
     ``faults`` (a :class:`repro.resilience.FaultPlan` or injector) can
     corrupt or drop blocks before the sink, and abort the stream — the
@@ -141,7 +139,6 @@ def stream_formation(
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be square (n, n)")
     require_positive(voltage, "voltage")
-    formation = check_formation_mode(formation)
     injector = as_injector(faults)
     deadline = Deadline.coerce(deadline)
     obs = as_observer(observer)
@@ -149,12 +146,8 @@ def stream_formation(
     start = time.perf_counter()
     pairs = 0
     terms = 0
-    blocks = (
-        iter_pair_blocks_cached(z, voltage=voltage)
-        if formation == "cached"
-        else iter_pair_blocks(z, voltage=voltage)
-    )
-    with obs.span("stream", n=n, formation=formation, sink=type(sink).__name__):
+    blocks = iter_pair_blocks_cached(z, voltage=voltage)
+    with obs.span("stream", n=n, sink=type(sink).__name__):
         for index, block in enumerate(blocks):
             if deadline is not None and deadline.expired:
                 raise DeadlineExceeded(
@@ -185,7 +178,7 @@ def stream_formation(
 
 
 def stream_to_file(
-    z: np.ndarray, path: str | Path, voltage: float = 5.0, formation: str = "cached"
+    z: np.ndarray, path: str | Path, voltage: float = 5.0
 ) -> tuple[StreamReport, int]:
     """Stream the full system to one binary file; returns (report, bytes).
 
@@ -196,5 +189,5 @@ def stream_to_file(
     """
     with atomic_open(path, "wb") as fh:
         sink = BinaryFileSink(fh=fh)
-        report = stream_formation(z, sink, voltage=voltage, formation=formation)
+        report = stream_formation(z, sink, voltage=voltage)
     return report, sink.bytes_written

@@ -21,10 +21,10 @@ pattern every iteration; here it also feeds the batched path
 structure-of-arrays (:class:`PairBlockBatch`) for many pairs in single
 vectorised numpy operations.
 
-The legacy per-pair implementation stays as the reference: templates
-are *built from it* (probe pair ``(0, 0)``, unit drive), and the
-property tests assert the stamped output is bit-identical to it for
-every pair and category subset.
+The per-pair former stays as the reference: templates are *built
+from it* (probe pair ``(0, 0)``, unit drive), and the property tests
+assert the stamped output is bit-identical to it for every pair and
+category subset.
 
 Encoding of the per-pair resistor indices
 -----------------------------------------
@@ -62,19 +62,6 @@ from repro.core.equations import (
     form_pair_block,
 )
 from repro.utils.validation import require_positive, require_positive_int
-
-#: Valid values for the ``formation=`` knob threaded through the
-#: strategies, streaming, distributed and engine layers.
-FORMATION_MODES = ("cached", "legacy")
-
-
-def check_formation_mode(formation: str) -> str:
-    if formation not in FORMATION_MODES:
-        raise ValueError(
-            f"unknown formation mode {formation!r}; use 'cached' or 'legacy'"
-        )
-    return formation
-
 
 @dataclass(frozen=True)
 class PairTemplate:
@@ -537,7 +524,7 @@ def form_worker_share(
     :func:`form_all_pairs` call each — while ``placement`` maps every
     item index back to ``(category, position)`` so callers can emit
     blocks in the original deterministic item order (part files stay
-    byte-identical to the legacy path).
+    byte-identical to per-item formation).
     """
     by_cat: dict[Category, list[int]] = {}
     for idx in item_indices:

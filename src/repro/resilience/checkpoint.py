@@ -35,12 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.equations import iter_pair_blocks
-from repro.core.templates import (
-    check_formation_mode,
-    get_template,
-    iter_pair_blocks_cached,
-)
+from repro.core.templates import get_template, iter_pair_blocks_cached
 from repro.io.equations_io import read_blocks_binary, write_block_binary
 from repro.resilience.atomio import atomic_write_bytes, atomic_write_json
 from repro.resilience.faults import FaultInjector, as_injector
@@ -314,7 +309,6 @@ def stream_to_file_checkpointed(
     z: np.ndarray,
     directory: str | Path,
     voltage: float = 5.0,
-    formation: str = "cached",
     faults: "FaultInjector | None" = None,
     flush_every: int = 16,
 ) -> tuple["StreamCheckpoint", StreamResumeReport, int]:
@@ -331,7 +325,6 @@ def stream_to_file_checkpointed(
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be square (n, n)")
-    formation = check_formation_mode(formation)
     injector = as_injector(faults)
     obs = get_observer()
     n = int(z.shape[0])
@@ -362,7 +355,7 @@ def stream_to_file_checkpointed(
         if cp.data_path.exists():
             cp.data_path.unlink()
         cp.blocks = []
-        cp.params = {"n": n, "voltage": float(voltage), "formation": formation}
+        cp.params = {"n": n, "voltage": float(voltage)}
         cp.complete = False
         cp._write_manifest()
 
@@ -373,11 +366,7 @@ def stream_to_file_checkpointed(
         return cp, report, 0
 
     expected_table = get_template(n).checksum_table
-    blocks = (
-        iter_pair_blocks_cached(z, voltage=voltage)
-        if formation == "cached"
-        else iter_pair_blocks(z, voltage=voltage)
-    )
+    blocks = iter_pair_blocks_cached(z, voltage=voltage)
     formed = 0
     unflushed = 0
     with obs.span(

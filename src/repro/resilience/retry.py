@@ -238,7 +238,7 @@ def form_with_recovery(
             attempts=exc.outcome.attempts,
         )
         obs.count("formation.fallbacks")
-        fallback = SingleThread(formation=strategy.formation)
+        fallback = SingleThread()
         report = fallback.run(
             z,
             voltage=voltage,

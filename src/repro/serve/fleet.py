@@ -208,6 +208,9 @@ class FleetConfig:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         parse_address(self.listen)  # raises on malformed tcp:// specs
+        # Shard values are checked here, in the parent, so a bad one
+        # fails construction instead of every forked shard.
+        self.shard_service_config(0)
 
     def shard_dir(self, index: int) -> Path:
         """Results/manifest directory for shard ``index``."""
@@ -375,14 +378,16 @@ class SolveFleet:
             blas_threads = blas.budget(self.config.shards)
             pid = os.fork()
             if pid == 0:  # pragma: no cover - exercised in child process
-                blas.apply(blas_threads)
-                _shard_main(
-                    shard.index,
-                    self.board,
-                    self._listeners,
-                    self.config,
-                )
-                os._exit(1)
+                try:
+                    blas.apply(blas_threads)
+                    _shard_main(
+                        shard.index,
+                        self.board,
+                        self._listeners,
+                        self.config,
+                    )
+                finally:
+                    os._exit(1)  # _shard_main exits itself; this is the net
             shard.pid = pid
             shard.service = None
         else:
@@ -828,9 +833,9 @@ class SolveFleet:
         ).to_dict()
 
     def _admit_quota(self, request: Request) -> bool:
-        if self.config.quota_rate is None:
-            return True
-        client = request.client_id or "anonymous"
+        client = request.client_id
+        if self.config.quota_rate is None or not client:
+            return True  # anonymous clients are exempt, as at the shard
         with self._buckets_lock:
             bucket = self._buckets.get(client)
             if bucket is None:

@@ -1,9 +1,12 @@
 """Tests for the four formation strategies (real forked execution)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.categories import total_terms
+from repro.core.distributed import MPIFormation
 from repro.core.strategies import (
     BalancedParallel,
     ParallelStrategy,
@@ -16,6 +19,10 @@ from repro.core.strategies import (
 from repro.core.partition import partition_balanced
 from repro.io.equations_io import load_blocks_binary
 from repro.mea.wetlab import quick_device_data
+from tests.oracles.formation_reference import (
+    reference_formation,
+    reference_rank_files,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,46 +154,49 @@ class TestFactoryAndCalibration:
         assert costs.sum() == pytest.approx(total_terms(6) * 1e-7)
 
 
+def _assert_same_output(rep, ref):
+    """Equal totals and per-worker terms; byte-identical part files."""
+    assert rep.terms_formed == ref.terms_formed
+    assert rep.checksum == ref.checksum
+    np.testing.assert_array_equal(rep.per_worker_terms, ref.per_worker_terms)
+    assert [Path(p).name for p in rep.part_files] == [
+        Path(p).name for p in ref.part_files
+    ]
+    for product, oracle in zip(rep.part_files, ref.part_files):
+        assert Path(product).read_bytes() == Path(oracle).read_bytes()
+
+
 class TestFormationModes:
+    """The one formation path against the per-pair oracle, byte for byte."""
+
     @pytest.mark.parametrize(
         "make",
         [
-            lambda f: SingleThread(formation=f),
-            lambda f: ParallelStrategy(formation=f),
-            lambda f: BalancedParallel(3, formation=f),
-            lambda f: PyMPStrategy(3, formation=f),
+            SingleThread,
+            ParallelStrategy,
+            lambda: BalancedParallel(3),
+            lambda: PyMPStrategy(3),
         ],
+        ids=["single", "parallel4", "balanced3", "pymp3"],
     )
-    def test_cached_part_files_byte_identical_to_legacy(
-        self, make, device8, tmp_path
-    ):
+    def test_part_files_byte_identical_to_oracle(self, make, device8, tmp_path):
         _, z = device8
-        cached_dir = tmp_path / "cached"
-        legacy_dir = tmp_path / "legacy"
-        rc = make("cached").run(z, output_dir=cached_dir)
-        rl = make("legacy").run(z, output_dir=legacy_dir)
-        assert rc.terms_formed == rl.terms_formed
-        assert rc.checksum == rl.checksum
-        assert [p.rsplit("/", 1)[-1] for p in rc.part_files] == [
-            p.rsplit("/", 1)[-1] for p in rl.part_files
-        ]
-        for pc, pl in zip(rc.part_files, rl.part_files):
-            with open(pc, "rb") as fc, open(pl, "rb") as fl:
-                assert fc.read() == fl.read()
+        strategy = make()
+        rep = strategy.run(z, output_dir=tmp_path / "product")
+        ref = reference_formation(strategy, z, output_dir=tmp_path / "oracle")
+        _assert_same_output(rep, ref)
 
     def test_dynamic_schedule_totals_match(self, device8):
         _, z = device8
-        rc = PyMPStrategy(2, schedule="dynamic", formation="cached").run(z)
-        rl = PyMPStrategy(2, schedule="dynamic", formation="legacy").run(z)
-        assert rc.terms_formed == rl.terms_formed
-        assert rc.checksum == rl.checksum
+        strategy = PyMPStrategy(2, schedule="dynamic")
+        rep = strategy.run(z)
+        ref = reference_formation(strategy, z)
+        assert rep.terms_formed == ref.terms_formed
+        assert rep.checksum == ref.checksum
 
-    def test_make_strategy_threads_formation(self):
-        assert make_strategy("single", formation="legacy").formation == "legacy"
-        assert make_strategy("pymp", 2).formation == "cached"
-        with pytest.raises(ValueError):
-            make_strategy("single", formation="nope")
-
-    def test_calibration_cached_mode(self):
-        assert calibrate_sec_per_term(6, sample_pairs=4,
-                                      formation="cached") > 0
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_mpi_rank_files_byte_identical_to_oracle(self, size, device8, tmp_path):
+        _, z = device8
+        rep = MPIFormation(size).run(z, output_dir=tmp_path / "product")
+        ref = reference_rank_files(size, z, output_dir=tmp_path / "oracle")
+        _assert_same_output(rep, ref)

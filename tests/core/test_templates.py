@@ -11,7 +11,6 @@ from repro.core.equations import (
 )
 from repro.core.templates import (
     cache_stats,
-    check_formation_mode,
     clear_template_cache,
     form_all_pairs,
     form_worker_share,
@@ -206,9 +205,3 @@ class TestCacheBookkeeping:
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError):
             get_template(4, (Category.UA, Category.UA))
-
-    def test_formation_mode_validation(self):
-        assert check_formation_mode("cached") == "cached"
-        assert check_formation_mode("legacy") == "legacy"
-        with pytest.raises(ValueError):
-            check_formation_mode("turbo")

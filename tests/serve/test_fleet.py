@@ -33,6 +33,7 @@ from repro.serve import (
     SolveFleet,
     SolveService,
 )
+import repro.serve.fleet as fleet_mod
 from repro.serve.fleet import ROUTE_LABEL
 from repro.serve.protocol import (
     Response,
@@ -128,6 +129,15 @@ class TestShardMap:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             ShardMap(0)
+
+
+class TestFleetConfig:
+    @pytest.mark.parametrize(
+        "bad", [{"serve_workers": 0}, {"shard_executor": "fork"}]
+    )
+    def test_bad_shard_values_raise_at_construction(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            FleetConfig(listen="127.0.0.1:0", results_dir=tmp_path, **bad)
 
 
 def _scripted_tcp_server(steps):
@@ -298,6 +308,9 @@ class TestFleetInProcess:
             assert first.ok
             assert second.status == STATUS_QUOTA
             assert second.retriable
+            # Anonymous clients are exempt: past the burst, still admitted.
+            for _ in range(2):
+                assert client.solve(measurement.z_kohm).ok
         finally:
             f.stop()
 
@@ -357,6 +370,31 @@ class TestMalformedFrames:
 
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 class TestFleetProcesses:
+    def test_raising_shard_exits_instead_of_unwinding(
+        self, tmp_path, monkeypatch
+    ):
+        def _boom(*args):
+            raise ValueError("shard could not start")
+
+        monkeypatch.setattr(fleet_mod, "_shard_main", _boom)
+        f = SolveFleet(FleetConfig(
+            listen="127.0.0.1:0",
+            results_dir=tmp_path / "boom-fleet",
+            shards=2,
+            processes=True,
+            ready_timeout=1.0,
+        ))
+        parent = os.getpid()
+        marker = tmp_path / "unwound"
+        try:
+            f.start()
+        except BaseException:
+            with open(marker, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if os.getpid() != parent:  # a child reached us: contain it
+                os._exit(0)
+        # Only the parent saw start() fail; the children just exited.
+        assert marker.read_text().split() == [str(parent)]
     def test_shard_kill_reroutes_and_respawns(self, tmp_path, measurement):
         config = FleetConfig(
             listen="127.0.0.1:0",
