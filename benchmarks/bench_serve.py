@@ -103,10 +103,13 @@ def _fleet_topology(root: Path, shards: int) -> tuple[SolveFleet, str]:
         listen="127.0.0.1:0",
         results_dir=root / "fleet-results",
         shards=shards,
-        shard_executor="thread",
-        serve_workers=1,
-        max_inflight_per_shard=64,  # bench measures latency, not shedding
         processes=fork_available(),
+        service=ServiceConfig(
+            socket_path=root / "fleet-results" / "shard.sock",
+            results_dir=root / "fleet-results",
+            executor="thread",
+            serve_workers=1,
+        ),
     )
     fleet = SolveFleet(config)
     fleet.start()

@@ -910,7 +910,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     #    bit-identical to a standalone solve.
     if want("fleet"):
         if fork_available():
-            from repro.serve import SolveClient
+            from repro.serve import ServiceConfig, SolveClient
             from repro.serve.fleet import FleetConfig, SolveFleet
 
             fleet_ref = ParmaEngine(
@@ -922,8 +922,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     listen=fd / "front.sock",
                     results_dir=fd / "results",
                     shards=2,
-                    term_grace=0.2,
                     faults=FaultPlan(seed=seed, fleet_kill_requests=(2,)),
+                    service=ServiceConfig(
+                        socket_path=fd / "results" / "shard.sock",
+                        results_dir=fd / "results",
+                        executor="thread",
+                        term_grace=0.2,
+                    ),
                 ))
                 fleet.start()
                 try:
@@ -1451,6 +1456,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import signal as signal_mod
 
     from repro.observe import Observer
+    from repro.serve import ServiceConfig
     from repro.serve.fleet import FleetConfig, SolveFleet
 
     obs = Observer(trace_dir=args.trace)
@@ -1458,16 +1464,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         listen=args.listen,
         results_dir=args.results,
         shards=args.shards,
-        max_queue_depth=args.queue_depth,
-        serve_workers=args.serve_workers,
-        max_deadline=args.max_deadline,
-        shard_executor=args.shard_executor,
-        quota_rate=args.quota_rate,
-        quota_burst=args.quota_burst,
-        max_inflight_per_shard=args.max_inflight,
         shard_stall_timeout=args.shard_stall_timeout,
-        catalog_path=args.catalog,
         observer=obs,
+        # The shard template; each shard gets its own socket and
+        # results directory in place of these two paths.
+        service=ServiceConfig(
+            socket_path=args.results / "shard.sock",
+            results_dir=args.results,
+            max_queue_depth=args.queue_depth,
+            serve_workers=args.serve_workers,
+            max_deadline=args.max_deadline,
+            executor=args.shard_executor,
+            quota_rate=args.quota_rate,
+            quota_burst=args.quota_burst,
+            catalog_path=args.catalog,
+        ),
     )
     fleet = SolveFleet(config)
     fleet.start()
@@ -2153,14 +2164,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "isolation within each shard)")
     p_fleet.add_argument("--quota-rate", type=float, default=None,
                          metavar="REQ_PER_SEC",
-                         help="per-client token-bucket refill, enforced "
-                              "at the front (anonymous clients exempt)")
+                         help="per-client token-bucket refill, metered "
+                              "by each shard: a client spread over k "
+                              "shards gets up to k times this rate "
+                              "(anonymous clients exempt)")
     p_fleet.add_argument("--quota-burst", type=float, default=8.0,
-                         help="front token-bucket capacity per client id")
-    p_fleet.add_argument("--max-inflight", type=int, default=8,
-                         help="per-shard in-flight bound beyond which "
-                              "batch-priority work is shed at the front "
-                              "(interactive is still admitted)")
+                         help="token-bucket capacity per client id, "
+                              "per shard")
     p_fleet.add_argument("--shard-stall-timeout", type=float, default=15.0,
                          metavar="SECONDS",
                          help="heartbeat age after which a shard is "

@@ -35,8 +35,9 @@ The pieces, each its own module:
 * :mod:`repro.serve.fleet` — horizontal scale-out:
   :class:`SolveFleet`, a TCP/unix front listener dispatching to a
   consistent-hash-sharded fleet of :class:`SolveService` worker
-  processes with heartbeat health, rerouting and front-side
-  quotas/shedding (``parma fleet``, ``docs/OPERATIONS.md``).
+  processes with heartbeat health and rerouting; admission (quotas,
+  shedding) happens once, in each shard's queue (``parma fleet``,
+  ``docs/OPERATIONS.md``).
 
 See ``docs/SERVING.md`` for the wire protocol and operational
 semantics, and ``docs/ARCHITECTURE.md`` for where serving sits in the

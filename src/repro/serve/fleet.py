@@ -32,11 +32,13 @@ Design decisions worth knowing:
   declares a silent shard dead after ``shard_stall_timeout`` seconds,
   and respawns (new generation) — the same escalation ladder as the
   executor pool, one level up.
-* **Fairness is enforced at the front.**  Per-client token buckets
-  (``quota_rate``/``quota_burst``) and a per-shard in-flight bound
-  (``max_inflight_per_shard``) that sheds *batch* work targeting a hot
-  shard while still admitting interactive work — so one client, or
-  one hot device size, cannot starve the rest of the fleet.
+* **Admission happens once, in the shards.**  Each shard's
+  :class:`repro.serve.queue.AdmissionQueue` — depth bound, priority
+  shedding, per-client quotas — is the fleet's only admission point;
+  the front validates a request (it needs ``n`` to route) and rejects
+  while draining, nothing more.  Quotas are therefore metered per
+  shard: a client whose sizes are homed on ``k`` shards can get up to
+  ``k`` times the template's ``quota_rate``.
 
 The front holds no solve state: requests stream through, idempotency
 ids are assigned here (so a reroute of an outcome-unknown forward is
@@ -63,11 +65,8 @@ from repro.resilience.faults import as_injector
 from repro.resilience.supervise import HeartbeatBoard, kill_process
 from repro.serve.protocol import (
     PRIORITY_CLASSES,
-    PRIORITY_INTERACTIVE,
     STATUS_DRAINING,
     STATUS_INVALID,
-    STATUS_QUEUE_FULL,
-    STATUS_QUOTA,
     STATUS_WORKER_LOST,
     ProtocolError,
     Request,
@@ -77,7 +76,6 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.queue import TokenBucket
 from repro.serve.server import ServiceConfig, SolveService
 from repro.utils import logging as rlog
 
@@ -166,51 +164,51 @@ class FleetConfig:
     port 0 picks an ephemeral port, observable as
     :attr:`SolveFleet.tcp_address`).  ``shards`` worker processes are
     forked, each a full :class:`SolveService` on
-    ``results_dir/shard-<i>/shard.sock`` with the queue/deadline knobs
-    below; ``shard_executor`` picks the execution host *inside* each
-    shard (default ``thread`` — the shard process is already the
-    crash-isolation boundary, and the front respawns it).
-    ``quota_rate``/``quota_burst`` meter per-client admission at the
-    front, ``max_inflight_per_shard`` sheds batch-priority work aimed
-    at a saturated shard, ``max_reroutes`` bounds ring-walk retries
-    after a forward failure, and ``shard_stall_timeout`` is how long a
-    shard may go without a heartbeat before the watchdog respawns it.
-    ``processes=False`` runs the shards as in-process services (no
-    fork — the fallback on platforms without it, and handy in tests).
+    ``results_dir/shard-<i>/shard.sock``.  ``service`` is the
+    :class:`ServiceConfig` template every shard runs — queue depth,
+    quotas, deadline cap, executor, ``term_grace`` (which the front
+    also uses when it kills a shard) — with its ``socket_path`` and
+    ``results_dir`` replaced per shard.  ``None`` gives the shard
+    defaults: ``thread`` executors (the shard process is already the
+    crash-isolation boundary, and the front respawns it), otherwise
+    :class:`ServiceConfig`'s own defaults.  The template may not set
+    ``tcp``: the front is the fleet's only listener.
+    ``max_reroutes`` bounds ring-walk retries after a forward failure,
+    and ``shard_stall_timeout`` is how long a shard may go without a
+    heartbeat before the watchdog respawns it.  ``processes=False``
+    runs the shards as in-process services (no fork — the fallback on
+    platforms without it, and handy in tests).
     """
 
     listen: str | Path
     results_dir: Path
     shards: int = 2
     replicas: int = 64
-    max_queue_depth: int = 64
-    serve_workers: int = 1
-    max_deadline: float | None = None
-    shard_executor: str = "thread"
-    stall_timeout: float = 30.0
-    quota_rate: float | None = None
-    quota_burst: float = 8.0
-    max_inflight_per_shard: int = 8
     max_reroutes: int = 2
     shard_stall_timeout: float = 15.0
-    term_grace: float = 1.0
     forward_timeout: float = 300.0
     ready_timeout: float = 30.0
     processes: bool = True
     observer: object | None = None
     faults: object | None = None
-    catalog_path: Path | None = None
+    service: ServiceConfig | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "results_dir", Path(self.results_dir))
-        if self.catalog_path is not None:
-            object.__setattr__(self, "catalog_path", Path(self.catalog_path))
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         parse_address(self.listen)  # raises on malformed tcp:// specs
-        # Shard values are checked here, in the parent, so a bad one
-        # fails construction instead of every forked shard.
-        self.shard_service_config(0)
+        if self.service is None:
+            object.__setattr__(self, "service", ServiceConfig(
+                socket_path=self.shard_socket(0),
+                results_dir=self.shard_dir(0),
+                executor="thread",
+            ))
+        elif self.service.tcp is not None:
+            raise ValueError(
+                f"the shard template may not set tcp ({self.service.tcp!r}): "
+                "the front is the fleet's only listener"
+            )
 
     def shard_dir(self, index: int) -> Path:
         """Results/manifest directory for shard ``index``."""
@@ -221,17 +219,11 @@ class FleetConfig:
         return self.shard_dir(index) / "shard.sock"
 
     def shard_service_config(self, index: int) -> ServiceConfig:
-        """The per-shard :class:`ServiceConfig` this fleet runs."""
-        return ServiceConfig(
+        """The template with shard ``index``'s socket and directory."""
+        return replace(
+            self.service,
             socket_path=self.shard_socket(index),
             results_dir=self.shard_dir(index),
-            max_queue_depth=self.max_queue_depth,
-            serve_workers=self.serve_workers,
-            max_deadline=self.max_deadline,
-            executor=self.shard_executor,
-            stall_timeout=self.stall_timeout,
-            term_grace=self.term_grace,
-            catalog_path=self.catalog_path,
         )
 
 
@@ -243,7 +235,6 @@ class _Shard:
     generation: int = 0
     pid: int | None = None
     service: SolveService | None = None  # in-process mode only
-    inflight: int = 0
     lost: bool = False
 
 
@@ -281,15 +272,11 @@ class SolveFleet:
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._started_at = time.monotonic()
-        self._buckets: dict[str, TokenBucket] = {}
-        self._buckets_lock = threading.Lock()
         self._front_lock = threading.Lock()
         self._front_requests = 0
         self._routed = [0] * config.shards
         self._reroutes = 0
         self._respawns = 0
-        self._quota_rejections = 0
-        self._shed_counts = {name: 0 for name in PRIORITY_CLASSES}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -456,11 +443,12 @@ class SolveFleet:
     def stop(self) -> None:
         """Drain, retire every shard, close the front, join threads."""
         self.request_drain()
-        self.wait(timeout=max(5.0, self.config.term_grace * 4))
+        term_grace = self.config.service.term_grace
+        self.wait(timeout=max(5.0, term_grace * 4))
         self._stopped.set()
         for shard in self._shards:
             if shard.pid is not None:
-                kill_process(shard.pid, term_grace=self.config.term_grace)
+                kill_process(shard.pid, term_grace=term_grace)
                 shard.pid = None
             if shard.service is not None:
                 shard.service.stop()
@@ -562,7 +550,9 @@ class SolveFleet:
                     continue
                 reason = "stalled" if stalled else "exited"
                 if shard.pid is not None:
-                    kill_process(shard.pid, term_grace=self.config.term_grace)
+                    kill_process(
+                        shard.pid, term_grace=self.config.service.term_grace
+                    )
                     shard.pid = None
                 if shard.service is not None:
                     try:
@@ -679,8 +669,8 @@ class SolveFleet:
         queue_depths = {name: 0 for name in PRIORITY_CLASSES}
         estimated = 0.0
         requests = 0
-        shed = dict(self._shed_counts)
-        quota_rejections = self._quota_rejections
+        shed = {name: 0 for name in PRIORITY_CLASSES}
+        quota_rejections = 0
         idempotent_hits = 0
         worker_respawns = 0
         salvaged = 0
@@ -728,7 +718,6 @@ class SolveFleet:
                 "reroutes": self._reroutes,
                 "shard_respawns": self._respawns,
                 "shard_requests": requests,
-                "inflight": [s.inflight for s in self._shards],
             },
             "shards": per_shard,
         }
@@ -757,15 +746,6 @@ class SolveFleet:
                 status=STATUS_DRAINING,
                 error="fleet is draining; retry against the next instance",
             ).to_dict()
-        if not self._admit_quota(request):
-            return Response(
-                id=request.id or "",
-                status=STATUS_QUOTA,
-                error=(
-                    f"client {request.client_id!r} exhausted its request "
-                    "quota at the fleet front; retry after backoff"
-                ),
-            ).to_dict()
         # Assign the idempotency id at the front: every forward attempt
         # (including reroutes after an outcome-unknown failure) carries
         # the same key, so the shards dedupe instead of double-solving.
@@ -782,27 +762,8 @@ class SolveFleet:
             if attempts > self.config.max_reroutes:
                 break
             with self._shards_lock:
-                shard = self._shards[shard_index]
-                if not self._shard_alive(shard):
+                if not self._shard_alive(self._shards[shard_index]):
                     continue
-                if (
-                    shard.inflight >= self.config.max_inflight_per_shard
-                    and request.priority != PRIORITY_INTERACTIVE
-                ):
-                    self._shed_counts[request.priority] = (
-                        self._shed_counts.get(request.priority, 0) + 1
-                    )
-                    self.observer.count(f"fleet.shed.{request.priority}")
-                    return Response(
-                        id=request.id or "",
-                        status=STATUS_QUEUE_FULL,
-                        error=(
-                            f"shard {shard_index} is saturated "
-                            f"({shard.inflight} in flight); batch work "
-                            "shed at the fleet front — retry with backoff"
-                        ),
-                    ).to_dict()
-                shard.inflight += 1
             attempts += 1
             started = time.perf_counter()
             try:
@@ -812,9 +773,6 @@ class SolveFleet:
             except OSError as exc:
                 self._note_forward_failure(shard_index, exc)
                 continue
-            finally:
-                with self._shards_lock:
-                    shard.inflight = max(0, shard.inflight - 1)
             self.observer.observe_hist(
                 "fleet.forward_seconds", time.perf_counter() - started
             )
@@ -831,24 +789,6 @@ class SolveFleet:
                 "retry with the same request id"
             ),
         ).to_dict()
-
-    def _admit_quota(self, request: Request) -> bool:
-        client = request.client_id
-        if self.config.quota_rate is None or not client:
-            return True  # anonymous clients are exempt, as at the shard
-        with self._buckets_lock:
-            bucket = self._buckets.get(client)
-            if bucket is None:
-                bucket = TokenBucket(
-                    self.config.quota_rate, self.config.quota_burst
-                )
-                self._buckets[client] = bucket
-        if bucket.try_take():
-            return True
-        with self._front_lock:
-            self._quota_rejections += 1
-        self.observer.count("fleet.rejected.quota")
-        return False
 
     def _maybe_inject_fault(self, ordinal: int, key: str) -> None:
         """Chaos hook: kill the routed shard before forwarding."""
@@ -882,15 +822,9 @@ class SolveFleet:
             "fleet.reroute", shard=shard_index, error=str(exc)
         )
         rlog.info("fleet.reroute", shard=shard_index, error=str(exc))
-        with self._shards_lock:
-            shard = self._shards[shard_index]
-            if self._processes and shard.pid is not None:
-                try:
-                    os.kill(shard.pid, 0)
-                except OSError:
-                    pass  # already gone; the watchdog reaps it
-            elif not self._processes:
-                shard.lost = True
+        if not self._processes:
+            with self._shards_lock:
+                self._shards[shard_index].lost = True
         self._check_shards()
 
     # -- forwarding ----------------------------------------------------------

@@ -26,8 +26,13 @@ Three refinements layer on top of the plain depth bound:
   :class:`QueueFull`.
 * **Per-client quotas** — each non-empty ``client_id`` meters through
   a :class:`TokenBucket` (``quota_rate`` tokens/second, ``quota_burst``
-  capacity); an empty bucket raises :class:`QuotaExceeded` before the
-  depth check, so one chatty client cannot monopolize the queue.
+  capacity); an empty bucket raises :class:`QuotaExceeded`, so one
+  chatty client cannot monopolize the queue.  The token is spent only
+  when the request is admitted: a :class:`QueueFull` answer leaves the
+  bucket as it was, so the retry it asks for is not refused for quota.
+  ``client_id`` arrives from the wire, so buckets that have refilled
+  to ``quota_burst`` — which admit exactly what a fresh bucket would —
+  are dropped once the map outgrows :data:`_BUCKET_PRUNE_AT`.
 
 A :class:`Ticket` is the unit of coordination between the connection
 handler (which enqueues and then blocks on :meth:`Ticket.wait`) and
@@ -51,6 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 #: Rank of each priority class (lower = more urgent = dequeued first).
 _PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITY_CLASSES)}
+
+#: Bucket-map size that triggers a prune of refilled buckets.  After a
+#: prune the trigger moves to twice the survivors (never below this),
+#: so the prune's cost is amortised over the inserts that precede it.
+_BUCKET_PRUNE_AT = 1024
 
 
 class QueueFull(RuntimeError):
@@ -102,6 +112,11 @@ class TokenBucket:
     def tokens(self) -> float:
         """Tokens available as of the last :meth:`try_take` call."""
         return self._tokens
+
+    def full(self, now: float) -> bool:
+        """True when the bucket has refilled to ``burst`` by ``now``."""
+        elapsed = max(0.0, now - self._updated)
+        return self._tokens + elapsed * self.rate >= self.burst
 
 
 class Ticket:
@@ -222,6 +237,7 @@ class AdmissionQueue:
         self._on_depth = on_depth
         self._on_shed = on_shed
         self._buckets: dict[str, TokenBucket] = {}
+        self._prune_at = _BUCKET_PRUNE_AT
         self._service_ewma = 0.0  # EWMA of per-request service seconds
 
     # -- admission (handler side) -------------------------------------------
@@ -230,23 +246,16 @@ class AdmissionQueue:
         """Admit a request, shedding lower-priority work under overload.
 
         Raises :class:`QueueDraining` once :meth:`drain` ran,
+        :class:`QueueFull` when the queue is saturated and no
+        strictly-lower-priority ticket can be shed to make room, and
         :class:`QuotaExceeded` when the client's token bucket is
-        empty, and :class:`QueueFull` when the queue is saturated and
-        no strictly-lower-priority ticket can be shed to make room.
+        empty.  Saturation and the shed victim are decided first, so
+        a quota token is spent only on a request that is admitted.
         """
         shed: Ticket | None = None
         with self._cond:
             if self._draining:
                 raise QueueDraining("service is draining; retry later")
-            if (
-                self.quota_rate is not None
-                and request.client_id
-                and not self._bucket_for(request.client_id).try_take()
-            ):
-                raise QuotaExceeded(
-                    f"client {request.client_id!r} exceeded its admission "
-                    f"quota ({self.quota_rate}/s, burst {self.quota_burst})"
-                )
             if self._saturated_locked():
                 shed = self._shed_for_locked(request)
                 if shed is None:
@@ -254,6 +263,15 @@ class AdmissionQueue:
                         f"queue is at its depth bound ({self.max_depth}); "
                         "retry later"
                     )
+            if self.quota_rate is not None and request.client_id:
+                now = time.monotonic()
+                if not self._bucket_for(request.client_id, now).try_take(now):
+                    raise QuotaExceeded(
+                        f"client {request.client_id!r} exceeded its "
+                        f"admission quota ({self.quota_rate}/s, "
+                        f"burst {self.quota_burst})"
+                    )
+            if shed is not None:
                 self._items.remove(shed)
             ticket = Ticket(request)
             self._items.append(ticket)
@@ -265,13 +283,24 @@ class AdmissionQueue:
             self._on_depth(depth)
         return ticket
 
-    def _bucket_for(self, client_id: str) -> TokenBucket:
+    def _bucket_for(self, client_id: str, now: float) -> TokenBucket:
         """The (lazily created) token bucket for one client id."""
         bucket = self._buckets.get(client_id)
         if bucket is None:
+            if len(self._buckets) >= self._prune_at:
+                self._prune_buckets_locked(now)
             bucket = TokenBucket(self.quota_rate, self.quota_burst)
             self._buckets[client_id] = bucket
         return bucket
+
+    def _prune_buckets_locked(self, now: float) -> None:
+        """Drop every bucket that has refilled to its burst by ``now``."""
+        self._buckets = {
+            client: bucket
+            for client, bucket in self._buckets.items()
+            if not bucket.full(now)
+        }
+        self._prune_at = max(_BUCKET_PRUNE_AT, 2 * len(self._buckets))
 
     def _saturated_locked(self) -> bool:
         """True when the queue cannot take more work without shedding."""

@@ -14,7 +14,7 @@ import pytest
 from repro.observe import Observer
 from repro.parallel import blas
 from repro.parallel.pymp import fork_available
-from repro.serve import FleetConfig, SolveClient, SolveFleet
+from repro.serve import FleetConfig, ServiceConfig, SolveClient, SolveFleet
 from repro.serve.executor import ExecutorPool
 from repro.serve.protocol import STATUS_OK, Request, format_address
 from repro.serve.queue import Ticket
@@ -142,7 +142,12 @@ class TestForkedChildren:
                 results_dir=tmp_path / "fleet",
                 shards=2,
                 processes=True,
-                term_grace=0.2,
+                service=ServiceConfig(
+                    socket_path=tmp_path / "template.sock",
+                    results_dir=tmp_path / "template",
+                    executor="thread",
+                    term_grace=0.2,
+                ),
             )
         )
         fleet.start()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.engine import ParmaEngine
 from repro.mea.synthetic import paper_like_spec
-from repro.mea.wetlab import run_campaign
+from repro.mea.wetlab import quick_device_data, run_campaign
 from repro.parallel.pymp import fork_available
 from repro.serve import (
     STATUS_DRAINING,
@@ -131,13 +131,73 @@ class TestShardMap:
             ShardMap(0)
 
 
+def _template(tmp_path, **fields) -> ServiceConfig:
+    """A shard template; the fleet replaces both paths per shard."""
+    fields.setdefault("executor", "thread")
+    return ServiceConfig(
+        socket_path=tmp_path / "template.sock",
+        results_dir=tmp_path / "template",
+        **fields,
+    )
+
+
 class TestFleetConfig:
     @pytest.mark.parametrize(
-        "bad", [{"serve_workers": 0}, {"shard_executor": "fork"}]
+        "bad", [{"serve_workers": 0}, {"executor": "fork"}]
     )
     def test_bad_shard_values_raise_at_construction(self, tmp_path, bad):
         with pytest.raises(ValueError):
-            FleetConfig(listen="127.0.0.1:0", results_dir=tmp_path, **bad)
+            FleetConfig(
+                listen="127.0.0.1:0",
+                results_dir=tmp_path,
+                service=_template(tmp_path, **bad),
+            )
+
+    def test_default_shard_config_is_unchanged(self, tmp_path):
+        config = FleetConfig(listen="127.0.0.1:0", results_dir=tmp_path)
+        # Field by field, the shard config the fleet has always run
+        # (and e2ebench's fleet-mixed workload runs).
+        assert config.shard_service_config(0) == ServiceConfig(
+            socket_path=tmp_path / "shard-0" / "shard.sock",
+            results_dir=tmp_path / "shard-0",
+            tcp=None,
+            max_queue_depth=64,
+            serve_workers=1,
+            max_deadline=None,
+            observer=None,
+            executor="thread",
+            stall_timeout=30.0,
+            term_grace=1.0,
+            max_salvage=1,
+            quota_rate=None,
+            quota_burst=8.0,
+            max_queue_seconds=None,
+            max_bypass_age=5.0,
+            idempotency_cache=128,
+            faults=None,
+            catalog_path=None,
+        )
+
+    def test_template_fields_reach_every_shard(self, tmp_path):
+        config = FleetConfig(
+            listen="127.0.0.1:0",
+            results_dir=tmp_path,
+            shards=3,
+            service=_template(tmp_path, max_queue_seconds=2.0),
+        )
+        for index in range(3):
+            shard = config.shard_service_config(index)
+            assert shard.max_queue_seconds == 2.0
+            assert shard.socket_path == config.shard_socket(index)
+            assert shard.results_dir == config.shard_dir(index)
+
+    def test_template_with_tcp_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="only listener"):
+            FleetConfig(
+                listen="127.0.0.1:0",
+                results_dir=tmp_path,
+                service=_template(tmp_path, tcp="127.0.0.1:0"),
+            )
 
 
 def _scripted_tcp_server(steps):
@@ -287,7 +347,7 @@ class TestFleetInProcess:
         assert response.retriable
         assert f.wait(timeout=10.0)
 
-    def test_front_quota_rejects_with_retriable_status(
+    def test_template_quota_rejects_with_retriable_status(
         self, tmp_path, measurement
     ):
         config = FleetConfig(
@@ -295,8 +355,7 @@ class TestFleetInProcess:
             results_dir=tmp_path / "quota-fleet",
             shards=2,
             processes=False,
-            quota_rate=0.001,
-            quota_burst=1.0,
+            service=_template(tmp_path, quota_rate=0.001, quota_burst=1.0),
         )
         f = SolveFleet(config)
         f.start()
@@ -311,6 +370,31 @@ class TestFleetInProcess:
             # Anonymous clients are exempt: past the burst, still admitted.
             for _ in range(2):
                 assert client.solve(measurement.z_kohm).ok
+        finally:
+            f.stop()
+
+    def test_quota_is_metered_per_shard(self, tmp_path):
+        config = FleetConfig(
+            listen="127.0.0.1:0",
+            results_dir=tmp_path / "per-shard-fleet",
+            shards=2,
+            processes=False,
+            service=_template(tmp_path, quota_rate=0.001, quota_burst=1.0),
+        )
+        f = SolveFleet(config)
+        assert f.map.shard_for(12, ROUTE_LABEL) != f.map.shard_for(
+            16, ROUTE_LABEL
+        )
+        f.start()
+        try:
+            client = SolveClient(format_address(f.tcp_address), timeout=60.0)
+            assert client.wait_ready(timeout=10.0)
+            # Burst 1, yet one request per home shard is admitted.
+            z = {n: quick_device_data(n, seed=n)[1] for n in (12, 16)}
+            for n in (12, 16):
+                assert client.solve(z[n], client_id="spread").ok
+            again = client.solve(z[12], client_id="spread")
+            assert again.status == STATUS_QUOTA
         finally:
             f.stop()
 
@@ -395,14 +479,22 @@ class TestFleetProcesses:
                 os._exit(0)
         # Only the parent saw start() fail; the children just exited.
         assert marker.read_text().split() == [str(parent)]
+
     def test_shard_kill_reroutes_and_respawns(self, tmp_path, measurement):
         config = FleetConfig(
             listen="127.0.0.1:0",
             results_dir=tmp_path / "proc-fleet",
             shards=2,
             processes=True,
-            term_grace=0.2,
+            service=_template(tmp_path, term_grace=0.2),
         )
+        # Solved before the shards fork, so they inherit its Laplacian
+        # factors: a shard runs on its BLAS share of the CPUs, and a
+        # factor built at another thread count can differ in the last
+        # bits.
+        reference = ParmaEngine(
+            strategy="single", threshold_sigmas=3.0
+        ).parametrize(measurement)
         f = SolveFleet(config)
         f.start()
         try:
@@ -436,9 +528,6 @@ class TestFleetProcesses:
                 time.sleep(0.1)
             else:
                 pytest.fail("killed shard never respawned")
-            reference = ParmaEngine(
-                strategy="single", threshold_sigmas=3.0
-            ).parametrize(measurement)
             assert np.array_equal(
                 after.resistance_array(), reference.resistance
             )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.queue as queue_mod
 from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
     PRIORITY_BATCH,
@@ -278,6 +279,54 @@ class TestQuotas:
         queue = AdmissionQueue(max_depth=64)
         for i in range(20):
             queue.submit(_request(rid=str(i), client_id="alice"))
+
+    def test_queue_full_rejection_spends_no_token(self):
+        queue = AdmissionQueue(max_depth=1, quota_rate=1e-6, quota_burst=1.0)
+        queue.submit(_request(rid="other", client_id="other"))
+        with pytest.raises(QueueFull):
+            queue.submit(_request(rid="c1", client_id="c"))
+        assert queue.take(timeout=1.0).request.id == "other"
+        # The retry the rejection asked for is admitted on c's token.
+        queue.submit(_request(rid="c2", client_id="c"))
+        assert queue.depth() == 1
+
+    def test_one_shot_client_ids_leave_bucket_map_bounded(self, monkeypatch):
+        clock = _FakeClock(monkeypatch)
+        queue = AdmissionQueue(max_depth=1, quota_rate=1.0, quota_burst=1.0)
+        for i in range(4 * queue_mod._BUCKET_PRUNE_AT):
+            queue.submit(_request(rid=str(i), client_id=f"one-shot-{i}"))
+            queue.take(timeout=1.0)
+            clock.now += 1.0  # every earlier bucket is full again
+        assert len(queue._buckets) <= queue_mod._BUCKET_PRUNE_AT
+
+    def test_partly_drained_bucket_survives_prune(self, monkeypatch):
+        clock = _FakeClock(monkeypatch)
+        queue = AdmissionQueue(max_depth=1, quota_rate=1.0, quota_burst=2.0)
+        for rid in ("a1", "a2"):
+            queue.submit(_request(rid=rid, client_id="alice"))
+            queue.take(timeout=1.0)
+        for i in range(queue_mod._BUCKET_PRUNE_AT - 1):  # map at the trigger
+            queue.submit(_request(rid=str(i), client_id=f"one-shot-{i}"))
+            queue.take(timeout=1.0)
+        clock.now += 1.0  # one-shots are back at burst, alice at 1 token
+        queue.submit(_request(rid="trigger", client_id="late"))
+        queue.take(timeout=1.0)
+        assert set(queue._buckets) == {"alice", "late"}
+        queue.submit(_request(rid="a3", client_id="alice"))
+        queue.take(timeout=1.0)
+        with pytest.raises(QuotaExceeded):
+            queue.submit(_request(rid="a4", client_id="alice"))
+
+
+class _FakeClock:
+    """A settable monotonic clock for :mod:`repro.serve.queue`."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.now = 1000.0
+        monkeypatch.setattr(queue_mod, "time", self)
+
+    def monotonic(self) -> float:
+        return self.now
 
 
 class TestBatcher:
