@@ -1,9 +1,13 @@
 """Tests for the mpi4py-like message-passing runtime (real processes)."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from repro.parallel.mpi import ANY_TAG, MPIError, run_mpi
+from repro.parallel.mpi import ANY_TAG, MPIError, MPITimeout, run_mpi
 
 
 class TestPointToPoint:
@@ -196,3 +200,27 @@ class TestRuntime:
         results = run_mpi(prog, 4)
         assert results[0] == pytest.approx(np.pi, abs=1e-4)
         assert all(r == results[0] for r in results)
+
+
+class TestTimeout:
+    @pytest.mark.parametrize(
+        "ignore_term", [False, True], ids=["sleeps", "ignores-sigterm"]
+    )
+    def test_timeout_kills_and_reaps_every_rank(self, tmp_path, ignore_term):
+        def prog(comm):
+            (tmp_path / f"rank{comm.Get_rank()}.pid").write_text(str(os.getpid()))
+            if comm.Get_rank() == 1:
+                if ignore_term:  # only the SIGKILL rung can end this rank
+                    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+                time.sleep(30.0)
+            return "ok"
+
+        t0 = time.monotonic()
+        with pytest.raises(MPITimeout):
+            run_mpi(prog, 2, timeout=0.5)
+        assert time.monotonic() - t0 < 5.0
+        pids = [int((tmp_path / f"rank{r}.pid").read_text()) for r in range(2)]
+        for pid in pids:
+            # Gone, not a zombie: killed *and* reaped by the launcher.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
