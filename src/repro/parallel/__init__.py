@@ -13,6 +13,9 @@
 * :mod:`repro.parallel.elastic` — churn-tolerant campaign dispatch:
   lease-based work chunks, a grow/shrink-able forked pool, and the
   strategy × rank scaling sweep behind ``BENCH_scaling.json``.
+* :mod:`repro.parallel.proc` — the one lifecycle of every forked
+  worker: ``spawn`` (fd hygiene, exit net, BLAS budget), ``poll``
+  and the ``kill`` ladder.
 * :mod:`repro.parallel.blas` — the BLAS thread budget of forked
   solve children (executor slots, fleet shards).
 

@@ -11,15 +11,18 @@ usable CPU count, and in a budgeted child it is the child's budget,
 so the budget nests.
 
 Only children that run solves are budgeted (executor slots, fleet
-shards).  Formation children (PyMP, elastic, MPI) make BLAS calls too
-small for OpenBLAS to thread, so they never start a pool by default;
-capping them would force one.  The forking parent's own pool is never
-touched.
+shards): they are started by :func:`repro.parallel.proc.spawn` with
+``blas_slots``, which computes :func:`budget` before the fork and
+calls :func:`apply` in the child.  Formation children (PyMP, elastic,
+MPI) make BLAS calls too small for OpenBLAS to thread, so they never
+start a pool by default; capping them would force one.  The forking
+parent's own pool is never touched.
 
 The loaded OpenBLAS images are found in ``/proc/self/maps`` and their
 thread setters resolved with ctypes in the parent, before it forks
-(:func:`resolve`); the child only calls the C function.  Everything
-here is a no-op where there is no ``/proc`` or no setter.
+(:func:`resolve`, called once by the pool or fleet ``start``); the
+child only calls the C function.  Everything here is a no-op where
+there is no ``/proc`` or no setter.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ import select
 import signal
 import struct
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +64,7 @@ from repro.core.templates import (
 )
 from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
-from repro.parallel import pymp
+from repro.parallel import proc, pymp
 from repro.parallel.simcluster import (
     HPC_FDR,
     ClusterModel,
@@ -81,7 +80,7 @@ from repro.parallel.workstealing import (
 )
 from repro.resilience.atomio import AtomicFile
 from repro.resilience.faults import as_injector
-from repro.resilience.supervise import Deadline, HeartbeatBoard, kill_process
+from repro.resilience.supervise import Deadline, HeartbeatBoard
 
 __all__ = [
     "ElasticError",
@@ -103,6 +102,9 @@ __all__ = [
 #: salvage path in :mod:`repro.core.strategies`.
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
+
+#: The parent's wait for worker messages between reap/watchdog passes.
+_POLL_SECONDS = 0.02
 
 
 class ElasticError(RuntimeError):
@@ -388,7 +390,6 @@ class ElasticPool:
         lease_timeout: float | None = 30.0,
         quarantine_after: int = 3,
         term_grace: float = 1.0,
-        poll_interval: float = 0.02,
         idle_wait: float = 0.01,
         faults=None,
         observer=None,
@@ -406,7 +407,6 @@ class ElasticPool:
         self.lease_timeout = lease_timeout
         self.quarantine_after = int(quarantine_after)
         self.term_grace = float(term_grace)
-        self.poll_interval = float(poll_interval)
         self.idle_wait = float(idle_wait)
         self.injector = as_injector(faults)
         self.observer = observer
@@ -500,18 +500,14 @@ class ElasticPool:
         row = self._alloc_row()  # pre-fork: the child inherits the mapping
         req_r, req_w = os.pipe()
         res_r, res_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process, exits via os._exit
-            os.close(req_w)
-            os.close(res_r)
-            for other in self._live:
-                for fd in (other.req_w, other.res_r):
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
-            self._child_main(worker_id, row, req_r, res_w)
-            os._exit(0)  # unreachable; _child_main always exits
+        pid = proc.spawn(
+            self._child_main,
+            worker_id,
+            row,
+            req_r,
+            res_w,
+            keep_fds={req_r, res_w},
+        )
         os.close(req_r)
         os.close(res_w)
         worker = _Worker(
@@ -544,7 +540,7 @@ class ElasticPool:
                 kind = msg[0]
                 if kind == "exit":
                     self.board.mark_done(row)
-                    os._exit(0)
+                    return
                 elif kind == "idle":
                     self.board.tick(row, 0)
                     time.sleep(float(msg[1]))
@@ -565,10 +561,7 @@ class ElasticPool:
                 else:
                     raise ElasticError(f"unknown command {kind!r}")
         except (EOFError, BrokenPipeError):
-            os._exit(0)
-        except BaseException:
-            traceback.print_exc()
-            os._exit(1)
+            return  # the parent is gone
 
     # -- the campaign loop ---------------------------------------------------
 
@@ -613,9 +606,9 @@ class ElasticPool:
     def _pump(self, ledger, obs, totals, on_chunk) -> None:
         fds = {w.res_r: w for w in self._live}
         if not fds:
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_SECONDS)
             return
-        readable, _, _ = select.select(list(fds), [], [], self.poll_interval)
+        readable, _, _ = select.select(list(fds), [], [], _POLL_SECONDS)
         for fd in readable:
             worker = fds[fd]
             if worker not in self._live:
@@ -678,13 +671,9 @@ class ElasticPool:
 
     def _reap(self, ledger, obs) -> None:
         for worker in list(self._live):
-            try:
-                wpid, status = os.waitpid(worker.pid, os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - stolen reap
-                wpid, status = worker.pid, 9
-            if wpid == 0:
+            code = proc.poll(worker.pid)
+            if code is None:
                 continue
-            code = os.waitstatus_to_exitcode(status)
             self._retire(worker)
             if worker.exiting and code == 0:
                 continue  # clean drain/shutdown exit
@@ -720,11 +709,7 @@ class ElasticPool:
         """Kill first, forfeit second: the dead writer is reaped before
         its chunk can be re-leased, so no two workers ever hold the
         same chunk (or its part file) concurrently."""
-        kill_process(
-            worker.pid,
-            term_grace=self.term_grace,
-            poll_interval=self.poll_interval,
-        )
+        proc.kill(worker.pid, term_grace=self.term_grace)
         self._retire(worker)
         self._after_loss(worker, ledger, obs, reason=reason)
 
@@ -792,20 +777,12 @@ class ElasticPool:
         t_end = time.monotonic() + max(self.term_grace, 0.25)
         while self._live and time.monotonic() < t_end:
             for worker in list(self._live):
-                try:
-                    wpid, _ = os.waitpid(worker.pid, os.WNOHANG)
-                except ChildProcessError:  # pragma: no cover
-                    wpid = worker.pid
-                if wpid != 0:
+                if proc.poll(worker.pid) is not None:
                     self._retire(worker)
             if self._live:
                 time.sleep(0.005)
+        proc.kill(*(w.pid for w in self._live), term_grace=self.term_grace)
         for worker in list(self._live):
-            kill_process(
-                worker.pid,
-                term_grace=self.term_grace,
-                poll_interval=self.poll_interval,
-            )
             self._retire(worker)
 
 

@@ -31,22 +31,24 @@ correctness are all real.
 
 from __future__ import annotations
 
-import os
 import pickle
-import signal
 import socket
 import struct
-import sys
 import time
-import traceback
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.parallel import proc
+from repro.parallel.pymp import join
 
 _LEN = struct.Struct("!Q")
 
 #: Wildcard tag for :meth:`Comm.recv`.
 ANY_TAG = -1
+
+#: Seconds a timed-out launch gives its ranks between SIGTERM and SIGKILL.
+_TERM_GRACE = 0.5
 
 
 class MPIError(RuntimeError):
@@ -278,41 +280,22 @@ def run_mpi(
 
     pids = []
     for rank in range(size):
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                peers: dict[int, socket.socket] = {}
-                for (a, b), (sa, sb) in mesh.items():
-                    if a == rank:
-                        peers[b] = sa
-                        sb.close()
-                    elif b == rank:
-                        peers[a] = sb
-                        sa.close()
-                    else:
-                        sa.close()
-                        sb.close()
-                for r, (pr, pw) in enumerate(result_pipes):
-                    if r != rank:
-                        pr.close()
-                        pw.close()
-                result_pipes[rank][0].close()
-                comm = Comm(rank, size, peers)
-                value = program(comm, *args)
-                payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                wsock = result_pipes[rank][1]
-                wsock.sendall(_LEN.pack(len(payload)) + payload)
-                wsock.close()
-                comm.close()
-                code = 0
-            except BaseException:
-                traceback.print_exc(file=sys.stderr)
-                sys.stderr.flush()
-            finally:
-                sys.stdout.flush()
-                os._exit(code)
-        pids.append(pid)
+        peers = {b: sa for (a, b), (sa, _) in mesh.items() if a == rank}
+        peers.update({a: sb for (a, b), (_, sb) in mesh.items() if b == rank})
+        wsock = result_pipes[rank][1]
+        keep = {sock.fileno() for sock in peers.values()} | {wsock.fileno()}
+        pids.append(
+            proc.spawn(
+                _rank_main,
+                program,
+                args,
+                rank,
+                size,
+                peers,
+                wsock,
+                keep_fds=keep,
+            )
+        )
 
     # Launcher: close child ends, read results, reap.
     for (sa, sb) in mesh.values():
@@ -341,40 +324,27 @@ def run_mpi(
         finally:
             pr.close()
     if timed_out:
-        _kill_ranks(pids)
-    for rank, pid in enumerate(pids):
-        _, status = os.waitpid(pid, 0)
-        if (
-            os.waitstatus_to_exitcode(status) != 0
-            and rank not in errors
-            and rank not in timed_out
-        ):
-            errors.append(rank)
-    if timed_out:
+        proc.kill(*pids, term_grace=_TERM_GRACE)
         raise MPITimeout(
             f"MPI launch timed out waiting for rank(s) {sorted(timed_out)}; "
             "all ranks killed and reaped"
         )
+    failed = join(dict(enumerate(pids)))
+    errors = sorted(set(errors).union(rank for rank, _ in failed))
     if errors:
-        raise MPIError(f"rank(s) {sorted(errors)} failed; see stderr")
+        raise MPIError(f"rank(s) {errors} failed; see stderr")
     return results
 
 
-def _kill_ranks(pids: list[int], term_grace: float = 0.5) -> None:
-    """SIGTERM every pid, then SIGKILL after a grace period.
-
-    Deliberately does *not* reap: the caller's blocking ``waitpid``
-    sweep owns that, and a SIGKILL'd child is guaranteed to exit, so
-    that sweep terminates promptly.
-    """
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGTERM)
-        except ProcessLookupError:
-            pass
-    time.sleep(term_grace)
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+def _rank_main(
+    program: Callable[..., Any],
+    args: tuple,
+    rank: int,
+    size: int,
+    peers: dict[int, socket.socket],
+    wsock: socket.socket,
+) -> None:  # pragma: no cover - runs in the forked rank
+    """One rank: run ``program`` and send its pickled return value home."""
+    value = program(Comm(rank, size, peers), *args)
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    wsock.sendall(_LEN.pack(len(payload)) + payload)

@@ -14,8 +14,9 @@ surface on plain ``os.fork``:
 * **shared writes** — :func:`shared_array` returns an array backed by
   an anonymous ``MAP_SHARED`` mapping, visible to all region members
   (see also :mod:`repro.parallel.sharedmem` for named segments);
-* **join at exit** — children ``os._exit``; the parent reaps them and
-  re-raises if any child failed.
+* **join at exit** — children ``os._exit``; the parent reaps them
+  (:func:`join`, in completion order) and re-raises if any child
+  failed.
 
 Like OpenMP, the block body must be written to be executed by *every*
 member.  Nested regions raise (matching PyMP's default).  With
@@ -31,17 +32,19 @@ import os
 import sys
 import time
 import traceback
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.parallel import proc
+
 _ACTIVE_REGION: "Parallel | None" = None
 
-#: Reap-poll sleep bounds for the non-blocking join (seconds).  The
-#: poll starts short (children usually finish just after the parent)
-#: and backs off so a long-running region does not busy-wait.
-_REAP_SLEEP_MIN = 0.001
-_REAP_SLEEP_MAX = 0.05
+#: Sleep bounds of :func:`join`'s reap loop (seconds).  The first nap
+#: is short (children usually finish just after the parent), then it
+#: doubles so a long-running region does not busy-wait.
+_JOIN_NAP_MIN = 0.001
+_JOIN_NAP_MAX = 0.02
 
 
 class ParallelError(RuntimeError):
@@ -112,8 +115,7 @@ class Parallel:
         # Duck-typed repro.resilience.supervise.Supervisor (kept loose
         # so this module never imports the resilience layer).  When
         # set, work-sharing iterators heartbeat per pulled item and the
-        # join is the supervisor's watchdog loop instead of the plain
-        # WNOHANG sweep.
+        # join runs the supervisor's watchdog between reap sweeps.
         self._supervisor = supervisor
 
     # -- region lifecycle --------------------------------------------------
@@ -168,7 +170,7 @@ class Parallel:
                     self._children, parent_failed=exc_type is not None
                 )
             else:
-                failures = self._reap_nonblocking()
+                failures = join(dict(enumerate(self._children, 1)))
         finally:
             self._children = []
             _ACTIVE_REGION = None
@@ -193,42 +195,6 @@ class Parallel:
                 )
             raise ParallelError(message, failed_ranks=ranks, exit_codes=codes)
         return False
-
-    def _reap_nonblocking(self) -> list[tuple[int, int]]:
-        """Reap children in *completion* order (WNOHANG + backoff poll).
-
-        The original join waited for rank 1, then rank 2, ... with
-        blocking ``waitpid``: a hung rank 1 masked rank 3's crash
-        diagnostics forever.  Failures are returned sorted by rank so
-        ``failed_ranks``/``exit_codes`` ordering stays stable for
-        callers regardless of which child exited first.
-        """
-        pending = {rank + 1: pid for rank, pid in enumerate(self._children)}
-        failures: list[tuple[int, int]] = []
-        sleep = _REAP_SLEEP_MIN
-        while pending:
-            progressed = False
-            for rank in sorted(pending):
-                try:
-                    wpid, status = os.waitpid(pending[rank], os.WNOHANG)
-                except ChildProcessError:  # pragma: no cover - stolen reap
-                    pending.pop(rank)
-                    progressed = True
-                    continue
-                if wpid == 0:
-                    continue
-                pending.pop(rank)
-                progressed = True
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    failures.append((rank, code))
-            if progressed:
-                sleep = _REAP_SLEEP_MIN
-            elif pending:
-                time.sleep(sleep)
-                sleep = min(sleep * 2, _REAP_SLEEP_MAX)
-        failures.sort(key=lambda rc: rc[0])
-        return failures
 
     # -- work sharing --------------------------------------------------------
 
@@ -311,6 +277,44 @@ class Parallel:
             f"Parallel(num_threads={self.num_threads}, "
             f"thread_num={self.thread_num})"
         )
+
+
+def join(
+    pending: dict[int, int],
+    watch: Callable[[dict[int, int], list[tuple[int, int]]], None] | None = None,
+) -> list[tuple[int, int]]:
+    """Reap ``pending`` (rank → pid) in *completion* order.
+
+    A blocking, rank-ordered ``waitpid`` would let a hung rank 1 mask
+    rank 3's crash diagnostics forever, so this sweeps
+    :func:`repro.parallel.proc.poll` over every pending rank with a
+    doubling nap.  ``watch(pending, failures)`` runs after each sweep
+    that leaves ranks pending; it may kill and remove ranks itself
+    (the supervisor's watchdog and deadline).  Returns the failures as
+    ``[(rank, exit_code), ...]`` sorted by rank, so their order is
+    stable whichever child exited first.
+    """
+    failures: list[tuple[int, int]] = []
+    nap = _JOIN_NAP_MIN
+    while pending:
+        progressed = False
+        for rank in sorted(pending):
+            code = proc.poll(pending[rank])
+            if code is None:
+                continue
+            del pending[rank]
+            progressed = True
+            if code != 0:
+                failures.append((rank, code))
+        if pending and watch is not None:
+            watch(pending, failures)
+        if progressed:
+            nap = _JOIN_NAP_MIN
+        elif pending:
+            time.sleep(nap)
+            nap = min(nap * 2.0, _JOIN_NAP_MAX)
+    failures.sort()
+    return failures
 
 
 def _parse_range(args: tuple[int, ...]) -> tuple[int, int, int]:

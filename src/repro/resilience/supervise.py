@@ -12,9 +12,10 @@ properties this module provides:
   shared ``mmap`` created before the fork) each time it pulls or
   completes work, so the parent can distinguish *slow* from *dead*;
 * **hangs are bounded** — a :class:`Supervisor` reaps whichever child
-  exits first (``os.WNOHANG`` + poll), declares a worker hung when its
-  heartbeat stalls past ``stall_timeout``, escalates SIGTERM → SIGKILL
-  and surfaces the loss as
+  exits first (:func:`repro.parallel.pymp.join`), declares a worker
+  hung when its heartbeat stalls past ``stall_timeout``, escalates
+  SIGTERM → SIGKILL (:func:`repro.parallel.proc.kill`) and surfaces
+  the loss as
   :class:`repro.parallel.pymp.WorkerStalled` carrying every rank's
   last recorded progress;
 * **time is budgeted** — a :class:`Deadline` (monotonic wall-clock)
@@ -34,15 +35,13 @@ template checksum table and kept.
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.observe.observer import as_observer
-from repro.parallel import pymp
+from repro.parallel import proc, pymp
 
 #: Process exit status the CLI returns when a run's :class:`Deadline`
 #: expires (distinct from 1 = failure and 2 = usage; chosen away from
@@ -51,10 +50,6 @@ from repro.parallel import pymp
 #: same code, so ``parma submit`` and ``parma solve --deadline`` are
 #: script-compatible (full table in ``docs/SERVING.md``).
 DEADLINE_EXIT_CODE = 94
-
-#: First sleep of the supervised reap loop's adaptive backoff; doubles
-#: up to ``Supervisor.poll_interval`` while nothing is exiting.
-_POLL_SLEEP_MIN = 0.001
 
 
 class DeadlineExceeded(RuntimeError):
@@ -274,39 +269,6 @@ class HeartbeatBoard:
         return out
 
 
-def kill_process(
-    pid: int, term_grace: float = 1.0, poll_interval: float = 0.02
-) -> int:
-    """SIGTERM, wait ``term_grace`` seconds, SIGKILL; returns the exit code.
-
-    The escalation ladder both :class:`Supervisor` and the serve-side
-    :class:`repro.serve.executor.ExecutorPool` use to retire a child:
-    polite first (atexit/finally blocks get to run), forceful after the
-    grace window, and always reaped — the return value is the child's
-    exit code (negative signal number when it died to a signal).
-    """
-    for sig, grace in (
-        (signal.SIGTERM, term_grace),
-        (signal.SIGKILL, None),
-    ):
-        try:
-            os.kill(pid, sig)
-        except ProcessLookupError:
-            pass
-        t_end = None if grace is None else time.monotonic() + grace
-        while True:
-            try:
-                wpid, status = os.waitpid(pid, 0 if grace is None else os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - stolen reap
-                return -int(sig)
-            if wpid != 0:
-                return os.waitstatus_to_exitcode(status)
-            if t_end is not None and time.monotonic() >= t_end:
-                break
-            time.sleep(min(poll_interval, 0.01))
-    return -int(signal.SIGKILL)  # pragma: no cover - unreachable
-
-
 class Supervisor:
     """Watches one parallel region at a time: reap, watchdog, deadline.
 
@@ -315,8 +277,9 @@ class Supervisor:
     ``stall_timeout``/``deadline``) and the region join becomes a
     non-blocking poll loop:
 
-    * children are reaped in *completion* order (``os.WNOHANG``), so a
-      hung rank 1 no longer masks rank 3's crash diagnostics;
+    * children are reaped in *completion* order
+      (:func:`repro.parallel.pymp.join`), so a hung rank 1 no longer
+      masks rank 3's crash diagnostics;
     * a worker whose heartbeat stalls past ``stall_timeout`` while not
       done is declared hung: SIGTERM, then SIGKILL after
       ``term_grace`` seconds, surfaced as ``WorkerStalled`` with every
@@ -337,7 +300,6 @@ class Supervisor:
         self,
         stall_timeout: float | None = None,
         deadline: Deadline | float | None = None,
-        poll_interval: float = 0.02,
         term_grace: float = 1.0,
         salvage: bool = True,
         straggler_threshold: float = 0.8,
@@ -350,7 +312,6 @@ class Supervisor:
             raise ValueError("straggler_threshold must be in (0, 1]")
         self.stall_timeout = stall_timeout
         self.deadline = Deadline.coerce(deadline)
-        self.poll_interval = float(poll_interval)
         self.term_grace = float(term_grace)
         self.salvage = bool(salvage)
         self.straggler_threshold = float(straggler_threshold)
@@ -429,61 +390,52 @@ class Supervisor:
         """
         obs = as_observer(self.observer)
         board = self.board
-        pending: dict[int, int] = {
-            rank + 1: pid for rank, pid in enumerate(children)
-        }
-        failures: list[tuple[int, int]] = []
         stalled: dict[int, dict[str, float]] = {}
         straggled: set[int] = set()
         deadline_hit = False
-        # Adaptive poll sleep: start fine so a fault-free join costs
-        # about what a blocking waitpid does, back off toward
-        # poll_interval while the region is genuinely busy.
-        nap = _POLL_SLEEP_MIN
+
+        def watch(
+            pending: dict[int, int], failures: list[tuple[int, int]]
+        ) -> None:
+            nonlocal deadline_hit
+            now = time.monotonic()
+            if self.deadline is not None and self.deadline.expired:
+                deadline_hit = True
+                self._kill_pending(pending, failures, stalled, reason="deadline")
+                return
+            if board is not None and self.stall_timeout is not None:
+                hung = [
+                    rank
+                    for rank in sorted(pending)
+                    if not board.is_done(rank)
+                    and board.age(rank, now) > self.stall_timeout
+                ]
+                for rank in hung:
+                    snapshot = board.dump(now).get(rank, {})
+                    obs.event(
+                        "supervise.heartbeat_stall",
+                        rank=rank,
+                        age_seconds=snapshot.get("age_seconds"),
+                        items_done=snapshot.get("items_done"),
+                    )
+                    obs.count("supervise.stalls")
+                    (code,) = proc.kill(
+                        pending.pop(rank), term_grace=self.term_grace
+                    )
+                    failures.append((rank, code))
+                    stalled[rank] = snapshot
+                    obs.event(
+                        "supervise.worker_killed", rank=rank, exit_code=code
+                    )
+                    obs.count("supervise.workers_killed")
+            self._maybe_straggle(pending, straggled, now, obs)
+
         try:
-            while pending:
-                progressed = self._poll_once(pending, failures)
-                if not pending:
-                    break
-                now = time.monotonic()
-                if self.deadline is not None and self.deadline.expired:
-                    deadline_hit = True
-                    self._kill_pending(pending, failures, stalled, reason="deadline")
-                    break
-                if board is not None and self.stall_timeout is not None:
-                    hung = [
-                        rank
-                        for rank in sorted(pending)
-                        if not board.is_done(rank)
-                        and board.age(rank, now) > self.stall_timeout
-                    ]
-                    for rank in hung:
-                        snapshot = board.dump(now).get(rank, {})
-                        obs.event(
-                            "supervise.heartbeat_stall",
-                            rank=rank,
-                            age_seconds=snapshot.get("age_seconds"),
-                            items_done=snapshot.get("items_done"),
-                        )
-                        obs.count("supervise.stalls")
-                        code = self._kill_one(pending.pop(rank))
-                        failures.append((rank, code))
-                        stalled[rank] = snapshot
-                        obs.event(
-                            "supervise.worker_killed", rank=rank, exit_code=code
-                        )
-                        obs.count("supervise.workers_killed")
-                self._maybe_straggle(pending, straggled, now, obs)
-                if progressed:
-                    nap = _POLL_SLEEP_MIN
-                elif pending:
-                    time.sleep(nap)
-                    nap = min(nap * 2.0, self.poll_interval)
+            failures = pymp.join(dict(enumerate(children, 1)), watch)
         finally:
             self.board = None
             self._on_straggler = None
             self._region_workers = 0
-        failures.sort(key=lambda rc: rc[0])
         if deadline_hit and not parent_failed:
             raise DeadlineExceeded(
                 f"deadline of {self.deadline.seconds:g}s expired inside a "
@@ -495,35 +447,6 @@ class Supervisor:
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _poll_once(
-        pending: dict[int, int], failures: list[tuple[int, int]]
-    ) -> bool:
-        """One WNOHANG sweep; reaps whichever children already exited."""
-        progressed = False
-        for rank in sorted(pending):
-            pid = pending[rank]
-            try:
-                wpid, status = os.waitpid(pid, os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - already reaped
-                pending.pop(rank)
-                progressed = True
-                continue
-            if wpid == 0:
-                continue
-            pending.pop(rank)
-            progressed = True
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                failures.append((rank, code))
-        return progressed
-
-    def _kill_one(self, pid: int) -> int:
-        """SIGTERM, wait ``term_grace``, SIGKILL; returns the exit code."""
-        return kill_process(
-            pid, term_grace=self.term_grace, poll_interval=self.poll_interval
-        )
-
     def _kill_pending(
         self,
         pending: dict[int, int],
@@ -533,8 +456,11 @@ class Supervisor:
     ) -> None:
         obs = as_observer(self.observer)
         snapshot = self.board.dump() if self.board is not None else {}
-        for rank in sorted(pending):
-            code = self._kill_one(pending.pop(rank))
+        ranks = sorted(pending)
+        codes = proc.kill(
+            *(pending.pop(rank) for rank in ranks), term_grace=self.term_grace
+        )
+        for rank, code in zip(ranks, codes):
             failures.append((rank, code))
             stalled[rank] = snapshot.get(rank, {})
             obs.event(

@@ -28,7 +28,7 @@ Supervision reuses the PR-4 machinery: a
 (created before the first fork, so every child — including respawns —
 shares the mapping), ticked by the child at each request boundary.
 The dispatching parent kills a child via
-:func:`repro.resilience.supervise.kill_process` when its heartbeat age
+:func:`repro.parallel.proc.kill` when its heartbeat age
 exceeds ``stall_timeout`` (or the in-flight request's capped
 ``Deadline`` plus grace), then respawns the slot and either
 *salvages* the ticket onto the fresh child (at most ``max_salvage``
@@ -52,9 +52,9 @@ from typing import Callable
 
 from repro.observe import Observer
 from repro.observe.observer import as_observer
-from repro.parallel import blas
+from repro.parallel import blas, proc
 from repro.resilience.faults import FaultInjector, FaultPlan, as_injector
-from repro.resilience.supervise import Deadline, HeartbeatBoard, kill_process
+from repro.resilience.supervise import Deadline, HeartbeatBoard
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     STATUS_WORKER_LOST,
@@ -191,16 +191,20 @@ class ExecutorPool:
             self._spawn(slot)
 
     def stop(self) -> None:
-        """Retire every child: EOF first (clean exit), escalate if needed."""
-        for slot, child in enumerate(self._children):
-            if child is None:
-                continue
+        """Retire every child: close its channel, then SIGTERM at once.
+
+        The children are killed together (:func:`repro.parallel.proc.kill`,
+        SIGKILL after ``term_grace``), not waited on for a clean EOF
+        exit; the work in flight was resolved or lost already.
+        """
+        children = [child for child in self._children if child is not None]
+        for child in children:
             try:
                 child.sock.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
-            kill_process(child.pid, term_grace=self.term_grace)
-            self._children[slot] = None
+        proc.kill(*(child.pid for child in children), term_grace=self.term_grace)
+        self._children = [None] * self.slots
 
     def _spawn(self, slot: int) -> _Child:
         """Fork a fresh executor child into ``slot``."""
@@ -208,23 +212,18 @@ class ExecutorPool:
         self._generations[slot] += 1
         self.board.assign(slot, 0)  # reset the heartbeat clock pre-fork
         parent_sock, child_sock = socket.socketpair()
-        blas_threads = blas.budget(self.slots)
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process, exits via os._exit
-            try:
-                parent_sock.close()
-                blas.apply(blas_threads)
-                _child_main(
-                    child_sock,
-                    slot=slot,
-                    generation=generation,
-                    board=self.board,
-                    results_dir=self.results_dir,
-                    max_deadline=self.max_deadline,
-                    faults=self.faults,
-                )
-            finally:
-                os._exit(1)  # _child_main exits itself; this is the net
+        pid = proc.spawn(
+            _child_main,
+            child_sock,
+            slot,
+            generation,
+            self.board,
+            self.results_dir,
+            self.max_deadline,
+            self.faults,
+            keep_fds={child_sock.fileno()},
+            blas_slots=self.slots,
+        )
         child_sock.close()
         parent_sock.settimeout(self.stall_timeout)
         child = _Child(pid, parent_sock, generation)
@@ -247,7 +246,7 @@ class ExecutorPool:
             child.sock.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        code = kill_process(child.pid, term_grace=self.term_grace)
+        (code,) = proc.kill(child.pid, term_grace=self.term_grace)
         self._children[slot] = None
         self.observer.event(
             "serve.worker_lost", slot=slot, reason=reason, exit_code=code
@@ -368,7 +367,6 @@ class ExecutorPool:
 
 def _child_main(
     sock: socket.socket,
-    *,
     slot: int,
     generation: int,
     board: HeartbeatBoard,

@@ -60,9 +60,9 @@ from pathlib import Path
 from repro.observe import Observer
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.observer import as_observer
-from repro.parallel import blas
+from repro.parallel import blas, proc
 from repro.resilience.faults import as_injector
-from repro.resilience.supervise import HeartbeatBoard, kill_process
+from repro.resilience.supervise import HeartbeatBoard
 from repro.serve.protocol import (
     PRIORITY_CLASSES,
     STATUS_DRAINING,
@@ -299,10 +299,12 @@ class SolveFleet:
                 self._spawn(shard)
             self._wait_shards_ready()
         except BaseException:
+            proc.kill(
+                *(s.pid for s in self._shards if s.pid is not None),
+                term_grace=0.2,
+            )
             for shard in self._shards:
-                if shard.pid is not None:
-                    kill_process(shard.pid, term_grace=0.2)
-                    shard.pid = None
+                shard.pid = None
                 if shard.service is not None:
                     shard.service.stop()
                     shard.service = None
@@ -362,20 +364,13 @@ class SolveFleet:
         assert self.board is not None
         self.board.assign(shard.index, 0)  # fresh heartbeat pre-fork
         if self._processes:
-            blas_threads = blas.budget(self.config.shards)
-            pid = os.fork()
-            if pid == 0:  # pragma: no cover - exercised in child process
-                try:
-                    blas.apply(blas_threads)
-                    _shard_main(
-                        shard.index,
-                        self.board,
-                        self._listeners,
-                        self.config,
-                    )
-                finally:
-                    os._exit(1)  # _shard_main exits itself; this is the net
-            shard.pid = pid
+            shard.pid = proc.spawn(
+                _shard_main,
+                shard.index,
+                self.board,
+                self.config,
+                blas_slots=self.config.shards,
+            )
             shard.service = None
         else:
             service = SolveService(self.config.shard_service_config(shard.index))
@@ -418,13 +413,7 @@ class SolveFleet:
         for shard in self._shards:
             while True:
                 if self._processes:
-                    if shard.pid is None:
-                        break
-                    try:
-                        done_pid, _ = os.waitpid(shard.pid, os.WNOHANG)
-                    except ChildProcessError:
-                        done_pid = shard.pid
-                    if done_pid == shard.pid:
+                    if shard.pid is None or proc.poll(shard.pid) is not None:
                         shard.pid = None
                         break
                 else:
@@ -446,10 +435,12 @@ class SolveFleet:
         term_grace = self.config.service.term_grace
         self.wait(timeout=max(5.0, term_grace * 4))
         self._stopped.set()
+        proc.kill(
+            *(s.pid for s in self._shards if s.pid is not None),
+            term_grace=term_grace,
+        )
         for shard in self._shards:
-            if shard.pid is not None:
-                kill_process(shard.pid, term_grace=term_grace)
-                shard.pid = None
+            shard.pid = None
             if shard.service is not None:
                 shard.service.stop()
                 shard.service = None
@@ -529,16 +520,9 @@ class SolveFleet:
         assert self.board is not None
         with self._shards_lock:
             for shard in self._shards:
-                dead = False
-                if self._processes and shard.pid is not None:
-                    try:
-                        done_pid, _ = os.waitpid(shard.pid, os.WNOHANG)
-                    except ChildProcessError:
-                        done_pid = shard.pid
-                    if done_pid == shard.pid:
-                        shard.pid = None
-                        dead = True
-                if shard.lost:
+                dead = shard.lost
+                if shard.pid is not None and proc.poll(shard.pid) is not None:
+                    shard.pid = None
                     dead = True
                 stalled = (
                     not dead
@@ -550,7 +534,7 @@ class SolveFleet:
                     continue
                 reason = "stalled" if stalled else "exited"
                 if shard.pid is not None:
-                    kill_process(
+                    proc.kill(
                         shard.pid, term_grace=self.config.service.term_grace
                     )
                     shard.pid = None
@@ -857,17 +841,10 @@ class SolveFleet:
 
 
 def _shard_main(
-    index: int,
-    board: HeartbeatBoard,
-    listeners: list[socket.socket],
-    config: FleetConfig,
+    index: int, board: HeartbeatBoard, config: FleetConfig
 ) -> None:  # pragma: no cover - runs in the forked shard child
-    """Run one shard service until drained; never returns normally."""
-    for listener in listeners:
-        try:
-            listener.close()
-        except OSError:
-            pass
+    """Run one shard service until drained (the front's listeners are
+    not inherited: :func:`repro.parallel.proc.spawn` closed them)."""
     # Fresh Observer with a live metrics registry so `stats`
     # aggregation has real counters to merge (the inherited global
     # observer may be a null one).
@@ -880,10 +857,7 @@ def _shard_main(
 
     signal.signal(signal.SIGTERM, _drain)
     signal.signal(signal.SIGINT, _drain)
-    try:
-        service.start()
-    except Exception:
-        os._exit(1)
+    service.start()
     stop_beat = threading.Event()
 
     def _beat() -> None:
@@ -898,4 +872,3 @@ def _shard_main(
     stop_beat.set()
     service.stop()
     board.mark_done(index)
-    os._exit(0)

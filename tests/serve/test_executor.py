@@ -5,6 +5,9 @@ tickets go straight into :meth:`ExecutorPool.run_batch`, one at a time,
 which is the exact path the service dispatchers use.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,34 @@ def _pool(tmp_path, **kwargs) -> ExecutorPool:
     kwargs.setdefault("stall_timeout", 10.0)
     kwargs.setdefault("term_grace", 0.2)
     return ExecutorPool(1, tmp_path / "results", **kwargs)
+
+
+class TestChannelHygiene:
+    def test_closing_one_slot_channel_retires_only_its_child(self, tmp_path):
+        # A child that inherited a sibling's parent socket would keep
+        # that channel open, and the sibling would never see EOF.
+        pool = ExecutorPool(
+            2, tmp_path / "results", observer=Observer(), term_grace=0.2
+        )
+        pool.start()
+        try:
+            first = pool._children[0]
+            first.sock.close()
+            code = None
+            t_end = time.monotonic() + 2.0
+            while code is None and time.monotonic() < t_end:
+                pid, status = os.waitpid(first.pid, os.WNOHANG)
+                if pid:
+                    code = os.waitstatus_to_exitcode(status)
+                    pool._children[0] = None  # reaped here
+                else:
+                    time.sleep(0.01)
+            assert code == 0
+            ticket = _tickets(1)[0]
+            pool.run_batch(1, ticket)  # the sibling still serves
+            assert ticket.wait(timeout=1.0).status == STATUS_OK
+        finally:
+            pool.stop()
 
 
 class TestHappyPath:

@@ -33,7 +33,6 @@ from repro.serve import (
     SolveFleet,
     SolveService,
 )
-import repro.serve.fleet as fleet_mod
 from repro.serve.fleet import ROUTE_LABEL
 from repro.serve.protocol import (
     Response,
@@ -454,32 +453,6 @@ class TestMalformedFrames:
 
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 class TestFleetProcesses:
-    def test_raising_shard_exits_instead_of_unwinding(
-        self, tmp_path, monkeypatch
-    ):
-        def _boom(*args):
-            raise ValueError("shard could not start")
-
-        monkeypatch.setattr(fleet_mod, "_shard_main", _boom)
-        f = SolveFleet(FleetConfig(
-            listen="127.0.0.1:0",
-            results_dir=tmp_path / "boom-fleet",
-            shards=2,
-            processes=True,
-            ready_timeout=1.0,
-        ))
-        parent = os.getpid()
-        marker = tmp_path / "unwound"
-        try:
-            f.start()
-        except BaseException:
-            with open(marker, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            if os.getpid() != parent:  # a child reached us: contain it
-                os._exit(0)
-        # Only the parent saw start() fail; the children just exited.
-        assert marker.read_text().split() == [str(parent)]
-
     def test_shard_kill_reroutes_and_respawns(self, tmp_path, measurement):
         config = FleetConfig(
             listen="127.0.0.1:0",
