@@ -54,7 +54,6 @@ from repro.mea.synthetic import paper_like_spec  # noqa: E402
 from repro.mea.wetlab import run_campaign  # noqa: E402
 from repro.observe import Observer  # noqa: E402
 from repro.parallel import blas  # noqa: E402
-from repro.parallel.pymp import fork_available  # noqa: E402
 from repro.serve import (  # noqa: E402
     FleetConfig,
     ServiceConfig,
@@ -103,7 +102,6 @@ def _fleet_topology(root: Path, shards: int) -> tuple[SolveFleet, str]:
         listen="127.0.0.1:0",
         results_dir=root / "fleet-results",
         shards=shards,
-        processes=fork_available(),
         service=ServiceConfig(
             socket_path=root / "fleet-results" / "shard.sock",
             results_dir=root / "fleet-results",

@@ -1986,8 +1986,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("campaign", type=Path)
     p_solve.add_argument("--hour", type=float, default=0.0)
     p_solve.add_argument("--strategy", default="pymp",
-                         choices=["single", "parallel", "balanced",
-                                  "pymp", "pymp-dynamic"],
+                         choices=["single", "parallel", "balanced", "pymp"],
                          help="formation strategy (applies with "
                               "--equations-dir)")
     p_solve.add_argument("--workers", type=int, default=4,

@@ -84,7 +84,6 @@ from repro.core.templates import (
     form_worker_share,
     get_template,
     iter_pair_blocks_cached,
-    stamp_pair_block,
     warm_template_cache,
 )
 from repro.core.strategies import (
@@ -124,7 +123,6 @@ __all__ = [
     "get_template",
     "iter_pair_blocks_cached",
     "jacobian_cache_stats",
-    "stamp_pair_block",
     "warm_template_cache",
     "ParallelStrategy",
     "ParmaEngine",

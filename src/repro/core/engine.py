@@ -104,7 +104,7 @@ class ParmaEngine:
     ----------
     strategy:
         Formation strategy name: ``"single"``, ``"parallel"``,
-        ``"balanced"``, ``"pymp"`` or ``"pymp-dynamic"``.  Formation
+        ``"balanced"`` or ``"pymp"``.  Formation
         runs only when :meth:`parametrize` persists equations (or
         :meth:`form` is called directly).
     num_workers:

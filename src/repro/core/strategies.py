@@ -7,9 +7,9 @@ The four systems the paper evaluates, mapped 1:1:
   (*Parallel*, §IV-A): capped at 4 and skewed;
 * :class:`BalancedParallel` — deterministic LPT plan over the
   ``4 n^2`` (pair, category) items (*Balanced Parallel*, §IV-C.1);
-* :class:`PyMPStrategy` — fine-grained Betti-aware decomposition with
-  static (hole round-robin) or dynamic (shared-counter) scheduling
-  (*PyMP-k*, §IV-C.2).
+* :class:`PyMPStrategy` — fine-grained Betti-aware decomposition,
+  homology holes dealt round-robin over the workers (*PyMP-k*,
+  §IV-C.2).
 
 All strategies *really execute*: workers are forked PyMP-style
 processes forming real term arrays (optionally serializing them to
@@ -44,11 +44,9 @@ from repro.core.templates import (
     form_worker_share,
     get_template,
     iter_pair_batches,
-    stamp_pair_block,
     warm_template_cache,
 )
 from repro.io.equations_io import write_block_binary, write_block_text
-from repro.observe.observer import NULL_SPAN as _NO_SPAN
 from repro.observe.observer import as_observer
 from repro.parallel import pymp
 from repro.resilience.atomio import AtomicFile
@@ -405,159 +403,20 @@ class BalancedParallel(_PartitionedStrategy):
 class PyMPStrategy(_PartitionedStrategy):
     """The paper's *PyMP-k*: Betti-aware fine-grained multiprocessing.
 
-    ``schedule="static"`` deals homology holes round-robin
-    (deterministic); ``schedule="dynamic"`` pulls items from a shared
-    counter (OpenMP ``dynamic``), trading determinism for adaptivity.
+    The ``(n-1)^k`` homology holes are dealt round-robin over the
+    workers (a deterministic static schedule), so every run writes the
+    same part files.
     """
 
     name = "pymp"
 
-    def __init__(self, num_workers: int, schedule: str = "static") -> None:
-        super().__init__(num_workers)
-        if schedule not in ("static", "dynamic"):
-            raise ValueError(f"unknown schedule {schedule!r}")
-        self.schedule = schedule
-
     def _partition(self, n: int) -> Partition:
         return partition_betti(n, self.num_workers)
 
-    def run(
-        self,
-        z: np.ndarray,
-        voltage: float = 5.0,
-        output_dir: str | Path | None = None,
-        fmt: str = "binary",
-        faults=None,
-        observer=None,
-        supervise=None,
-        deadline=None,
-    ) -> FormationReport:
-        """Form the constraints with PyMP-k over the Betti partition.
-
-        ``schedule="static"`` runs the shared partitioned path
-        (:meth:`_PartitionedStrategy.run`); ``"dynamic"`` pulls hole
-        indices from a shared atomic counter instead, so faster
-        workers take more work (non-deterministic shares, identical
-        merged output).
-        """
-        if self.schedule == "static":
-            return super().run(
-                z,
-                voltage=voltage,
-                output_dir=output_dir,
-                fmt=fmt,
-                faults=faults,
-                observer=observer,
-                supervise=supervise,
-                deadline=deadline,
-            )
-        return self._run_dynamic(
-            z, voltage, output_dir, fmt, faults, observer, supervise, deadline
-        )
-
-    def _run_dynamic(
-        self,
-        z: np.ndarray,
-        voltage: float,
-        output_dir: str | Path | None,
-        fmt: str,
-        faults=None,
-        observer=None,
-        supervise=None,
-        deadline=None,
-    ) -> FormationReport:
-        z = _validate_z(z)
-        require_positive(voltage, "voltage")
-        injector = as_injector(faults)
-        obs = as_observer(observer)
-        tracing = obs.enabled
-        sup = supervise
-        deadline = _resolve_deadline(deadline, sup)
-        if deadline is not None:
-            deadline.check("formation")
-        n = z.shape[0]
-        part = self._partition(n)  # for the item list only
-        items = part.items
-        workers = self.num_workers
-        per_worker_terms = pymp.shared_array((workers,), dtype=np.int64)
-        per_worker_checksum = pymp.shared_array((workers,), dtype=np.float64)
-        per_worker_bytes = pymp.shared_array((workers,), dtype=np.int64)
-        warm_template_cache(
-            n, [(cat,) for cat in sorted({it.category for it in items})]
-        )
-        if sup is not None:
-            # Dynamic assignment has no per-rank share to salvage; the
-            # supervisor still heartbeats (via p.xrange ticks) and the
-            # watchdog converts a hang into a WorkerStalled that the
-            # retry ladder can handle.
-            sup.begin_region(workers, total_items=len(items), observer=obs)
-        if tracing:
-            obs.ensure_spool()
-        mark = obs.mark()
-        start = time.perf_counter()
-        with obs.span(
-            "formation", strategy=f"{self.name}-dynamic", n=n, workers=workers
-        ), pymp.Parallel(workers, supervisor=sup) as p:
-            me = p.thread_num
-            if injector is not None:
-                injector.maybe_kill_worker(me)
-            writer, fh = _open_writer(output_dir, fmt, worker=me)
-            my_terms = 0
-            my_checksum = 0.0
-            my_bytes = 0
-            my_items = 0
-            ok = False
-            try:
-                # Dynamic schedule pulls items one at a time from the
-                # shared counter, so stamping stays per-item (the cached
-                # template still skips all index recomputation).
-                with obs.span("formation.worker", worker=me):
-                    for idx in p.xrange(len(items)):
-                        item = items[idx]
-                        my_items += 1
-                        if injector is not None:
-                            injector.on_progress(me, my_items)
-                        with obs.span(
-                            "form",
-                            pair=(item.row, item.col),
-                            category=int(item.category),
-                        ) if tracing else _NO_SPAN:
-                            block = stamp_pair_block(
-                                n,
-                                item.row,
-                                item.col,
-                                z[item.row, item.col],
-                                voltage=voltage,
-                                categories=(item.category,),
-                            )
-                            my_terms += block.num_terms
-                            my_checksum += block.checksum()
-                            if writer is not None:
-                                my_bytes += writer(block, fh)
-                ok = True
-            finally:
-                _close_writer(fh, ok)
-                if me != 0:
-                    obs.worker_flush(since=mark, worker=me)
-            per_worker_terms[me] = my_terms
-            per_worker_checksum[me] = my_checksum
-            per_worker_bytes[me] = my_bytes
-        obs.merge_workers()
-        elapsed = time.perf_counter() - start
-        parts = _part_files(output_dir, fmt, workers)
-        report = FormationReport(
-            strategy=f"{self.name}-dynamic",
-            n=n,
-            num_workers=workers,
-            elapsed_seconds=elapsed,
-            terms_formed=int(per_worker_terms.sum()),
-            checksum=float(per_worker_checksum.sum()),
-            per_worker_terms=per_worker_terms.copy(),
-            bytes_written=int(per_worker_bytes.sum()),
-            part_files=parts,
-        )
-        obs.record_formation(report)
-        return report
+    # Own class attribute: e2ebench/workloads.py wraps __dict__["run"].
+    def run(self, *args, **kwargs) -> FormationReport:
+        """Form the constraints with PyMP-k over the Betti partition."""
+        return super().run(*args, **kwargs)
 
 
 def _resolve_deadline(deadline, supervise):
@@ -748,8 +607,6 @@ def make_strategy(
         return BalancedParallel(num_workers)
     if name == "pymp":
         return PyMPStrategy(num_workers)
-    if name == "pymp-dynamic":
-        return PyMPStrategy(num_workers, schedule="dynamic")
     raise ValueError(f"unknown strategy {name!r}")
 
 

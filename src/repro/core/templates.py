@@ -425,22 +425,6 @@ def warm_template_cache(
 # -- the fast formation entry points -----------------------------------------
 
 
-def stamp_pair_block(
-    n: int,
-    row: int,
-    col: int,
-    z: float,
-    voltage: float = 5.0,
-    categories: Sequence[Category] = ALL_CATEGORIES,
-) -> PairBlock:
-    """Drop-in fast twin of :func:`repro.core.equations.form_pair_block`.
-
-    Same signature, bit-identical output; structure comes from the
-    template cache instead of being rebuilt.
-    """
-    return get_template(n, categories).stamp(row, col, z, voltage=voltage)
-
-
 def form_all_pairs(
     n: int,
     rows: np.ndarray,

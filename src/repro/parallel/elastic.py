@@ -24,7 +24,7 @@ the supervision layer's answer to membership churn:
   exiting; a worker whose lease expires on the heartbeat watchdog is
   killed *first* and re-enqueued *second* (never two writers on one
   chunk file); repeat-offender slots are quarantined after
-  ``quarantine_after`` lease losses with an ``elastic.quarantined``
+  ``quarantine_after`` worker losses with an ``elastic.quarantined``
   event.
 * :func:`run_elastic_formation` — a churn-tolerant formation campaign
   on top of the two, writing one atomically-committed part file per
@@ -715,9 +715,12 @@ class ElasticPool:
 
     def _after_loss(self, worker: _Worker, ledger, obs, reason: str) -> None:
         slot = self._slots[worker.slot]
+        # Every unclean loss counts against the slot, leased or not: a
+        # worker that dies before its first lease would otherwise be
+        # respawned without bound.
+        slot.losses += 1
         chunk_id = ledger.forfeit(worker.worker_id)
         if chunk_id is not None:
-            slot.losses += 1
             self.leases_reassigned += 1
             obs.event(
                 "elastic.lease_reassigned",

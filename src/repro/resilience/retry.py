@@ -197,8 +197,8 @@ def form_with_recovery(
 
     ``supervise`` (a :class:`repro.resilience.supervise.Supervisor`)
     usually absorbs worker loss *below* this ladder via salvage; when
-    it cannot (dynamic schedule, salvage disabled), the resulting
-    ``WorkerStalled`` is a :class:`ParallelError` and retries here.
+    it cannot (salvage disabled), the resulting ``WorkerStalled`` is a
+    :class:`ParallelError` and retries here.
     ``deadline`` is never retried: running out of wall-clock is not
     transient.
     """

@@ -24,7 +24,7 @@ Design decisions worth knowing:
   wherever they run (the integration tests assert this).  That is
   what makes rerouting trivial: when a shard dies mid-request the
   front walks the ring to the next live shard, and only after
-  ``max_reroutes`` extra attempts answers ``worker-lost`` (exit 75,
+  :data:`MAX_REROUTES` extra attempts answers ``worker-lost`` (exit 75,
   retriable, same contract as a lost executor worker).
 * **Health is the existing HeartbeatBoard.**  Each shard child beats
   one row of a shared-memory :class:`repro.resilience.supervise.
@@ -88,6 +88,10 @@ _BEAT_SECONDS = 0.25
 #: the shard it always had; e2ebench/workloads.py calls
 #: ``fleet.map.shard_for(n, "cached")`` to find that shard.
 ROUTE_LABEL = "cached"
+
+#: Ring-walk retries after a forward failure before the front answers
+#: ``worker-lost``.
+MAX_REROUTES = 2
 
 
 # -- shard map ----------------------------------------------------------------
@@ -173,22 +177,19 @@ class FleetConfig:
     crash-isolation boundary, and the front respawns it), otherwise
     :class:`ServiceConfig`'s own defaults.  The template may not set
     ``tcp``: the front is the fleet's only listener.
-    ``max_reroutes`` bounds ring-walk retries after a forward failure,
-    and ``shard_stall_timeout`` is how long a shard may go without a
-    heartbeat before the watchdog respawns it.  ``processes=False``
-    runs the shards as in-process services (no fork — the fallback on
-    platforms without it, and handy in tests).
+    ``shard_stall_timeout`` is how long a shard may go without a
+    heartbeat before the watchdog respawns it.  ``ready_timeout``
+    bounds start-up; a shard that exits before it answers fails
+    :meth:`SolveFleet.start` at once.
     """
 
     listen: str | Path
     results_dir: Path
     shards: int = 2
     replicas: int = 64
-    max_reroutes: int = 2
     shard_stall_timeout: float = 15.0
     forward_timeout: float = 300.0
     ready_timeout: float = 30.0
-    processes: bool = True
     observer: object | None = None
     faults: object | None = None
     service: ServiceConfig | None = None
@@ -234,8 +235,6 @@ class _Shard:
     index: int
     generation: int = 0
     pid: int | None = None
-    service: SolveService | None = None  # in-process mode only
-    lost: bool = False
 
 
 # -- the fleet ----------------------------------------------------------------
@@ -284,6 +283,11 @@ class SolveFleet:
         """Fork the shards, wait for them, then open the front."""
         if self._listeners:
             raise RuntimeError("fleet already started")
+        if not hasattr(os, "fork"):
+            raise RuntimeError(
+                "a fleet forks its shards and this platform has no os.fork; "
+                "run a single SolveService instead"
+            )
         self.config.results_dir.mkdir(parents=True, exist_ok=True)
         # The board must exist before the first fork so every child
         # inherits the same shared-memory mapping.
@@ -305,9 +309,6 @@ class SolveFleet:
             )
             for shard in self._shards:
                 shard.pid = None
-                if shard.service is not None:
-                    shard.service.stop()
-                    shard.service = None
             for listener in self._listeners:
                 listener.close()
             self._listeners = []
@@ -331,12 +332,7 @@ class SolveFleet:
             "fleet.started",
             listen=str(self.config.listen),
             shards=self.config.shards,
-            processes=self._processes,
         )
-
-    @property
-    def _processes(self) -> bool:
-        return self.config.processes and hasattr(os, "fork")
 
     def _bind_front(self) -> None:
         kind, target = parse_address(self.config.listen)
@@ -359,39 +355,43 @@ class SolveFleet:
     def _spawn(self, shard: _Shard) -> None:
         """Start (or restart) one shard; bumps its generation."""
         shard.generation += 1
-        shard.lost = False
         self.config.shard_dir(shard.index).mkdir(parents=True, exist_ok=True)
         assert self.board is not None
         self.board.assign(shard.index, 0)  # fresh heartbeat pre-fork
-        if self._processes:
-            shard.pid = proc.spawn(
-                _shard_main,
-                shard.index,
-                self.board,
-                self.config,
-                blas_slots=self.config.shards,
-            )
-            shard.service = None
-        else:
-            service = SolveService(self.config.shard_service_config(shard.index))
-            service.start()
-            shard.service = service
-            shard.pid = None
+        shard.pid = proc.spawn(
+            _shard_main,
+            shard.index,
+            self.board,
+            self.config,
+            blas_slots=self.config.shards,
+        )
 
     def _wait_shards_ready(self) -> None:
-        """Block until every shard accepts connections (or time out)."""
+        """Block until every shard accepts connections.
+
+        Raises as soon as any shard exits, or when ``ready_timeout``
+        runs out first.
+        """
         # Local import: client -> protocol only, no cycle back to us.
         from repro.serve.client import SolveClient
 
         deadline = time.monotonic() + self.config.ready_timeout
         for shard in self._shards:
-            remaining = max(0.1, deadline - time.monotonic())
             client = SolveClient(self.config.shard_socket(shard.index))
-            if not client.wait_ready(timeout=remaining):
-                raise RuntimeError(
-                    f"shard {shard.index} did not become ready within "
-                    f"{self.config.ready_timeout:.0f}s"
-                )
+            while not client.wait_ready(timeout=_POLL_SECONDS):
+                for other in self._shards:
+                    code = proc.poll(other.pid)
+                    if code is not None:
+                        other.pid = None
+                        raise RuntimeError(
+                            f"shard {other.index} exited with code {code} "
+                            "before it became ready"
+                        )
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(
+                        f"shard {shard.index} did not become ready within "
+                        f"{self.config.ready_timeout:.0f}s"
+                    )
 
     def request_drain(self) -> None:
         """Begin a graceful fleet-wide drain (idempotent)."""
@@ -411,22 +411,11 @@ class SolveFleet:
         """Block until every shard finished draining; True when done."""
         deadline = None if timeout is None else time.monotonic() + timeout
         for shard in self._shards:
-            while True:
-                if self._processes:
-                    if shard.pid is None or proc.poll(shard.pid) is not None:
-                        shard.pid = None
-                        break
-                else:
-                    if shard.service is None:
-                        break
-                    if shard.service.wait(timeout=_POLL_SECONDS):
-                        shard.service.stop()
-                        shard.service = None
-                        break
+            while shard.pid is not None and proc.poll(shard.pid) is None:
                 if deadline is not None and time.monotonic() >= deadline:
                     return False
-                if self._processes:
-                    time.sleep(_POLL_SECONDS)
+                time.sleep(_POLL_SECONDS)
+            shard.pid = None
         return True
 
     def stop(self) -> None:
@@ -441,9 +430,6 @@ class SolveFleet:
         )
         for shard in self._shards:
             shard.pid = None
-            if shard.service is not None:
-                shard.service.stop()
-                shard.service = None
         if self._watchdog is not None:
             self._watchdog.join(timeout=5.0)
             self._watchdog = None
@@ -489,17 +475,13 @@ class SolveFleet:
     # -- shard health --------------------------------------------------------
 
     def _shard_alive(self, shard: _Shard) -> bool:
-        if shard.lost:
+        if shard.pid is None:
             return False
-        if self._processes:
-            if shard.pid is None:
-                return False
-            try:
-                os.kill(shard.pid, 0)
-            except OSError:
-                return False
-            return True
-        return shard.service is not None
+        try:
+            os.kill(shard.pid, 0)
+        except OSError:
+            return False
+        return True
 
     def alive_shards(self) -> set[int]:
         """Indices of shards currently believed healthy."""
@@ -520,7 +502,7 @@ class SolveFleet:
         assert self.board is not None
         with self._shards_lock:
             for shard in self._shards:
-                dead = shard.lost
+                dead = False
                 if shard.pid is not None and proc.poll(shard.pid) is not None:
                     shard.pid = None
                     dead = True
@@ -538,12 +520,6 @@ class SolveFleet:
                         shard.pid, term_grace=self.config.service.term_grace
                     )
                     shard.pid = None
-                if shard.service is not None:
-                    try:
-                        shard.service.stop()
-                    except Exception:
-                        pass
-                    shard.service = None
                 self._respawns += 1
                 self.observer.count("fleet.shard_respawns")
                 self.observer.event(
@@ -743,7 +719,7 @@ class SolveFleet:
         preference = self.map.preference(key)
         attempts = 0
         for shard_index in preference:
-            if attempts > self.config.max_reroutes:
+            if attempts > MAX_REROUTES:
                 break
             with self._shards_lock:
                 if not self._shard_alive(self._shards[shard_index]):
@@ -792,11 +768,6 @@ class SolveFleet:
                 os.kill(shard.pid, signal.SIGKILL)
             except OSError:
                 pass
-        elif shard.service is not None:
-            shard.service.stop()
-            with self._shards_lock:
-                shard.service = None
-                shard.lost = True
 
     def _note_forward_failure(self, shard_index: int, exc: OSError) -> None:
         with self._front_lock:
@@ -806,9 +777,6 @@ class SolveFleet:
             "fleet.reroute", shard=shard_index, error=str(exc)
         )
         rlog.info("fleet.reroute", shard=shard_index, error=str(exc))
-        if not self._processes:
-            with self._shards_lock:
-                self._shards[shard_index].lost = True
         self._check_shards()
 
     # -- forwarding ----------------------------------------------------------

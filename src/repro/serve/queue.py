@@ -62,6 +62,10 @@ _PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITY_CLASSES)}
 #: so the prune's cost is amortised over the inserts that precede it.
 _BUCKET_PRUNE_AT = 1024
 
+#: Default age (seconds) past which a queued ticket of any class is
+#: taken before more urgent ones, bounding priority starvation.
+MAX_BYPASS_AGE = 5.0
+
 
 class QueueFull(RuntimeError):
     """The queue is at ``max_depth``; the request was not admitted."""
@@ -212,7 +216,7 @@ class AdmissionQueue:
         max_depth: int = 64,
         on_depth: Callable[[int], None] | None = None,
         *,
-        max_bypass_age: float = 5.0,
+        max_bypass_age: float = MAX_BYPASS_AGE,
         max_queue_seconds: float | None = None,
         quota_rate: float | None = None,
         quota_burst: float = 8.0,

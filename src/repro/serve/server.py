@@ -82,6 +82,9 @@ from repro.utils import logging as rlog
 #: How long blocked socket/queue polls sleep between liveness checks.
 _POLL_SECONDS = 0.1
 
+#: Completed non-retriable responses kept (LRU) for idempotent replay.
+_IDEMPOTENCY_CACHE = 128
+
 #: Status → rejection counter name (see ``serve.*`` metric family).
 _REJECT_COUNTERS = {
     STATUS_QUEUE_FULL: "serve.rejected.queue_full",
@@ -101,10 +104,8 @@ class ServiceConfig:
     salvages a dying worker's request up to ``max_salvage`` times; ``"thread"`` runs solves in-process.  ``max_deadline``
     caps any per-request budget; ``None`` accepts the request's own
     value unchanged.  ``quota_rate``/``quota_burst`` meter per-client
-    admission, ``max_queue_seconds`` triggers load shedding on
-    estimated wait, ``max_bypass_age`` bounds priority starvation
-    and ``idempotency_cache`` sizes the completed-response
-    LRU.  ``faults`` (a ``FaultPlan``/``FaultInjector``) arms the
+    admission and ``max_queue_seconds`` triggers load shedding on
+    estimated wait.  ``faults`` (a ``FaultPlan``/``FaultInjector``) arms the
     serve chaos hooks inside executor children.  ``catalog_path``
     auto-ingests every executed request's run manifest into the SQLite
     run catalog (:mod:`repro.observe.catalog`) as it finalizes.
@@ -128,8 +129,6 @@ class ServiceConfig:
     quota_rate: float | None = None
     quota_burst: float = 8.0
     max_queue_seconds: float | None = None
-    max_bypass_age: float = 5.0
-    idempotency_cache: int = 128
     faults: object | None = None
     catalog_path: Path | None = None
 
@@ -184,7 +183,6 @@ class SolveService:
         self.queue = AdmissionQueue(
             max_depth=config.max_queue_depth,
             on_depth=self._on_depth,
-            max_bypass_age=config.max_bypass_age,
             max_queue_seconds=config.max_queue_seconds,
             quota_rate=config.quota_rate,
             quota_burst=config.quota_burst,
@@ -576,7 +574,7 @@ class SolveService:
             self._inflight.pop(request.id, None)
             if not response.retriable:
                 self._completed[request.id] = response
-                while len(self._completed) > self.config.idempotency_cache:
+                while len(self._completed) > _IDEMPOTENCY_CACHE:
                     self._completed.popitem(last=False)
         return response.to_dict()
 

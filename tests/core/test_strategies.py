@@ -64,9 +64,8 @@ class TestParallelStrategies:
             BalancedParallel(2),
             BalancedParallel(3),
             PyMPStrategy(2),
-            PyMPStrategy(3, schedule="dynamic"),
         ],
-        ids=["parallel4", "balanced2", "balanced3", "pymp2", "pymp3dyn"],
+        ids=["parallel4", "balanced2", "balanced3", "pymp2"],
     )
     def test_same_terms_and_checksum(self, strategy, device8, baseline8):
         _, z = device8
@@ -98,10 +97,6 @@ class TestParallelStrategies:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             BalancedParallel(0)
-
-    def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            PyMPStrategy(2, schedule="guided")
 
 
 class TestIO:
@@ -137,11 +132,11 @@ class TestFactoryAndCalibration:
         assert isinstance(make_strategy("parallel"), ParallelStrategy)
         assert isinstance(make_strategy("balanced", 3), BalancedParallel)
         assert isinstance(make_strategy("pymp", 3), PyMPStrategy)
-        assert make_strategy("pymp-dynamic", 3).schedule == "dynamic"
 
     def test_make_strategy_unknown(self):
-        with pytest.raises(ValueError):
-            make_strategy("gpu")
+        for name in ("gpu", "pymp-dynamic"):
+            with pytest.raises(ValueError):
+                make_strategy(name)
 
     def test_calibration_positive(self):
         spt = calibrate_sec_per_term(10)
@@ -185,14 +180,6 @@ class TestFormationModes:
         rep = strategy.run(z, output_dir=tmp_path / "product")
         ref = reference_formation(strategy, z, output_dir=tmp_path / "oracle")
         _assert_same_output(rep, ref)
-
-    def test_dynamic_schedule_totals_match(self, device8):
-        _, z = device8
-        strategy = PyMPStrategy(2, schedule="dynamic")
-        rep = strategy.run(z)
-        ref = reference_formation(strategy, z)
-        assert rep.terms_formed == ref.terms_formed
-        assert rep.checksum == ref.checksum
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_mpi_rank_files_byte_identical_to_oracle(self, size, device8, tmp_path):

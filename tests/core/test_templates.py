@@ -16,7 +16,6 @@ from repro.core.templates import (
     form_worker_share,
     get_template,
     iter_pair_blocks_cached,
-    stamp_pair_block,
     warm_template_cache,
 )
 from repro.core.partition import partition_betti
@@ -58,7 +57,9 @@ class TestStampBitIdentity:
     def test_full_block(self, n):
         rows, cols, zs = sample_pairs(n)
         for row, col, z in zip(rows, cols, zs):
-            fast = stamp_pair_block(n, int(row), int(col), float(z))
+            fast = get_template(n, ALL_CATEGORIES).stamp(
+                int(row), int(col), float(z)
+            )
             ref = form_pair_block(n, int(row), int(col), float(z))
             assert_blocks_identical(fast, ref)
 
@@ -67,8 +68,8 @@ class TestStampBitIdentity:
     def test_category_restricted(self, n, cats):
         rows, cols, zs = sample_pairs(n, count=6)
         for row, col, z in zip(rows, cols, zs):
-            fast = stamp_pair_block(
-                n, int(row), int(col), float(z), voltage=3.3, categories=cats
+            fast = get_template(n, cats).stamp(
+                int(row), int(col), float(z), voltage=3.3
             )
             ref = form_pair_block(
                 n, int(row), int(col), float(z), voltage=3.3, categories=cats
@@ -76,17 +77,17 @@ class TestStampBitIdentity:
             assert_blocks_identical(fast, ref)
 
     def test_checksum_matches_reference(self):
-        fast = stamp_pair_block(6, 2, 4, 731.0)
+        fast = get_template(6, ALL_CATEGORIES).stamp(2, 4, 731.0)
         ref = form_pair_block(6, 2, 4, 731.0)
         assert fast.checksum() == ref.checksum()
 
     def test_rejects_out_of_range_pair(self):
         with pytest.raises(IndexError):
-            stamp_pair_block(4, 4, 0, 500.0)
+            get_template(4, ALL_CATEGORIES).stamp(4, 0, 500.0)
 
     def test_rejects_nonpositive_z(self):
         with pytest.raises(ValueError):
-            stamp_pair_block(4, 1, 1, 0.0)
+            get_template(4, ALL_CATEGORIES).stamp(1, 1, 0.0)
 
 
 class TestBatchedFormation:

@@ -141,7 +141,6 @@ class TestForkedChildren:
                 listen="127.0.0.1:0",
                 results_dir=tmp_path / "fleet",
                 shards=2,
-                processes=True,
                 service=ServiceConfig(
                     socket_path=tmp_path / "template.sock",
                     results_dir=tmp_path / "template",

@@ -232,6 +232,22 @@ class TestElasticPool:
         snapshot = obs.metrics.snapshot()
         assert snapshot["elastic.quarantined"]["value"] >= 2
 
+    def test_worker_dying_before_its_first_lease_is_quarantined(
+        self, monkeypatch
+    ):
+        # Each worker exits before it asks for a lease.  The deadline
+        # turns a slot that is never quarantined into a failure
+        # (DeadlineExceeded) instead of endless respawns.
+        monkeypatch.setattr(ElasticPool, "_child_main", lambda *args: None)
+        pool = ElasticPool(
+            2, lambda chunk, ctx: (0, 0.0, 0), quarantine_after=3, deadline=10.0
+        )
+        with pytest.raises(ElasticError, match="no live workers"):
+            pool.run(WorkLedger(plan_chunks(4, chunk_items=16)))
+        assert pool.quarantined_slots == 2
+        assert pool.workers_spawned <= 6
+        assert pool.leases_reassigned == 0
+
     def test_resize_events_counted(self, tmp_path):
         obs = Observer()
         report = run_elastic_formation(

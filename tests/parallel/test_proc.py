@@ -143,10 +143,9 @@ def _launch_fleet(target, tmp_path, monkeypatch):
             listen="127.0.0.1:0",
             results_dir=tmp_path / "fleet",
             shards=2,
-            processes=True,
             ready_timeout=1.0,
         )
-    ).start()  # no shard ever listens: raises after killing both
+    ).start()  # no shard ever listens: raises, killing any survivor
 
 
 def _launch_elastic(target, tmp_path, monkeypatch):

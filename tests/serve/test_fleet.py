@@ -1,10 +1,11 @@
 """Fleet unit + integration tests: addresses, sharding, TCP, rerouting.
 
 The cheap layers get exhaustive unit coverage (address classification,
-the consistent-hash ring); the fleet itself runs with in-process
-shards (``processes=False``) so the suite stays fork-free and fast,
-plus one fork-gated test proving real shard processes respawn after a
-SIGKILL and requests reroute meanwhile.
+the consistent-hash ring).  The fleet tests run real forked shards, as
+every fleet does: solves bit-identical to a standalone engine, sticky
+routing, stats, drain and quotas, plus start-up that fails fast on a
+dead shard, idle shards that keep their heartbeat, and a SIGKILLed
+shard that respawns while requests reroute.
 """
 
 import os
@@ -33,7 +34,10 @@ from repro.serve import (
     SolveFleet,
     SolveService,
 )
-from repro.serve.fleet import ROUTE_LABEL
+from repro.serve import fleet as fleet_mod
+from repro.serve import server as server_mod
+from repro.serve.fleet import MAX_REROUTES, ROUTE_LABEL
+from repro.serve.queue import MAX_BYPASS_AGE
 from repro.serve.protocol import (
     Response,
     connect_address,
@@ -171,11 +175,14 @@ class TestFleetConfig:
             quota_rate=None,
             quota_burst=8.0,
             max_queue_seconds=None,
-            max_bypass_age=5.0,
-            idempotency_cache=128,
             faults=None,
             catalog_path=None,
         )
+        # The settings that are module constants now, at the values
+        # the fields had.
+        assert MAX_BYPASS_AGE == 5.0
+        assert server_mod._IDEMPOTENCY_CACHE == 128
+        assert MAX_REROUTES == 2
 
     def test_template_fields_reach_every_shard(self, tmp_path):
         config = FleetConfig(
@@ -282,14 +289,32 @@ def measurement():
     return run.campaign.measurements[0]
 
 
+def _standalone(measurement):
+    return ParmaEngine(strategy="single", threshold_sigmas=3.0).parametrize(
+        measurement
+    )
+
+
 @pytest.fixture()
-def fleet(tmp_path):
-    """A two-shard in-process fleet behind a TCP front on port 0."""
+def reference(measurement):
+    """The standalone solve of ``measurement``."""
+    return _standalone(measurement)
+
+
+@pytest.fixture()
+def fleet(tmp_path, reference):
+    """A two-shard forked fleet behind a TCP front on port 0.
+
+    Forked after ``reference``, so the shards inherit its Laplacian
+    factors: a shard runs on its BLAS share of the CPUs, and a factor
+    built at another thread count can differ in the last bits.
+    """
+    if not fork_available():
+        pytest.skip("needs os.fork")
     config = FleetConfig(
         listen="127.0.0.1:0",
         results_dir=tmp_path / "fleet",
         shards=2,
-        processes=False,
     )
     f = SolveFleet(config)
     f.start()
@@ -306,7 +331,9 @@ class TestFleetInProcess:
         assert pong["fleet"]["shards"] == 2
         assert sorted(pong["fleet"]["alive"]) == [0, 1]
 
-    def test_solve_bit_identical_to_standalone(self, fleet, measurement):
+    def test_solve_bit_identical_to_standalone(
+        self, fleet, reference, measurement
+    ):
         _, client = fleet
         response = client.solve(
             measurement.z_kohm,
@@ -315,9 +342,6 @@ class TestFleetInProcess:
             want_field=True,
         )
         assert response.status == STATUS_OK
-        reference = ParmaEngine(
-            strategy="single", threshold_sigmas=3.0
-        ).parametrize(measurement)
         assert np.array_equal(response.resistance_array(), reference.resistance)
 
     def test_same_key_routes_sticky(self, fleet, measurement):
@@ -353,7 +377,6 @@ class TestFleetInProcess:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "quota-fleet",
             shards=2,
-            processes=False,
             service=_template(tmp_path, quota_rate=0.001, quota_burst=1.0),
         )
         f = SolveFleet(config)
@@ -377,7 +400,6 @@ class TestFleetInProcess:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "per-shard-fleet",
             shards=2,
-            processes=False,
             service=_template(tmp_path, quota_rate=0.001, quota_burst=1.0),
         )
         f = SolveFleet(config)
@@ -458,16 +480,10 @@ class TestFleetProcesses:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "proc-fleet",
             shards=2,
-            processes=True,
             service=_template(tmp_path, term_grace=0.2),
         )
-        # Solved before the shards fork, so they inherit its Laplacian
-        # factors: a shard runs on its BLAS share of the CPUs, and a
-        # factor built at another thread count can differ in the last
-        # bits.
-        reference = ParmaEngine(
-            strategy="single", threshold_sigmas=3.0
-        ).parametrize(measurement)
+        # Solved before the shards fork (see the ``fleet`` fixture).
+        reference = _standalone(measurement)
         f = SolveFleet(config)
         f.start()
         try:
@@ -504,5 +520,57 @@ class TestFleetProcesses:
             assert np.array_equal(
                 after.resistance_array(), reference.resistance
             )
+        finally:
+            f.stop()
+
+    def test_start_fails_fast_when_a_shard_dies(self, tmp_path, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("shard crashed at start-up")
+
+        monkeypatch.setattr(fleet_mod, "_shard_main", crash)
+        # Default ready_timeout (30 s): only the shard pids can tell the
+        # front that no shard will ever answer.
+        f = SolveFleet(
+            FleetConfig(
+                listen="127.0.0.1:0",
+                results_dir=tmp_path / "dead-fleet",
+                shards=2,
+            )
+        )
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"shard \d exited with code 1"):
+            f.start()
+        assert time.monotonic() - t0 < 2.0
+        assert all(shard.pid is None for shard in f._shards)
+        assert f.tcp_address is None
+
+    def test_idle_shards_keep_their_heartbeat(self, tmp_path, measurement):
+        reference = _standalone(measurement)
+        f = SolveFleet(
+            FleetConfig(
+                listen="127.0.0.1:0",
+                results_dir=tmp_path / "idle-fleet",
+                shards=2,
+                shard_stall_timeout=0.5,
+                service=_template(tmp_path, term_grace=0.2),
+            )
+        )
+        f.start()
+        try:
+            client = SolveClient(format_address(f.tcp_address), timeout=60.0)
+            assert client.wait_ready(timeout=10.0)
+            time.sleep(2.0)  # four stall timeouts without traffic
+            assert f.respawns == 0
+            response = client.solve(
+                measurement.z_kohm,
+                voltage=measurement.voltage,
+                hour=measurement.hour,
+                want_field=True,
+            )
+            assert response.status == STATUS_OK
+            assert np.array_equal(
+                response.resistance_array(), reference.resistance
+            )
+            assert f.respawns == 0
         finally:
             f.stop()
