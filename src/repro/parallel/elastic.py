@@ -43,11 +43,9 @@ up in run manifests and the catalog (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import select
 import signal
-import struct
+import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -301,32 +299,6 @@ class WorkLedger:
         return chunk_id
 
 
-# -- pipe protocol ------------------------------------------------------------
-
-_LEN = struct.Struct(">I")
-
-
-def _send_msg(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(fd, _LEN.pack(len(data)) + data)
-
-
-def _read_exact(fd: int, count: int) -> bytes:
-    parts: list[bytes] = []
-    while count:
-        part = os.read(fd, count)
-        if not part:
-            raise EOFError("pipe closed mid-message")
-        parts.append(part)
-        count -= len(part)
-    return b"".join(parts)
-
-
-def _recv_msg(fd: int):
-    (length,) = _LEN.unpack(_read_exact(fd, _LEN.size))
-    return pickle.loads(_read_exact(fd, length))
-
-
 # -- the elastic pool ---------------------------------------------------------
 
 
@@ -355,8 +327,7 @@ class _Worker:
     pid: int
     slot: int
     row: int
-    req_w: int  # parent -> child commands
-    res_r: int  # child -> parent results
+    sock: socket.socket  # commands out, results back (proc framing)
     draining: bool = False
     exiting: bool = False
 
@@ -498,25 +469,21 @@ class ElasticPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         row = self._alloc_row()  # pre-fork: the child inherits the mapping
-        req_r, req_w = os.pipe()
-        res_r, res_w = os.pipe()
+        parent_sock, child_sock = socket.socketpair()
         pid = proc.spawn(
             self._child_main,
             worker_id,
             row,
-            req_r,
-            res_w,
-            keep_fds={req_r, res_w},
+            child_sock,
+            keep_fds={child_sock.fileno()},
         )
-        os.close(req_r)
-        os.close(res_w)
+        child_sock.close()
         worker = _Worker(
             worker_id=worker_id,
             pid=pid,
             slot=slot.index,
             row=row,
-            req_w=req_w,
-            res_r=res_r,
+            sock=parent_sock,
         )
         slot.handle = worker
         self._live.append(worker)
@@ -524,7 +491,7 @@ class ElasticPool:
         return worker
 
     def _child_main(
-        self, worker_id: int, row: int, req_r: int, res_w: int
+        self, worker_id: int, row: int, sock: socket.socket
     ) -> None:  # pragma: no cover - runs in the forked child
         signal.signal(signal.SIGPIPE, signal.SIG_IGN)
         ctx = WorkerContext(
@@ -534,9 +501,11 @@ class ElasticPool:
             injector=self.injector,
         )
         try:
-            _send_msg(res_w, ("ready", worker_id))
+            proc.send(sock, ("ready", worker_id))
             while True:
-                msg = _recv_msg(req_r)
+                msg = proc.recv(sock)
+                if msg is None:
+                    return  # the parent is gone
                 kind = msg[0]
                 if kind == "exit":
                     self.board.mark_done(row)
@@ -544,7 +513,7 @@ class ElasticPool:
                 elif kind == "idle":
                     self.board.tick(row, 0)
                     time.sleep(float(msg[1]))
-                    _send_msg(res_w, ("ready", worker_id))
+                    proc.send(sock, ("ready", worker_id))
                 elif kind == "lease":
                     chunk: WorkChunk = msg[1]
                     ctx.items_assigned += chunk.num_items
@@ -553,14 +522,14 @@ class ElasticPool:
                         self.injector.maybe_kill_worker(worker_id)
                     terms, checksum, nbytes = self.runner(chunk, ctx)
                     self.board.tick(row, 0)
-                    _send_msg(
-                        res_w,
+                    proc.send(
+                        sock,
                         ("done", worker_id, chunk.chunk_id, terms, checksum, nbytes),
                     )
-                    _send_msg(res_w, ("ready", worker_id))
+                    proc.send(sock, ("ready", worker_id))
                 else:
                     raise ElasticError(f"unknown command {kind!r}")
-        except (EOFError, BrokenPipeError):
+        except (proc.ChannelError, ConnectionError):
             return  # the parent is gone
 
     # -- the campaign loop ---------------------------------------------------
@@ -604,18 +573,23 @@ class ElasticPool:
         return int(totals[0]), float(totals[1]), int(totals[2])
 
     def _pump(self, ledger, obs, totals, on_chunk) -> None:
-        fds = {w.res_r: w for w in self._live}
-        if not fds:
+        socks = {w.sock: w for w in self._live}
+        if not socks:
             time.sleep(_POLL_SECONDS)
             return
-        readable, _, _ = select.select(list(fds), [], [], _POLL_SECONDS)
-        for fd in readable:
-            worker = fds[fd]
+        readable, _, _ = select.select(list(socks), [], [], _POLL_SECONDS)
+        for sock in readable:
+            worker = socks[sock]
             if worker not in self._live:
                 continue  # retired earlier in this same sweep
             try:
-                msg = _recv_msg(fd)
-            except (EOFError, OSError):
+                msg = proc.recv(sock)
+            except proc.ChannelError:
+                self._lose_worker(worker, ledger, obs, reason="channel")
+                continue
+            except OSError:
+                msg = None
+            if msg is None:
                 continue  # death; the reap pass owns this transition
             kind = msg[0]
             if kind == "ready":
@@ -758,16 +732,12 @@ class ElasticPool:
 
     def _send(self, worker: _Worker, msg) -> None:
         try:
-            _send_msg(worker.req_w, msg)
-        except (BrokenPipeError, OSError):
+            proc.send(worker.sock, msg)
+        except OSError:
             pass  # dead child; the reap pass owns the fallout
 
     def _retire(self, worker: _Worker) -> None:
-        for fd in (worker.req_w, worker.res_r):
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
+        worker.sock.close()
         if worker in self._live:
             self._live.remove(worker)
         slot = self._slots[worker.slot]

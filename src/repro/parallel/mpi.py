@@ -6,7 +6,8 @@ stand-in for the subset the Parma decomposition needs: SPMD rank
 programs, point-to-point ``send``/``recv``, and the collectives
 ``Bcast``/``Scatter``/``Gather``/``Allreduce``/``Barrier``/
 ``allgather``, all over a full mesh of socketpairs between forked
-local processes.
+local processes, one :func:`repro.parallel.proc.send` frame per
+message.
 
 Semantics follow mpi4py's tutorial conventions (see the bundled HPC
 guide): lowercase methods pickle arbitrary objects; uppercase methods
@@ -31,9 +32,7 @@ correctness are all real.
 
 from __future__ import annotations
 
-import pickle
 import socket
-import struct
 import time
 from typing import Any, Callable, Sequence
 
@@ -41,8 +40,6 @@ import numpy as np
 
 from repro.parallel import proc
 from repro.parallel.pymp import join
-
-_LEN = struct.Struct("!Q")
 
 #: Wildcard tag for :meth:`Comm.recv`.
 ANY_TAG = -1
@@ -84,9 +81,7 @@ class Comm:
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if dest == self._rank:
             raise MPIError("send to self is not supported")
-        sock = self._sock(dest)
-        payload = pickle.dumps((tag, obj), protocol=pickle.HIGHEST_PROTOCOL)
-        sock.sendall(_LEN.pack(len(payload)) + payload)
+        proc.send(self._sock(dest), (tag, obj))
 
     def recv(self, source: int, tag: int = ANY_TAG) -> Any:
         buf = self._pending[self._sock_key(source)]
@@ -96,7 +91,10 @@ class Comm:
                 return obj
         sock = self._sock(source)
         while True:
-            mtag, obj = self._read_message(sock)
+            message = proc.recv(sock)
+            if message is None:
+                raise MPIError(f"rank {source} closed its channel")
+            mtag, obj = message
             if tag in (ANY_TAG, mtag):
                 return obj
             buf.append((mtag, obj))
@@ -211,12 +209,6 @@ class Comm:
     def _sock(self, peer: int) -> socket.socket:
         return self._peers[self._sock_key(peer)]
 
-    @staticmethod
-    def _read_message(sock: socket.socket) -> tuple[int, Any]:
-        header = _recv_exact(sock, _LEN.size)
-        (length,) = _LEN.unpack(header)
-        return pickle.loads(_recv_exact(sock, length))
-
     def close(self) -> None:
         for sock in self._peers.values():
             try:
@@ -229,18 +221,6 @@ _TAG_COLL = -1001
 _TAG_BARRIER = -1002
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = sock.recv(min(1 << 20, nbytes - got))
-        if not chunk:
-            raise MPIError("peer closed connection mid-message")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
 def run_mpi(
     program: Callable[..., Any],
     size: int,
@@ -250,8 +230,10 @@ def run_mpi(
     """Run ``program(comm, *args)`` on ``size`` forked ranks.
 
     Returns the per-rank return values (pickled back to the caller).
-    Raises :class:`MPIError` if any rank raised; rank tracebacks go to
-    stderr.  The caller process is the launcher, not a rank.
+    Raises :class:`MPIError`, once every rank is reaped, if any rank
+    raised or sent back a frame the launcher cannot read; rank
+    tracebacks go to stderr.  The caller process is the launcher, not
+    a rank.
 
     ``timeout`` bounds the whole launch in wall-clock seconds (also
     accepts any object with a ``remaining()`` method, e.g. a
@@ -314,13 +296,16 @@ def run_mpi(
                     timed_out.append(rank)
                     continue
                 pr.settimeout(remaining)
-            header = _recv_exact(pr, _LEN.size)
-            (length,) = _LEN.unpack(header)
-            results[rank] = pickle.loads(_recv_exact(pr, length))
-        except (TimeoutError, socket.timeout):
+            message = proc.recv(pr)
+        except TimeoutError:
             timed_out.append(rank)
-        except (MPIError, OSError):
+        except (proc.ChannelError, OSError):
             errors.append(rank)
+        else:
+            if message is None:  # the rank died before reporting
+                errors.append(rank)
+            else:
+                (results[rank],) = message
         finally:
             pr.close()
     if timed_out:
@@ -344,7 +329,5 @@ def _rank_main(
     peers: dict[int, socket.socket],
     wsock: socket.socket,
 ) -> None:  # pragma: no cover - runs in the forked rank
-    """One rank: run ``program`` and send its pickled return value home."""
-    value = program(Comm(rank, size, peers), *args)
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    wsock.sendall(_LEN.pack(len(payload)) + payload)
+    """One rank: send ``(program(...),)`` home; the 1-tuple tells None from EOF."""
+    proc.send(wsock, (program(Comm(rank, size, peers), *args),))

@@ -1,4 +1,4 @@
-"""One process lifecycle for every forked worker: spawn, poll, kill.
+"""One process lifecycle and one channel for every forked worker.
 
 Executor slots, fleet shards, elastic workers and MPI ranks are all
 fork-and-run children, and they share one lifecycle here:
@@ -14,6 +14,17 @@ fork-and-run children, and they share one lifecycle here:
 * :func:`kill` is the one escalation ladder: SIGTERM, reap until the
   grace ends, then SIGKILL and reap the rest.
 
+Executor slots, elastic workers and MPI ranks exchange Python objects
+over stream sockets through one channel:
+
+* :func:`send` writes one frame, a ``>I`` length prefix and a pickle
+  (:func:`encode` builds its bytes).
+* :func:`recv` reads one frame; None on a clean EOF at a boundary.
+  A truncated, oversized or undecodable frame raises
+  :class:`ChannelError`, which every caller counts as its worker
+  lost; socket errors and timeouts propagate unchanged.  Both ends
+  are the same trusted codebase, so pickle is safe here.
+
 PyMP regions (:mod:`repro.parallel.pymp`) keep their own ``os.fork``:
 a region member returns into the caller's ``with`` body by design.
 They share :func:`poll` and :func:`kill`.
@@ -22,7 +33,10 @@ They share :func:`poll` and :func:`kill`.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import socket
+import struct
 import sys
 import time
 import traceback
@@ -32,6 +46,16 @@ from repro.parallel import blas
 
 #: Sleep between reap sweeps inside :func:`kill`'s grace window.
 _KILL_POLL_SECONDS = 0.005
+
+#: Largest pickle one frame may carry; a longer length prefix is
+#: refused before its payload is read.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+_HEADER = struct.Struct(">I")
+
+
+class ChannelError(Exception):
+    """A frame was truncated, oversized or undecodable."""
 
 
 def spawn(
@@ -112,3 +136,62 @@ def kill(*pids: int, term_grace: float) -> list[int]:
             if live:
                 time.sleep(_KILL_POLL_SECONDS)
     return [codes[pid] for pid in pids]
+
+
+def encode(obj: object) -> bytes:
+    """One frame for ``obj``: its pickle behind a ``>I`` length prefix."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(_bounded(len(payload))) + payload
+
+
+def send(sock: socket.socket, obj: object) -> None:
+    """Write ``obj`` to ``sock`` as one frame."""
+    sock.sendall(encode(obj))
+
+
+def recv(sock: socket.socket) -> object | None:
+    """Read one frame from ``sock``: its object, or None on a clean EOF.
+
+    Raises :class:`ChannelError` for an EOF inside a frame, a length
+    prefix over :data:`MAX_FRAME_BYTES` (before reading the payload)
+    or a payload that does not unpickle.
+    """
+    header = _read(sock, _HEADER.size)
+    if not header:
+        return None
+    if len(header) < _HEADER.size:
+        raise ChannelError(
+            f"channel closed inside a frame header ({len(header)} bytes)"
+        )
+    (length,) = _HEADER.unpack(header)
+    payload = _read(sock, _bounded(length))
+    if len(payload) < length:
+        raise ChannelError(
+            f"channel closed inside a frame payload ({len(payload)}/{length} bytes)"
+        )
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise ChannelError(f"undecodable frame: {exc!r}") from exc
+
+
+def _bounded(length: int) -> int:
+    """``length`` if a frame may carry that many bytes, else ChannelError."""
+    if length > MAX_FRAME_BYTES:
+        raise ChannelError(
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+    return length
+
+
+def _read(sock: socket.socket, count: int) -> bytes:
+    """``count`` bytes from ``sock``, or fewer if EOF comes first."""
+    chunks: list[bytes] = []
+    got = 0
+    while got < count:
+        chunk = sock.recv(min(count - got, 1 << 20))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)

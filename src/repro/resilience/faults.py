@@ -111,8 +111,9 @@ class FaultPlan:
         anything.
     serve_corrupt_frames:
         Result-frame ordinals whose length prefix is mangled before
-        hitting the pipe, so the parent sees a :class:`ProtocolError`
-        and must treat the worker as lost.
+        hitting the channel, so the parent sees a
+        :class:`repro.parallel.proc.ChannelError` and must treat the
+        worker as lost.
     serve_drop_connections:
         Request ordinals at which the executor worker closes its pipe
         mid-request (clean EOF instead of a crash) and exits.

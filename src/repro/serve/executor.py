@@ -5,8 +5,8 @@ threads inside the acceptor process (where one native fault — a BLAS
 segfault, an OOM kill — takes down every queued request), the service
 forks a small pool of executor children.  Each child owns a private
 :class:`repro.serve.runner.RequestRunner` (and therefore its own warm
-engine pool and per-process caches) and speaks a framed channel over an
-inherited ``socketpair``:
+engine pool and per-process caches) and speaks the framed worker
+channel of :mod:`repro.parallel.proc` over an inherited ``socketpair``:
 
 * parent → child: ``{"kind": "solve", "request": Request,
   "queue_seconds": float}``
@@ -16,12 +16,11 @@ inherited ``socketpair``:
 One request is in flight per child at a time, so a lost child costs
 only that request.
 
-The channel reuses the protocol's 4-byte length prefix and size bound
+The channel has the protocol's 4-byte length prefix and 64 MiB bound
 but carries pickled objects rather than JSON: both ends are the same
-trusted codebase, pickling skips four JSON passes per request (the
-benchmarked difference between the subprocess path clearing and
-missing its < 5 % overhead gate), and binary floats round-trip
-bit-exactly by construction.  The *client* socket stays JSON.
+trusted codebase, pickling skips four JSON passes per request, and
+binary floats round-trip bit-exactly by construction.  The *client*
+socket stays JSON.
 
 Supervision reuses the PR-4 machinery: a
 :class:`repro.resilience.supervise.HeartbeatBoard` row per slot
@@ -41,11 +40,9 @@ path, which is what the serve chaos modes of
 from __future__ import annotations
 
 import os
-import pickle
 import select
 import signal
 import socket
-import struct
 import time
 from pathlib import Path
 from typing import Callable
@@ -55,13 +52,7 @@ from repro.observe.observer import as_observer
 from repro.parallel import blas, proc
 from repro.resilience.faults import FaultInjector, FaultPlan, as_injector
 from repro.resilience.supervise import Deadline, HeartbeatBoard
-from repro.serve.protocol import (
-    MAX_MESSAGE_BYTES,
-    STATUS_WORKER_LOST,
-    ProtocolError,
-    Response,
-    _recv_exact,
-)
+from repro.serve.protocol import STATUS_WORKER_LOST, Response
 from repro.serve.queue import Ticket
 from repro.serve.runner import RequestRunner
 from repro.utils import logging as rlog
@@ -69,52 +60,15 @@ from repro.utils import logging as rlog
 #: Parent-side readability poll between heartbeat checks.
 _POLL_SECONDS = 0.1
 
-#: Executor-channel length prefix (same shape as the JSON protocol's).
-_LENGTH_FORMAT = ">I"
-_LENGTH_BYTES = struct.calcsize(_LENGTH_FORMAT)
-
-
-def _encode_frame(message: dict) -> bytes:
-    """Frame a pickled executor-channel message (parent ↔ child only)."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"executor frame of {len(payload)} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit"
-        )
-    return struct.pack(_LENGTH_FORMAT, len(payload)) + payload
-
-
-def _send_frame(sock: socket.socket, message: dict) -> None:
-    """Write one framed executor-channel message."""
-    sock.sendall(_encode_frame(message))
+#: Called as a module global, so tracing can wrap it by name.
+_send_frame = proc.send
 
 
 def _recv_frame(sock: socket.socket) -> dict | None:
-    """Read one executor-channel message; None on clean EOF.
-
-    Enforces the same length bound as the JSON protocol, so a corrupt
-    prefix (including the injected ``serve_corrupt_frames`` fault) is
-    rejected deterministically instead of desynchronizing the stream.
-    """
-    header = _recv_exact(sock, _LENGTH_BYTES)
-    if header is None:
-        return None
-    (length,) = struct.unpack(_LENGTH_FORMAT, header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"executor frame of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed between header and payload")
-    try:
-        message = pickle.loads(payload)
-    except Exception as exc:
-        raise ProtocolError(f"undecodable executor frame: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("executor frame must unpickle to a dict")
+    """Read one executor-channel message (a dict); None on clean EOF."""
+    message = proc.recv(sock)
+    if message is not None and not isinstance(message, dict):
+        raise proc.ChannelError("executor frame must unpickle to a dict")
     return message
 
 
@@ -325,7 +279,7 @@ class ExecutorPool:
                 continue
             try:
                 message = _recv_frame(child.sock)
-            except (ProtocolError, OSError, socket.timeout):
+            except (proc.ChannelError, OSError):
                 self._lose(slot, reason="protocol")
                 return False
             if message is None:
@@ -393,7 +347,7 @@ def _child_main(
     while True:
         try:
             message = _recv_frame(sock)
-        except (ProtocolError, OSError):
+        except (proc.ChannelError, OSError):
             os._exit(1)
         if message is None:  # parent closed the pipe: clean retirement
             os._exit(0)
@@ -425,14 +379,12 @@ def _child_main(
             if fate == "drop":
                 sock.close()
                 os._exit(75)
-            frame = _encode_frame(payload)
+            frame = proc.encode(payload)
             if fate == "corrupt":
-                # An impossible length prefix: the parent's framing
-                # layer rejects it deterministically.
-                frame = (
-                    struct.pack(_LENGTH_FORMAT, MAX_MESSAGE_BYTES + 1)
-                    + frame[_LENGTH_BYTES:]
-                )
+                # Setting the high byte of the big-endian length prefix
+                # announces an impossible frame: the parent's recv
+                # rejects it before reading the payload.
+                frame = b"\xff" + frame[1:]
             sock.sendall(frame)
         except OSError:
             os._exit(1)

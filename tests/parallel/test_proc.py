@@ -1,24 +1,29 @@
-"""The shared process lifecycle: spawn's fd policy and exit net, poll, kill.
+"""The shared process lifecycle and channel: spawn, poll, kill, send, recv.
 
 The exit-net test runs at every site that forks through
 :func:`repro.parallel.proc.spawn`: a target that raises must exit
 non-zero, a returning one must exit 0, and no child may ever return
-into the caller's stack after the fork.
+into the caller's stack after the fork.  The channel tests pin the
+frame contract of :func:`repro.parallel.proc.recv`, and that an
+elastic worker or MPI rank whose frame cannot be read counts as lost.
 """
 
 import json
 import os
 import signal
+import socket
+import struct
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.serve.executor as executor_mod
 import repro.serve.fleet as fleet_mod
 from repro.parallel import proc
-from repro.parallel.elastic import ElasticPool
-from repro.parallel.mpi import run_mpi
+from repro.parallel.elastic import ElasticPool, WorkLedger, plan_chunks
+from repro.parallel.mpi import MPIError, run_mpi
 from repro.parallel.pymp import fork_available
 from repro.serve.executor import ExecutorPool
 from repro.serve.fleet import FleetConfig, SolveFleet
@@ -214,3 +219,115 @@ def test_exit_net(site, raises, tmp_path, monkeypatch):
     assert [codes.get(pid) for pid in spawned] == [1 if raises else 0] * len(
         spawned
     )
+
+
+# -- the channel ----------------------------------------------------------------
+
+
+def _refuse() -> None:
+    raise ValueError("this object refuses to unpickle")
+
+
+class _Undecodable:
+    """Pickles fine; unpickling it calls :func:`_refuse`, which raises."""
+
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def _returns(expected):
+    def check(sock):
+        got = proc.recv(sock)
+        assert type(got) is type(expected)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert got == expected
+
+    return check
+
+
+def _rejects(match):
+    def check(sock):
+        with pytest.raises(proc.ChannelError, match=match):
+            proc.recv(sock)
+
+    return check
+
+
+def _rejects_before_payload(sock):
+    _rejects("limit")(sock)
+    assert sock.recv(16) == b"payload"  # the announced payload stays unread
+
+
+def _close_after(data: bytes):
+    def write(sock):
+        sock.sendall(data)
+        sock.close()
+
+    return write
+
+
+_MESSAGE = {"kind": "result", "metrics": {"n": 10}}
+_ARRAY = np.arange(12.0).reshape(3, 4)
+
+_CHANNEL_CASES = {
+    "dict": (lambda s: proc.send(s, _MESSAGE), _returns(_MESSAGE)),
+    "tuple": (
+        lambda s: proc.send(s, ("done", 1, 2, 3.5, 0)),
+        _returns(("done", 1, 2, 3.5, 0)),
+    ),
+    "ndarray": (lambda s: proc.send(s, _ARRAY), _returns(_ARRAY)),
+    "clean-eof": (_close_after(b""), _returns(None)),
+    "eof-in-header": (_close_after(proc.encode(_MESSAGE)[:2]), _rejects("header")),
+    "eof-in-payload": (
+        _close_after(proc.encode(_MESSAGE)[:-1]),
+        _rejects("payload"),
+    ),
+    "over-bound": (
+        lambda s: s.sendall(struct.pack(">I", proc.MAX_FRAME_BYTES + 1) + b"payload"),
+        _rejects_before_payload,
+    ),
+    "undecodable": (lambda s: proc.send(s, _Undecodable()), _rejects("undecodable")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHANNEL_CASES))
+def test_channel(case):
+    write, check = _CHANNEL_CASES[case]
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        reader.settimeout(5.0)  # a recv that waits for bytes fails, not hangs
+        write(writer)
+        check(reader)
+
+
+class TestBadFrameIsALostWorker:
+    def test_mpi_rank_result_that_cannot_be_unpickled(self, tmp_path):
+        def prog(comm):
+            rank = comm.Get_rank()
+            (tmp_path / f"rank{rank}.pid").write_text(str(os.getpid()))
+            return _Undecodable() if rank == 1 else "ok"
+
+        with pytest.raises(MPIError, match=r"rank\(s\) \[1\] failed"):
+            run_mpi(prog, 2, timeout=30.0)
+        for rank in range(2):
+            pid = int((tmp_path / f"rank{rank}.pid").read_text())
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped, not a zombie
+
+    def test_elastic_undecodable_result_reassigns_the_lease(self):
+        chunks = plan_chunks(4, chunk_items=16)
+
+        def runner(chunk, ctx):
+            terms = _Undecodable() if ctx.worker_id == 1 else chunk.expected_terms
+            return terms, chunk.expected_checksum, 0
+
+        pool = ElasticPool(2, runner, deadline=60.0)
+        terms, checksum, nbytes = pool.run(WorkLedger(chunks))
+        assert terms == sum(c.expected_terms for c in chunks)
+        assert checksum == pytest.approx(sum(c.expected_checksum for c in chunks))
+        assert nbytes == 0
+        assert pool.leases_reassigned == 1
+        assert pool.workers_respawned == 1
