@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
-import socket
 import threading
 import time
 from bisect import bisect_right
@@ -76,7 +75,7 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.server import ServiceConfig, SolveService
+from repro.serve.server import Listener, ServiceConfig, SolveService
 from repro.utils import logging as rlog
 
 _POLL_SECONDS = 0.1
@@ -262,15 +261,10 @@ class SolveFleet:
             _Shard(index=i) for i in range(config.shards)
         ]
         self._shards_lock = threading.Lock()
-        self._listeners: list[socket.socket] = []
-        self.tcp_address: tuple[str, int] | None = None
-        self._acceptors: list[threading.Thread] = []
+        self._listener: Listener | None = None
         self._watchdog: threading.Thread | None = None
-        self._handlers: set[threading.Thread] = set()
-        self._handlers_lock = threading.Lock()
         self._draining = threading.Event()
         self._stopped = threading.Event()
-        self._started_at = time.monotonic()
         self._front_lock = threading.Lock()
         self._front_requests = 0
         self._routed = [0] * config.shards
@@ -281,7 +275,7 @@ class SolveFleet:
 
     def start(self) -> None:
         """Fork the shards, wait for them, then open the front."""
-        if self._listeners:
+        if self._listener is not None:
             raise RuntimeError("fleet already started")
         if not hasattr(os, "fork"):
             raise RuntimeError(
@@ -297,7 +291,7 @@ class SolveFleet:
         blas.resolve()
         # Bind before forking: a bind failure (port already in use)
         # must not leak orphaned shard processes.
-        self._bind_front()
+        listener = Listener(self, [self.config.listen])
         try:
             for shard in self._shards:
                 self._spawn(shard)
@@ -309,21 +303,10 @@ class SolveFleet:
             )
             for shard in self._shards:
                 shard.pid = None
-            for listener in self._listeners:
-                listener.close()
-            self._listeners = []
-            self.tcp_address = None
+            listener.stop()
             raise
-        self._started_at = time.monotonic()
-        for listener in self._listeners:
-            acceptor = threading.Thread(
-                target=self._accept_loop,
-                args=(listener,),
-                name="fleet-acceptor",
-                daemon=True,
-            )
-            acceptor.start()
-            self._acceptors.append(acceptor)
+        self._listener = listener
+        listener.start()
         self._watchdog = threading.Thread(
             target=self._watchdog_loop, name="fleet-watchdog", daemon=True
         )
@@ -333,24 +316,6 @@ class SolveFleet:
             listen=str(self.config.listen),
             shards=self.config.shards,
         )
-
-    def _bind_front(self) -> None:
-        kind, target = parse_address(self.config.listen)
-        if kind == "tcp":
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(target)
-            self.tcp_address = sock.getsockname()[:2]
-        else:
-            path = Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.exists():
-                path.unlink()
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(str(path))
-        sock.listen(128)
-        sock.settimeout(_POLL_SECONDS)
-        self._listeners.append(sock)
 
     def _spawn(self, shard: _Shard) -> None:
         """Start (or restart) one shard; bumps its generation."""
@@ -433,29 +398,20 @@ class SolveFleet:
         if self._watchdog is not None:
             self._watchdog.join(timeout=5.0)
             self._watchdog = None
-        for acceptor in self._acceptors:
-            acceptor.join(timeout=5.0)
-        self._acceptors = []
-        with self._handlers_lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            handler.join(timeout=5.0)
-        for listener in self._listeners:
-            listener.close()
-        self._listeners = []
-        self.tcp_address = None
-        kind, target = parse_address(self.config.listen)
-        if kind == "unix":
-            try:
-                Path(target).unlink()
-            except FileNotFoundError:
-                pass
+        if self._listener is not None:
+            self._listener.stop()
+            self._listener = None
         rlog.info("fleet.stopped", requests=self._front_requests)
 
     @property
     def draining(self) -> bool:
         """Whether a graceful drain has started."""
         return self._draining.is_set()
+
+    @property
+    def tcp_address(self) -> tuple[str, int] | None:
+        """``(host, port)`` of a TCP front; None for unix or when stopped."""
+        return None if self._listener is None else self._listener.tcp_address
 
     @property
     def requests(self) -> int:
@@ -533,83 +489,26 @@ class SolveFleet:
                 )
                 self._spawn(shard)
 
-    # -- front listener ------------------------------------------------------
+    # -- replies the listener asks for --------------------------------------
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._stopped.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # pragma: no cover - listener closed under us
-                break
-            handler = threading.Thread(
-                target=self._handle_connection, args=(conn,), daemon=True
-            )
-            with self._handlers_lock:
-                self._handlers.add(handler)
-            handler.start()
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                conn.settimeout(max(60.0, self.config.forward_timeout))
-                try:
-                    message = recv_message(conn)
-                except ProtocolError as exc:
-                    send_message(
-                        conn,
-                        Response(
-                            id="", status=STATUS_INVALID, error=str(exc)
-                        ).to_dict(),
-                    )
-                    return
-                if message is None:
-                    return
-                send_message(conn, self._dispatch(message))
-        except OSError:
-            pass
-        finally:
-            with self._handlers_lock:
-                self._handlers.discard(threading.current_thread())
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _dispatch(self, message: dict) -> dict:
-        kind = message.get("kind", "solve")
-        if kind == "ping":
-            alive = sorted(self.alive_shards())
-            return {
-                "kind": "pong",
-                "draining": self.draining,
-                "uptime_seconds": time.monotonic() - self._started_at,
-                "pid": os.getpid(),
-                "fleet": {
-                    "shards": self.config.shards,
-                    "alive": alive,
-                    "generations": [s.generation for s in self._shards],
-                },
-            }
-        if kind == "stats":
-            return self._stats()
-        if kind == "drain":
-            self.request_drain()
-            return {"kind": "draining"}
-        if kind != "solve":
-            return Response(
-                id=str(message.get("id") or ""),
-                status=STATUS_INVALID,
-                error=f"unknown message kind {kind!r}",
-            ).to_dict()
-        return self._handle_solve(message)
+    def _ping(self) -> dict:
+        """The ``fleet`` section of a front's ``pong``."""
+        return {
+            "fleet": {
+                "shards": self.config.shards,
+                "alive": sorted(self.alive_shards()),
+                "generations": [s.generation for s in self._shards],
+            },
+        }
 
     def _stats(self) -> dict:
         """Fleet-wide stats: front counters + per-shard aggregation.
 
         The reply keeps the single-service schema (``queue_depth``,
-        ``shed``, ``metrics``, ...) so pollers like ``parma runs
-        watch`` work unchanged against a front, and adds a ``fleet``
-        section plus the raw per-shard replies under ``shards``.
+        ``shed``, ``metrics``, ...; the listener adds the clock and
+        ``draining``) so pollers like ``parma runs watch`` work
+        unchanged against a front, and adds a ``fleet`` section plus
+        the raw per-shard replies under ``shards``.
         """
         per_shard: list[dict | None] = []
         for shard in self._shards:
@@ -651,17 +550,12 @@ class SolveFleet:
             idempotent_hits += int(reply.get("idempotent_hits", 0))
             worker_respawns += int(reply.get("worker_respawns", 0))
             salvaged += int(reply.get("requests_salvaged", 0))
-        now = time.monotonic()
         with self._front_lock:
             routed = list(self._routed)
         return {
-            "kind": "stats",
-            "server_monotonic": now,
-            "uptime_seconds": now - self._started_at,
             "queue_depth": queue_depth,
             "queue_depths": queue_depths,
             "estimated_queue_seconds": estimated,
-            "draining": self.draining,
             "requests": self._front_requests,
             "executor": "fleet",
             "shed": shed,
@@ -671,9 +565,7 @@ class SolveFleet:
             "requests_salvaged": salvaged,
             "metrics": merged.snapshot(),
             "fleet": {
-                "shards": self.config.shards,
-                "alive": sorted(self.alive_shards()),
-                "generations": [s.generation for s in self._shards],
+                **self._ping()["fleet"],
                 "routed": routed,
                 "reroutes": self._reroutes,
                 "shard_respawns": self._respawns,

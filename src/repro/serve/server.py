@@ -3,8 +3,10 @@
 One acceptor process, three kinds of threads plus (by default) a pool
 of forked executor workers:
 
-* the **acceptor** owns the unix-domain listening socket and spawns a
-  short-lived handler per connection;
+* the **acceptors**, one per listening socket (the unix socket, plus
+  TCP when configured), spawn a short-lived handler per connection;
+  they run in a :class:`Listener`, the front door the fleet front
+  shares, and keep answering until :meth:`SolveService.stop`;
 * **handlers** read one request, admit it to the
   :class:`repro.serve.queue.AdmissionQueue` (or answer a retriable
   rejection), block on the ticket, and write the response;
@@ -43,6 +45,7 @@ artifacts) written through :mod:`repro.observe` under
 from __future__ import annotations
 
 import dataclasses
+import errno
 import os
 import socket
 import threading
@@ -81,6 +84,9 @@ from repro.utils import logging as rlog
 
 #: How long blocked socket/queue polls sleep between liveness checks.
 _POLL_SECONDS = 0.1
+
+#: Reads and writes on one client connection give up after this long.
+_CONNECTION_TIMEOUT = 60.0
 
 #: Completed non-retriable responses kept (LRU) for idempotent replay.
 _IDEMPOTENCY_CACHE = 128
@@ -152,13 +158,197 @@ class ServiceConfig:
             )
 
 
+class Listener:
+    """The front door of a :class:`SolveService` and of the fleet front.
+
+    Construction binds each address (a ``Path`` is a unix socket, any
+    other spec goes through :func:`repro.serve.protocol.parse_address`)
+    before the host forks anything; a failed bind closes what was bound
+    and raises.  A unix path a live listener still answers on is
+    refused with ``EADDRINUSE``; a stale socket file is replaced.
+
+    :meth:`start` runs one acceptor thread per socket until
+    :meth:`stop`; each connection carries one frame and gets one reply.
+    The listener answers a malformed frame, an unknown ``kind``,
+    ``drain`` and the base fields of ``ping``/``stats`` itself.  The
+    host provides ``draining``, ``request_drain()``,
+    ``_handle_solve(message)``, ``_stats()`` and ``_ping()``.
+    """
+
+    def __init__(self, host: object, addresses: list) -> None:
+        self.host = host
+        self.started_at = time.monotonic()
+        #: ``(host, port)`` of the first TCP socket (port 0 resolved).
+        self.tcp_address: tuple[str, int] | None = None
+        self._socks: list[socket.socket] = []
+        self._paths: list[Path] = []
+        self._acceptors: list[threading.Thread] = []
+        self._handlers: set[threading.Thread] = set()
+        self._handlers_lock = threading.Lock()
+        self._stopped = threading.Event()
+        try:
+            for spec in addresses:
+                self._bind(spec)
+        except BaseException:
+            self.stop()
+            raise
+
+    def _bind(self, spec: object) -> None:
+        kind, target = (
+            ("unix", str(spec)) if isinstance(spec, Path) else parse_address(spec)
+        )
+        family = socket.AF_INET if kind == "tcp" else socket.AF_UNIX
+        if kind == "unix":
+            target = Path(target)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            _claim_unix_path(target)
+        sock = socket.socket(family, socket.SOCK_STREAM)
+        self._socks.append(sock)
+        if kind == "tcp":
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(target)
+            self.tcp_address = self.tcp_address or sock.getsockname()[:2]
+        else:
+            sock.bind(str(target))
+            self._paths.append(target)
+        # A fixed backlog, not one sized from the queue depth: overload
+        # must be rejected by the admission queue with its retriable
+        # ``rejected-queue-full`` status, not by a full kernel backlog.
+        sock.listen(128)
+        sock.settimeout(_POLL_SECONDS)
+
+    def start(self) -> None:
+        """Start one acceptor thread per bound socket."""
+        self.started_at = time.monotonic()
+        for sock in self._socks:
+            acceptor = threading.Thread(
+                target=self._accept_loop, args=(sock,), daemon=True
+            )
+            acceptor.start()
+            self._acceptors.append(acceptor)
+
+    def stop(self) -> None:
+        """Stop accepting, join the handlers, close and unlink (idempotent)."""
+        self._stopped.set()
+        for acceptor in self._acceptors:
+            acceptor.join(timeout=5.0)
+        with self._handlers_lock:
+            handlers = list(self._handlers)
+        for handler in handlers:
+            handler.join(timeout=5.0)
+        for sock in self._socks:
+            sock.close()
+        for path in self._paths:
+            path.unlink(missing_ok=True)
+        self._acceptors, self._socks, self._paths = [], [], []
+        self.tcp_address = None
+
+    def _accept_loop(self, sock: socket.socket) -> None:
+        """Accept connections until stopped; one handler thread each."""
+        while not self._stopped.is_set():
+            try:
+                conn, _ = sock.accept()
+            except socket.timeout:
+                continue
+            except OSError:  # pragma: no cover - socket closed under us
+                break
+            handler = threading.Thread(
+                target=self._handle_connection, args=(conn,), daemon=True
+            )
+            with self._handlers_lock:
+                self._handlers.add(handler)
+            handler.start()
+
+    def _handle_connection(self, conn: socket.socket) -> None:
+        """Serve one connection: read one message, answer, close."""
+        try:
+            with conn:
+                conn.settimeout(_CONNECTION_TIMEOUT)
+                try:
+                    message = recv_message(conn)
+                except ProtocolError as exc:
+                    send_message(
+                        conn,
+                        Response(
+                            id="", status=STATUS_INVALID, error=str(exc)
+                        ).to_dict(),
+                    )
+                    return
+                if message is None:
+                    return
+                send_message(conn, self._dispatch(message))
+        except OSError:
+            # The client went away mid-reply; its problem, not ours.
+            pass
+        finally:
+            with self._handlers_lock:
+                self._handlers.discard(threading.current_thread())
+
+    def _dispatch(self, message: dict) -> dict:
+        """Route one decoded message; returns the reply."""
+        kind = message.get("kind", "solve")
+        if kind == "solve":
+            return self.host._handle_solve(message)
+        if kind == "drain":
+            self.host.request_drain()
+            return {"kind": "draining"}
+        now = time.monotonic()
+        if kind == "ping":
+            return {
+                "kind": "pong",
+                "draining": self.host.draining,
+                "uptime_seconds": now - self.started_at,
+                "pid": os.getpid(),
+                **self.host._ping(),
+            }
+        if kind == "stats":
+            # Server-side monotonic clock + uptime: pollers (e.g.
+            # `parma runs watch`) difference successive replies to
+            # turn raw counters into rates without trusting their
+            # own wall clock against the service's.
+            return {
+                "kind": "stats",
+                "server_monotonic": now,
+                "uptime_seconds": now - self.started_at,
+                "draining": self.host.draining,
+                **self.host._stats(),
+            }
+        return Response(
+            id=str(message.get("id") or ""),
+            status=STATUS_INVALID,
+            error=f"unknown message kind {kind!r}",
+        ).to_dict()
+
+
+def _claim_unix_path(path: Path) -> None:
+    """Unlink a stale socket file at ``path``; refuse a live one."""
+    if not os.path.lexists(path):
+        return
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    probe.settimeout(1.0)
+    try:
+        probe.connect(str(path))
+    except (ConnectionRefusedError, FileNotFoundError):
+        # A previous instance that died uncleanly left its socket file.
+        path.unlink(missing_ok=True)
+        return
+    except TimeoutError:
+        pass  # a live listener whose backlog is full
+    finally:
+        probe.close()
+    raise OSError(errno.EADDRINUSE, f"a live listener answers on {path}")
+
+
 class SolveService:
-    """A running (or startable) solve service bound to a unix socket.
+    """A running (or startable) solve service.
+
+    It listens on a unix socket, plus a TCP ``HOST:PORT`` when
+    ``config.tcp`` is set, through one :class:`Listener`.
 
     Lifecycle::
 
         service = SolveService(ServiceConfig(socket_path, results_dir))
-        service.start()           # binds + spawns acceptor/executors
+        service.start()           # binds, forks executors, then threads
         ...                       # clients connect and submit
         service.request_drain()   # e.g. from a SIGTERM handler
         service.wait()            # until drained and stopped
@@ -198,19 +388,9 @@ class SolveService:
                 pool_engines=(config.serve_workers == 1),
                 observer=self.observer,
             )
-        self._sock: socket.socket | None = None
-        self._tcp_sock: socket.socket | None = None
-        #: ``(host, port)`` actually bound when ``config.tcp`` is set
-        #: (resolves port 0 to the kernel's pick); None otherwise.
-        self.tcp_address: tuple[str, int] | None = None
-        self._acceptors: list[threading.Thread] = []
-        self._acceptor: threading.Thread | None = None
+        self._listener: Listener | None = None
         self._workers: list[threading.Thread] = []
-        self._handlers: set[threading.Thread] = set()
-        self._handlers_lock = threading.Lock()
         self._stopping = threading.Event()
-        self._drained = threading.Event()
-        self._started_at = time.monotonic()
         self._requests_seen = 0
         self._shed_counts = {name: 0 for name in PRIORITY_CLASSES}
         self._quota_rejections = 0
@@ -223,68 +403,46 @@ class SolveService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket and spawn executors, acceptor and dispatchers.
+        """Bind the listeners, fork the executors, then start the threads.
 
-        Executor children fork first, while the process is still
-        single-threaded — the acceptor/handler threads only exist
-        afterwards, so the initial pool avoids fork-with-locks hazards
-        entirely (respawns after a crash do fork from a threaded
+        Binding comes first, so a taken address fails before anything
+        forks; :func:`repro.parallel.proc.spawn` closes the listening
+        fds in every executor child.  Executor children fork while the
+        process is still single-threaded — the acceptor/handler threads
+        only exist afterwards, so the initial pool avoids fork-with-locks
+        hazards entirely (respawns after a crash do fork from a threaded
         parent; see :meth:`repro.serve.executor.ExecutorPool.start`).
+        A failed start closes the listeners, unlinks the socket and
+        retires any forked child, so ``start()`` may be called again.
         """
-        if self._sock is not None:
+        if self._listener is not None:
             raise RuntimeError("service already started")
-        path = self.config.socket_path
-        path.parent.mkdir(parents=True, exist_ok=True)
         self.config.results_dir.mkdir(parents=True, exist_ok=True)
-        if self.executor_mode == "subprocess":
-            self.pool = ExecutorPool(
-                self.config.serve_workers,
-                self.config.results_dir,
-                max_deadline=self.config.max_deadline,
-                stall_timeout=self.config.stall_timeout,
-                term_grace=self.config.term_grace,
-                max_salvage=self.config.max_salvage,
-                observer=self.observer,
-                faults=self.config.faults,
-                on_response=self._on_executed,
-            )
-            self.pool.start()
-        if path.exists():
-            # A previous instance that died uncleanly leaves its socket
-            # file behind; binding over it requires the unlink.
-            path.unlink()
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(str(path))
-        # A fixed backlog, not one sized from the queue depth: overload
-        # must be rejected by the admission queue with its retriable
-        # ``rejected-queue-full`` status, not by a full kernel backlog.
-        sock.listen(128)
-        sock.settimeout(_POLL_SECONDS)
-        self._sock = sock
-        if self.config.tcp is not None:
-            _, target = parse_address(self.config.tcp)
-            tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            tcp_sock.bind(target)
-            tcp_sock.listen(128)
-            tcp_sock.settimeout(_POLL_SECONDS)
-            self._tcp_sock = tcp_sock
-            self.tcp_address = tcp_sock.getsockname()[:2]
-        self._started_at = time.monotonic()
-        self._acceptors = []
-        for listener, name in (
-            (self._sock, "serve-acceptor"),
-            (self._tcp_sock, "serve-acceptor-tcp"),
-        ):
-            if listener is None:
-                continue
-            acceptor = threading.Thread(
-                target=self._accept_loop, args=(listener,), name=name,
-                daemon=True,
-            )
-            acceptor.start()
-            self._acceptors.append(acceptor)
-        self._acceptor = self._acceptors[0]
+        listener = Listener(self, [self.config.socket_path] + (
+            [self.config.tcp] if self.config.tcp is not None else []
+        ))
+        try:
+            if self.executor_mode == "subprocess":
+                self.pool = ExecutorPool(
+                    self.config.serve_workers,
+                    self.config.results_dir,
+                    max_deadline=self.config.max_deadline,
+                    stall_timeout=self.config.stall_timeout,
+                    term_grace=self.config.term_grace,
+                    max_salvage=self.config.max_salvage,
+                    observer=self.observer,
+                    faults=self.config.faults,
+                    on_response=self._on_executed,
+                )
+                self.pool.start()
+        except BaseException:
+            if self.pool is not None:
+                self.pool.stop()
+                self.pool = None
+            listener.stop()
+            raise
+        self._listener = listener
+        listener.start()
         for rank in range(self.config.serve_workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -296,7 +454,7 @@ class SolveService:
             self._workers.append(worker)
         rlog.info(
             "serve.started",
-            socket=str(path),
+            socket=str(self.config.socket_path),
             workers=self.config.serve_workers,
             executor=self.executor_mode,
         )
@@ -329,34 +487,22 @@ class SolveService:
             worker.join(remaining)
             if worker.is_alive():
                 return False
-        self._drained.set()
         return True
 
     def stop(self) -> None:
-        """Drain, join every thread, retire executors, unlink the socket."""
+        """Drain, join every thread, retire executors, unlink the socket.
+
+        The listener keeps answering until the drain is done: a
+        ``solve`` gets ``rejected-draining``, ``ping`` and ``stats``
+        answer as usual.
+        """
         self.request_drain()
         self.wait()
         if self.pool is not None:
             self.pool.stop()
-        for acceptor in self._acceptors:
-            acceptor.join(timeout=5.0)
-        self._acceptors = []
-        self._acceptor = None
-        with self._handlers_lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            handler.join(timeout=5.0)
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-        if self._tcp_sock is not None:
-            self._tcp_sock.close()
-            self._tcp_sock = None
-            self.tcp_address = None
-        try:
-            self.config.socket_path.unlink()
-        except FileNotFoundError:
-            pass
+        if self._listener is not None:
+            self._listener.stop()
+            self._listener = None
         if self._catalog is not None:
             self._catalog.close()
             self._catalog = None
@@ -366,6 +512,11 @@ class SolveService:
     def draining(self) -> bool:
         """True once a drain has been requested."""
         return self._stopping.is_set()
+
+    @property
+    def tcp_address(self) -> tuple[str, int] | None:
+        """``(host, port)`` bound for ``config.tcp``; None when unset or stopped."""
+        return None if self._listener is None else self._listener.tcp_address
 
     # -- admission callbacks -------------------------------------------------
 
@@ -420,102 +571,36 @@ class SolveService:
             self.observer.count("serve.catalog.errors")
             rlog.info("serve.catalog_error", error=str(exc))
 
-    # -- acceptor / handlers -------------------------------------------------
+    # -- replies the listener asks for --------------------------------------
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        """Accept connections until stopped; one handler thread each."""
-        while not self._stopping.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # pragma: no cover - socket closed under us
-                break
-            handler = threading.Thread(
-                target=self._handle_connection, args=(conn,), daemon=True
-            )
-            with self._handlers_lock:
-                self._handlers.add(handler)
-            handler.start()
+    def _ping(self) -> dict:
+        """Extra ``pong`` fields: none for a single service."""
+        return {}
 
-    def _handle_connection(self, conn: socket.socket) -> None:
-        """Serve one connection: read one message, answer, close."""
-        try:
-            with conn:
-                conn.settimeout(60.0)
-                try:
-                    message = recv_message(conn)
-                except ProtocolError as exc:
-                    send_message(
-                        conn,
-                        Response(
-                            id="", status=STATUS_INVALID, error=str(exc)
-                        ).to_dict(),
-                    )
-                    return
-                if message is None:
-                    return
-                reply = self._dispatch(message)
-                send_message(conn, reply)
-        except OSError:
-            # The client went away mid-reply; its problem, not ours.
-            pass
-        finally:
-            with self._handlers_lock:
-                self._handlers.discard(threading.current_thread())
-
-    def _dispatch(self, message: dict) -> dict:
-        """Route one decoded message to its handler; returns the reply."""
-        kind = message.get("kind", "solve")
-        if kind == "ping":
-            return {
-                "kind": "pong",
-                "draining": self.draining,
-                "uptime_seconds": time.monotonic() - self._started_at,
-                "pid": os.getpid(),
-            }
-        if kind == "stats":
-            snapshot = (
-                self.observer.metrics.snapshot()
-                if self.observer.metrics is not None
-                else {}
-            )
-            now = time.monotonic()
-            return {
-                "kind": "stats",
-                # Server-side monotonic clock + uptime: pollers (e.g.
-                # `parma runs watch`) difference successive replies to
-                # turn raw counters into rates without trusting their
-                # own wall clock against the service's.
-                "server_monotonic": now,
-                "uptime_seconds": now - self._started_at,
-                "queue_depth": self.queue.depth(),
-                "queue_depths": self.queue.depths(),
-                "estimated_queue_seconds": self.queue.estimated_queue_seconds(),
-                "draining": self.draining,
-                "requests": self._requests_seen,
-                "executor": self.executor_mode,
-                "shed": dict(self._shed_counts),
-                "quota_rejections": self._quota_rejections,
-                "idempotent_hits": self._idempotent_hits,
-                "worker_respawns": (
-                    self.pool.respawns if self.pool is not None else 0
-                ),
-                "requests_salvaged": (
-                    self.pool.salvaged if self.pool is not None else 0
-                ),
-                "metrics": snapshot,
-            }
-        if kind == "drain":
-            self.request_drain()
-            return {"kind": "draining"}
-        if kind != "solve":
-            return Response(
-                id=str(message.get("id") or ""),
-                status=STATUS_INVALID,
-                error=f"unknown message kind {kind!r}",
-            ).to_dict()
-        return self._handle_solve(message)
+    def _stats(self) -> dict:
+        """The service's own ``stats`` fields (the listener adds the clock)."""
+        snapshot = (
+            self.observer.metrics.snapshot()
+            if self.observer.metrics is not None
+            else {}
+        )
+        return {
+            "queue_depth": self.queue.depth(),
+            "queue_depths": self.queue.depths(),
+            "estimated_queue_seconds": self.queue.estimated_queue_seconds(),
+            "requests": self._requests_seen,
+            "executor": self.executor_mode,
+            "shed": dict(self._shed_counts),
+            "quota_rejections": self._quota_rejections,
+            "idempotent_hits": self._idempotent_hits,
+            "worker_respawns": (
+                self.pool.respawns if self.pool is not None else 0
+            ),
+            "requests_salvaged": (
+                self.pool.salvaged if self.pool is not None else 0
+            ),
+            "metrics": snapshot,
+        }
 
     def _handle_solve(self, message: dict) -> dict:
         """Admit a solve request, wait for its ticket, return the reply.

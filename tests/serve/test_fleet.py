@@ -39,8 +39,10 @@ from repro.serve import server as server_mod
 from repro.serve.fleet import MAX_REROUTES, ROUTE_LABEL
 from repro.serve.queue import MAX_BYPASS_AGE
 from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
     Response,
     connect_address,
+    encode_message,
     format_address,
     parse_address,
     recv_message,
@@ -446,14 +448,41 @@ def thread_service(tmp_path):
 
 
 def _raw_roundtrip(address, message: dict) -> dict:
+    return _raw_frame_roundtrip(address, encode_message(message))
+
+
+def _raw_frame_roundtrip(address, frame: bytes) -> dict:
     sock = connect_address(address, timeout=30.0)
     try:
-        send_message(sock, message)
+        sock.sendall(frame)
         reply = recv_message(sock)
     finally:
         sock.close()
     assert reply is not None, "host closed the connection without a reply"
     return reply
+
+
+def _frame(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big") + payload
+
+
+#: Frames no client sends; both hosts must answer each ``invalid``.
+_BAD_FRAMES = {
+    "undecodable-payload": _frame(b"\xff!!!"),
+    "over-limit-prefix": (MAX_MESSAGE_BYTES + 1).to_bytes(4, "big"),
+    "non-object-json": _frame(b"[1, 2, 3]"),
+    "unknown-kind": encode_message({"kind": "frobnicate", "id": "x"}),
+}
+
+
+@pytest.fixture(params=["service", "fleet"])
+def host(request):
+    """``(host, address)``: a thread-mode service or a 2-shard fleet."""
+    if request.param == "service":
+        svc = request.getfixturevalue("thread_service")
+        return svc, svc.config.socket_path
+    f, _ = request.getfixturevalue("fleet")
+    return f, format_address(f.tcp_address)
 
 
 class TestMalformedFrames:
@@ -471,6 +500,27 @@ class TestMalformedFrames:
             assert reply["status"] == STATUS_INVALID, (address, reply)
             assert reply["exit_status"] == 2
             assert next(iter(field)) in reply["error"]
+
+    @pytest.mark.parametrize("name", sorted(_BAD_FRAMES))
+    def test_bad_frames_answer_invalid(self, name, host):
+        _, address = host
+        reply = _raw_frame_roundtrip(address, _BAD_FRAMES[name])
+        assert reply["status"] == STATUS_INVALID, reply
+        assert reply["exit_status"] == 2
+
+
+class TestDrainKeepsAnswering:
+    def test_solve_after_drain_is_rejected_at_once(self, host):
+        h, address = host
+        h.request_drain()
+        time.sleep(0.3)  # past one acceptor poll
+        client = SolveClient(address, timeout=2.0)
+        response = client.solve(_z(8))
+        assert response.status == STATUS_DRAINING
+        assert response.retriable and response.exit_status == 75
+        pong = client.ping()
+        assert pong["kind"] == "pong"
+        assert pong["draining"] is True
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")

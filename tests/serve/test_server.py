@@ -1,5 +1,6 @@
 """In-process :class:`SolveService` tests: one service fixture, real sockets."""
 
+import errno
 import json
 import socket
 import threading
@@ -13,6 +14,7 @@ from repro.mea.synthetic import paper_like_spec
 from repro.mea.wetlab import run_campaign
 from repro.observe import Observer
 from repro.observe.manifest import load_manifest, validate_manifest
+from repro.parallel import proc
 from repro.parallel.pymp import fork_available
 from repro.resilience.faults import FaultPlan
 from repro.serve import (
@@ -23,9 +25,11 @@ from repro.serve import (
     STATUS_OK,
     STATUS_QUEUE_FULL,
     STATUS_QUOTA,
+    FleetConfig,
     ServeConnectionError,
     ServiceConfig,
     SolveClient,
+    SolveFleet,
     SolveService,
 )
 from repro.serve.protocol import recv_message, send_message
@@ -486,6 +490,57 @@ class TestDrain:
         svc, client, obs = service
         with pytest.raises(RuntimeError, match="already started"):
             svc.start()
+
+    def test_live_socket_path_is_refused(self, service, tmp_path):
+        svc, client, obs = service
+        path = svc.config.socket_path
+        other = SolveService(ServiceConfig(
+            socket_path=path, results_dir=tmp_path / "other", executor="thread",
+        ))
+        with pytest.raises(OSError) as err:
+            other.start()
+        assert err.value.errno == errno.EADDRINUSE
+        other.stop()  # must not unlink the live service's socket
+        front = SolveFleet(FleetConfig(listen=path, results_dir=tmp_path / "f"))
+        with pytest.raises(OSError) as err:
+            front.start()
+        assert err.value.errno == errno.EADDRINUSE
+        assert path.exists()
+        assert client.ping()["kind"] == "pong"
+
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+    def test_failed_start_releases_everything(self, tmp_path, monkeypatch):
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        spawned = []
+        real_spawn = proc.spawn
+
+        def spawn(*args, **kwargs):
+            spawned.append(real_spawn(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(proc, "spawn", spawn)
+        config = ServiceConfig(
+            socket_path=tmp_path / "p.sock",
+            results_dir=tmp_path / "r",
+            tcp=f"127.0.0.1:{port}",
+        )
+        svc = SolveService(config)
+        try:
+            with pytest.raises(OSError):
+                svc.start()
+        finally:
+            holder.close()
+        assert all(proc.poll(pid) is not None for pid in spawned), spawned
+        assert not config.socket_path.exists()
+        svc.start()  # the port is free now
+        try:
+            assert SolveClient(config.socket_path).wait_ready(timeout=10.0)
+            assert svc.tcp_address == ("127.0.0.1", port)
+        finally:
+            svc.stop()
 
 
 class TestCatalogIngest:
