@@ -1374,6 +1374,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.observe import Observer
     from repro.serve import ServiceConfig, SolveService
+    from repro.serve.server import ListenError
 
     obs = Observer(trace_dir=args.trace)
     config = ServiceConfig(
@@ -1392,7 +1393,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         observer=obs,
     )
     service = SolveService(config)
-    service.start()
+    try:
+        service.start()
+    except ListenError as exc:
+        print(f"error: {exc.strerror}", file=sys.stderr)
+        return 2
 
     def _on_signal(signum, frame) -> None:
         service.request_drain()
@@ -1458,6 +1463,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.observe import Observer
     from repro.serve import ServiceConfig
     from repro.serve.fleet import FleetConfig, SolveFleet
+    from repro.serve.server import ListenError
 
     obs = Observer(trace_dir=args.trace)
     config = FleetConfig(
@@ -1481,7 +1487,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ),
     )
     fleet = SolveFleet(config)
-    fleet.start()
+    try:
+        fleet.start()
+    except ListenError as exc:
+        print(f"error: {exc.strerror}", file=sys.stderr)
+        return 2
 
     def _on_signal(signum, frame) -> None:
         fleet.request_drain()

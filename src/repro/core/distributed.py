@@ -20,9 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.partition import partition_betti
-from repro.core.strategies import FormationReport
+from repro.core.strategies import (
+    FormationReport,
+    _part_files,
+    _validate_z,
+    part_writer,
+)
 from repro.core.templates import form_worker_share, warm_template_cache
-from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
 from repro.parallel.mpi import Comm, MPITimeout, run_mpi
 from repro.resilience.supervise import Deadline, DeadlineExceeded
@@ -40,34 +44,18 @@ def _rank_program(
     rank, size = comm.Get_rank(), comm.Get_size()
     n = z.shape[0]
     part = partition_betti(n, size)
-    my_terms = 0
-    my_checksum = 0.0
+    share = form_worker_share(
+        n, part.items, np.flatnonzero(part.worker_of == rank), z, voltage=voltage
+    )
     my_bytes = 0
-    fh = None
-    if output_dir is not None:
-        path = Path(output_dir) / f"equations-rank{rank:04d}.bin"
-        fh = open(path, "wb")
-    try:
-        mine = np.flatnonzero(part.worker_of == rank)
-        batches, placement = form_worker_share(
-            n, part.items, mine, z, voltage=voltage
-        )
-        my_terms = sum(b.num_terms for b in batches.values())
-        my_checksum = sum(float(b.checksums().sum()) for b in batches.values())
-        if fh is not None:
-            # Original item order keeps rank files byte-identical to
-            # per-item formation of the same partition.
-            for idx in mine:
-                cat, pos = placement[int(idx)]
-                my_bytes += write_block_binary(batches[cat].block(pos), fh)
-    finally:
-        if fh is not None:
-            fh.close()
-    totals = comm.allreduce(np.array([my_terms, my_checksum, my_bytes]))
+    with part_writer(output_dir, "binary", f"equations-rank{rank:04d}") as write:
+        if write is not None:
+            my_bytes = sum(map(write, share))
+    totals = comm.allreduce(np.array([share.terms, share.checksum, my_bytes]))
     return {
         "rank": rank,
-        "terms": my_terms,
-        "checksum": my_checksum,
+        "terms": share.terms,
+        "checksum": share.checksum,
         "bytes": my_bytes,
         "total_terms": int(totals[0]),
         "total_checksum": float(totals[1]),
@@ -101,21 +89,13 @@ class MPIFormation:
         observer=None,
         deadline: Deadline | float | None = None,
     ) -> FormationReport:
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError("z must be a square (n, n) matrix")
-        if z.shape[0] < 2:
-            raise ValueError("device must be at least 2x2")
+        z = _validate_z(z)
         require_positive(voltage, "voltage")
         if fmt != "binary":
             raise ValueError("MPI formation persists binary part files only")
         deadline = Deadline.coerce(deadline)
         if deadline is not None:
             deadline.check("MPI formation launch")
-        out = None
-        if output_dir is not None:
-            out = Path(output_dir)
-            out.mkdir(parents=True, exist_ok=True)
         # Warm the per-category templates in the launcher so forked
         # ranks inherit them copy-on-write.
         part = partition_betti(z.shape[0], self.num_workers)
@@ -135,7 +115,11 @@ class MPIFormation:
                 results = run_mpi(
                     _rank_program,
                     self.num_workers,
-                    args=(z, voltage, str(out) if out is not None else None),
+                    args=(
+                        z,
+                        voltage,
+                        None if output_dir is None else str(output_dir),
+                    ),
                     timeout=deadline,
                 )
             except MPITimeout as exc:
@@ -168,13 +152,6 @@ class MPIFormation:
                         bytes=r["bytes"],
                     )
             per_worker = np.array([r["terms"] for r in ordered], dtype=np.int64)
-            parts = ()
-            if out is not None:
-                parts = tuple(
-                    str(out / f"equations-rank{r:04d}.bin")
-                    for r in range(self.num_workers)
-                    if (out / f"equations-rank{r:04d}.bin").exists()
-                )
             report = FormationReport(
                 strategy=self.name,
                 n=z.shape[0],
@@ -184,7 +161,9 @@ class MPIFormation:
                 checksum=results[0]["total_checksum"],
                 per_worker_terms=per_worker,
                 bytes_written=results[0]["total_bytes"],
-                part_files=parts,
+                part_files=_part_files(
+                    output_dir, fmt, "equations-rank", self.num_workers
+                ),
             )
         obs.record_formation(report)
         return report

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.anomaly.detect import DetectionResult, detect_anomalies
-from repro.core.solver import SolveResult, solve
+from repro.core.solver import SolveResult
 from repro.core.strategies import FormationReport, make_strategy
 from repro.mea.dataset import Measurement, repair_z, validate_z
 from repro.observe.observer import as_observer
@@ -47,8 +47,7 @@ VALIDATE_MODES = ("strict", "repair", "off")
 class ParmaResult:
     """Everything one parametrization produced.
 
-    ``degradation`` records the solver-ladder walk when the engine ran
-    with degradation enabled (the default); ``events`` lists
+    ``degradation`` records the solver-ladder walk; ``events`` lists
     human-readable resilience events — formation retries, fallbacks,
     measurement repairs — that occurred on the way to this result.
     """
@@ -111,14 +110,13 @@ class ParmaEngine:
         Region width for the multi-worker strategies (ignored by
         ``single``; forced to 4 by ``parallel``).
     solver:
-        ``"nested"`` (recommended) or ``"full"``.
-    threshold_sigmas / min_region_size:
-        Anomaly-detection knobs (see :mod:`repro.anomaly.detect`).
-    degradation:
-        When True (default) the solve walks the resilience ladder
-        (primary → cold-start → regularized → bounded) instead of
-        crashing on numerical failure; the rung used is recorded in
+        ``"nested"`` (recommended) or ``"full"``: the primary rung.  The
+        solve walks the resilience ladder (primary → cold-start →
+        regularized → bounded) instead of crashing on numerical
+        failure; the rung used is recorded in
         :attr:`ParmaResult.degradation`.
+    threshold_sigmas:
+        Anomaly-detection threshold (see :mod:`repro.anomaly.detect`).
     validate:
         Boundary policy for raw measurements: ``"strict"`` rejects
         non-finite / non-positive / saturated / non-square Z with an
@@ -164,12 +162,9 @@ class ParmaEngine:
         num_workers: int = 4,
         solver: str = "nested",
         threshold_sigmas: float = 4.0,
-        min_region_size: int = 1,
-        degradation: bool = True,
         validate: str = "strict",
         faults=None,
         retry: RetryPolicy | None = None,
-        saturation_kohm: float = 1e6,
         observer=None,
         deadline: Deadline | float | None = None,
         stall_timeout: float | None = None,
@@ -178,8 +173,6 @@ class ParmaEngine:
         self._strategy = make_strategy(strategy, num_workers)
         self.solver = solver
         self.threshold_sigmas = threshold_sigmas
-        self.min_region_size = min_region_size
-        self.degradation = bool(degradation)
         if validate not in VALIDATE_MODES:
             raise ValueError(
                 f"validate must be one of {VALIDATE_MODES}, got {validate!r}"
@@ -187,7 +180,6 @@ class ParmaEngine:
         self.validate = validate
         self._injector = as_injector(faults)
         self.retry = retry
-        self.saturation_kohm = float(saturation_kohm)
         self.observer = observer
         self.deadline = Deadline.coerce(deadline)
         self.stall_timeout = stall_timeout
@@ -242,9 +234,9 @@ class ParmaEngine:
             z = self._injector.dirty_measurement(z)
             dirtied = True
         if self.validate == "strict":
-            z = validate_z(z, saturation_kohm=self.saturation_kohm)
+            z = validate_z(z)
         elif self.validate == "repair":
-            z, audit = repair_z(z, saturation_kohm=self.saturation_kohm)
+            z, audit = repair_z(z)
             if not audit.clean:
                 events.append(f"repaired measurement: {audit.describe()}")
                 obs = as_observer(self.observer)
@@ -362,30 +354,15 @@ class ParmaEngine:
                 )
         if self.deadline is not None:
             self.deadline.check("solve")
-        degradation = None
-        with sw.lap("solve"), obs.span(
-            "solve",
-            n=n,
-            method=self.solver,
-            degradation=self.degradation,
-        ):
-            if self.degradation:
-                solve_result, degradation = solve_with_degradation(
-                    measurement.z_kohm,
-                    voltage=measurement.voltage,
-                    method=self.solver,
-                    solver_kwargs=solver_kwargs,
-                    faults=self._injector,
-                    observer=obs,
-                )
-            else:
-                solve_result = solve(
-                    measurement.z_kohm,
-                    voltage=measurement.voltage,
-                    method=self.solver,
-                    observer=obs,
-                    **(solver_kwargs or {}),
-                )
+        with sw.lap("solve"), obs.span("solve", n=n, method=self.solver):
+            solve_result, degradation = solve_with_degradation(
+                measurement.z_kohm,
+                voltage=measurement.voltage,
+                method=self.solver,
+                solver_kwargs=solver_kwargs,
+                faults=self._injector,
+                observer=obs,
+            )
         obs.record_degradation(degradation)
         rlog.info(
             "parma.solved",
@@ -400,7 +377,6 @@ class ParmaEngine:
             detection = detect_anomalies(
                 solve_result.r_estimate,
                 threshold_sigmas=self.threshold_sigmas,
-                min_size=self.min_region_size,
             )
         return ParmaResult(
             measurement=measurement,

@@ -96,7 +96,6 @@ def _resumed_result(
     detection = detect_anomalies(
         field,
         threshold_sigmas=engine.threshold_sigmas,
-        min_size=engine.min_region_size,
     )
     return ParmaResult(
         measurement=meas,

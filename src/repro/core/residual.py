@@ -19,8 +19,8 @@ use.  The COO sparsity pattern depends only on ``n``, never on ``x``,
 so it is computed once and cached (:func:`jacobian_cache_stats`
 observes the cache): each solver iteration only recomputes values into
 the preallocated ``data`` buffer and converts through a precomputed
-COO→CSR mapping.  :meth:`JointSystem.jacobian_reference` keeps the
-from-scratch assembly as the reference implementation.
+COO→CSR mapping.  The from-scratch assembly is kept as a test oracle,
+``tests/oracles/residual_reference.py``.
 
 All rows use the LHS - RHS convention of
 :meth:`repro.core.equations.PairBlock.residuals`, so the global vector
@@ -185,8 +185,9 @@ class JointSystem:
         Fast path: the sparsity structure is fetched from the
         process-wide per-``n`` cache (built once), so each call only
         evaluates the nonzero *values* and scatters them through the
-        precomputed COO→CSR mapping.  Output matches
-        :meth:`jacobian_reference` to machine precision.
+        precomputed COO→CSR mapping.  Output matches the from-scratch
+        assembly in ``tests/oracles/residual_reference.py`` to machine
+        precision.
         """
         struct = _get_jac_structure(self.n)
         vals = self._jacobian_values(x, struct)
@@ -201,8 +202,8 @@ class JointSystem:
     ) -> np.ndarray:
         """Nonzero values in the canonical COO emission order.
 
-        Mirrors block-for-block the ``add(...)`` sequence of
-        :meth:`jacobian_reference`; the block order here and the
+        Mirrors block-for-block the ``add(...)`` sequence of the
+        from-scratch oracle assembly; the block order here and the
         row/col order of :func:`_build_jac_structure` must stay in
         lockstep (property-tested).
         """
@@ -239,136 +240,6 @@ class JointSystem:
         return np.concatenate(
             [np.asarray(b, dtype=np.float64).ravel() for b in blocks]
         )
-
-    def jacobian_reference(self, x: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Reference Jacobian: full from-scratch COO assembly."""
-        n = self.n
-        r, ua_flat, ub_flat = self.unpack(x)
-        g = 1.0 / r
-        u = self.voltage
-        pairs = np.arange(self.num_pairs)
-        i_of = pairs // n
-        j_of = pairs % n
-        # ks[p] = the n-1 vertical wires != j; ms[p] = horizontals != i.
-        ks = _others(j_of, n)  # (p, n-1)
-        ms = _others(i_of, n)  # (p, n-1)
-        ua = ua_flat  # (p, n-1)
-        ub = ub_flat
-        g_ik = g[i_of[:, None], ks]  # (p, n-1)
-        g_mj = g[ms, j_of[:, None]]  # (p, n-1)
-        g_mk = g[ms[:, :, None], ks[:, None, :]]  # (p, m', k')
-        g_ij = g[i_of, j_of]  # (p,)
-        scale = (self.z[i_of, j_of] / u).ravel()  # per-pair row scale
-
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        base = 2 * n * pairs  # first residual row of each pair
-
-        def add(rr, cc, vv):
-            rr, cc, vv = np.broadcast_arrays(
-                np.asarray(rr), np.asarray(cc), np.asarray(vv)
-            )
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(vv.astype(np.float64).ravel())
-
-        nm1 = n - 1
-        # --- SOURCE row (base + 0): f = U G_ij + Σ (U - Ua) G_ik - drive,
-        # ∂/∂θ = -G ∂/∂G.
-        r_src = base
-        add(r_src, self.theta_index(i_of, j_of), -scale * u * g_ij)
-        add(
-            np.repeat(r_src, nm1),
-            self.theta_index(np.repeat(i_of, nm1), ks.ravel()),
-            (-scale[:, None] * (u - ua) * g_ik).ravel(),
-        )
-        add(
-            np.repeat(r_src, nm1),
-            self.ua_index(np.repeat(pairs, nm1), np.tile(np.arange(nm1), len(pairs))),
-            (-scale[:, None] * g_ik).ravel(),
-        )
-        # --- DEST row (base + 1): f = U G_ij + Σ Ub G_mj - drive -----------
-        r_dst = base + 1
-        add(r_dst, self.theta_index(i_of, j_of), -scale * u * g_ij)
-        add(
-            np.repeat(r_dst, nm1),
-            self.theta_index(ms.ravel(), np.repeat(j_of, nm1)),
-            (-scale[:, None] * ub * g_mj).ravel(),
-        )
-        add(
-            np.repeat(r_dst, nm1),
-            self.ub_index(np.repeat(pairs, nm1), np.tile(np.arange(nm1), len(pairs))),
-            (scale[:, None] * g_mj).ravel(),
-        )
-        # --- UA rows (base + 2 + k') ---------------------------------------
-        r_ua = base[:, None] + 2 + np.arange(nm1)[None, :]  # (p, k')
-        # θ_ik: -(U - Ua_k) G_ik
-        add(
-            r_ua,
-            self.theta_index(i_of[:, None], ks),
-            -scale[:, None] * (u - ua) * g_ik,
-        )
-        # θ_mk: +(Ua_k - Ub_m) G_mk   (summed term, one entry per (m,k))
-        cross = ua[:, None, :] - ub[:, :, None]  # (p, m', k')
-        add(
-            np.broadcast_to(r_ua[:, None, :], g_mk.shape),
-            self.theta_index(
-                np.broadcast_to(ms[:, :, None], g_mk.shape),
-                np.broadcast_to(ks[:, None, :], g_mk.shape),
-            ),
-            scale[:, None, None] * cross * g_mk,
-        )
-        # Ua_k: -(G_ik + Σ_m G_mk)
-        add(
-            r_ua,
-            self.ua_index(pairs[:, None], np.arange(nm1)[None, :]),
-            -scale[:, None] * (g_ik + g_mk.sum(axis=1)),
-        )
-        # Ub_m: +G_mk  (entry per (m', k'): row = UA_k, col = Ub_m)
-        add(
-            np.broadcast_to(r_ua[:, None, :], g_mk.shape),
-            self.ub_index(pairs[:, None, None], np.arange(nm1)[None, :, None]),
-            scale[:, None, None] * g_mk,
-        )
-        # --- UB rows (base + n + 1 + m') --------------------------------------
-        r_ub = base[:, None] + n + 1 + np.arange(nm1)[None, :]  # (p, m')
-        # θ_mk: -(Ua_k - Ub_m) G_mk
-        add(
-            np.broadcast_to(r_ub[:, :, None], g_mk.shape),
-            self.theta_index(
-                np.broadcast_to(ms[:, :, None], g_mk.shape),
-                np.broadcast_to(ks[:, None, :], g_mk.shape),
-            ),
-            -scale[:, None, None] * cross * g_mk,
-        )
-        # θ_mj: +Ub_m G_mj
-        add(
-            r_ub,
-            self.theta_index(ms, j_of[:, None]),
-            scale[:, None] * ub * g_mj,
-        )
-        # Ua_k: +G_mk (row = UB_m, col = Ua_k)
-        add(
-            np.broadcast_to(r_ub[:, :, None], g_mk.shape),
-            self.ua_index(pairs[:, None, None], np.arange(nm1)[None, None, :]),
-            scale[:, None, None] * g_mk,
-        )
-        # Ub_m: -(Σ_k G_mk + G_mj)
-        add(
-            r_ub,
-            self.ub_index(pairs[:, None], np.arange(nm1)[None, :]),
-            -scale[:, None] * (g_mk.sum(axis=2) + g_mj),
-        )
-
-        mat = scipy.sparse.coo_matrix(
-            (
-                np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(self.num_residuals, self.num_unknowns),
-        )
-        return mat.tocsr()
 
     def initial_state(self, r0: np.ndarray | None = None) -> np.ndarray:
         """A physically consistent starting vector.
@@ -507,7 +378,7 @@ _JAC_STATS = JacobianCacheStats()
 def _build_jac_structure(n: int) -> _JacobianStructure:
     """Emit the canonical COO rows/cols and derive the CSR mapping.
 
-    Block order mirrors :meth:`JointSystem.jacobian_reference` (and
+    Block order mirrors the from-scratch oracle assembly (and
     must stay in lockstep with
     :meth:`JointSystem._jacobian_values`).
     """

@@ -23,27 +23,26 @@ strategies' exact per-item costs into the calibrated cluster model
 
 from __future__ import annotations
 
-import math
-import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.categories import Category
 from repro.core.equations import form_pair_block
 from repro.core.partition import (
     Partition,
-    WorkItem,
     partition_balanced,
     partition_betti,
     partition_by_category,
 )
 from repro.core.templates import (
+    WorkerShare,
+    expected_share,
     form_worker_share,
-    get_template,
     iter_pair_batches,
+    share_matches,
     warm_template_cache,
 )
 from repro.io.equations_io import write_block_binary, write_block_text
@@ -148,25 +147,16 @@ class SingleThread:
         terms = 0
         checksum = 0.0
         bytes_written = 0
-        parts: tuple[str, ...] = ()
-        writer, fh = _open_writer(output_dir, fmt, worker=0)
-        ok = False
-        try:
-            with obs.span("formation", strategy=self.name, n=n, workers=1):
-                for batch in iter_pair_batches(z, voltage=voltage):
-                    if deadline is not None:
-                        deadline.check("serial formation")
-                    with obs.span("form.batch", pairs=batch.num_pairs):
-                        terms += batch.num_terms
-                        checksum += float(batch.checksums().sum())
-                        if writer is not None:
-                            for block in batch:
-                                bytes_written += writer(block, fh)
-            ok = True
-        finally:
-            if fh is not None:
-                _close_writer(fh, ok)
-                parts = (fh.name,)
+        with part_writer(output_dir, fmt, "equations-part0000") as write, \
+                obs.span("formation", strategy=self.name, n=n, workers=1):
+            for batch in iter_pair_batches(z, voltage=voltage):
+                if deadline is not None:
+                    deadline.check("serial formation")
+                with obs.span("form.batch", pairs=batch.num_pairs):
+                    terms += batch.num_terms
+                    checksum += float(batch.checksums().sum())
+                    if write is not None:
+                        bytes_written += sum(map(write, batch))
         report = FormationReport(
             strategy=self.name,
             n=n,
@@ -176,7 +166,7 @@ class SingleThread:
             checksum=checksum,
             per_worker_terms=np.array([terms], dtype=np.int64),
             bytes_written=bytes_written,
-            part_files=parts,
+            part_files=_part_files(output_dir, fmt, "equations-part", 1),
         )
         obs.record_formation(report)
         return report
@@ -235,11 +225,11 @@ class _PartitionedStrategy:
             n, [(cat,) for cat in sorted({it.category for it in items})]
         )
         # Speculative tail shares formed in the parent by the straggler
-        # hook: rank -> (head_count, batches, placement).  Formation is
+        # hook: rank -> (head_count, tail share).  Formation is
         # deterministic, so the speculative result is identical to what
         # the worker would produce — the checksum verification in
         # _salvage is the dedup.
-        spec: dict[int, tuple[int, dict, dict]] = {}
+        spec: dict[int, tuple[int, WorkerShare]] = {}
 
         def _on_straggler(rank: int, items_done: int) -> None:
             if rank in spec or (deadline is not None and deadline.expired):
@@ -248,10 +238,10 @@ class _PartitionedStrategy:
             tail = mine_r[items_done:]
             if len(tail) == 0:
                 return
-            batches, placement = form_worker_share(
-                n, items, tail, z, voltage=voltage
+            spec[rank] = (
+                int(items_done),
+                form_worker_share(n, items, tail, z, voltage=voltage),
             )
-            spec[rank] = (int(items_done), batches, placement)
 
         if sup is not None:
             sup.begin_region(
@@ -276,59 +266,42 @@ class _PartitionedStrategy:
                 me = p.thread_num
                 if injector is not None:
                     injector.maybe_kill_worker(me)
-                writer, fh = _open_writer(output_dir, fmt, worker=me)
                 my_terms = 0
                 my_checksum = 0.0
                 my_bytes = 0
-                ok = False
+                mine = np.flatnonzero(worker_of == me)
+                if sup is not None:
+                    sup.assign(me, len(mine))
+                # Unsupervised: one batched share per worker.  Supervised:
+                # the same share in contiguous chunks, heartbeating per
+                # chunk (output is byte-identical; see _SUPERVISED_CHUNK).
+                chunk = (
+                    _heartbeat_chunk(len(mine))
+                    if sup is not None or injector is not None
+                    else max(1, len(mine))
+                )
                 try:
-                    mine = np.flatnonzero(worker_of == me)
-                    if sup is not None:
-                        sup.assign(me, len(mine))
-                    with obs.span(
+                    with part_writer(
+                        output_dir, fmt, f"equations-part{me:04d}"
+                    ) as write, obs.span(
                         "formation.worker", worker=me, items=len(mine)
                     ):
-                        # Unsupervised: one batched call per worker.
-                        # Supervised: the same share in contiguous
-                        # chunks, heartbeating per chunk (output is
-                        # byte-identical; see _SUPERVISED_CHUNK).
-                        chunk = (
-                            _heartbeat_chunk(len(mine))
-                            if sup is not None or injector is not None
-                            else max(1, len(mine))
-                        )
-                        done = 0
                         for lo in range(0, len(mine), chunk):
                             sub = mine[lo : lo + chunk]
                             with obs.span("form.share", worker=me):
-                                batches, placement = form_worker_share(
+                                share = form_worker_share(
                                     n, items, sub, z, voltage=voltage
                                 )
-                            my_terms += sum(
-                                b.num_terms for b in batches.values()
-                            )
-                            my_checksum += sum(
-                                float(b.checksums().sum())
-                                for b in batches.values()
-                            )
-                            if writer is not None:
-                                # Emit in original item order so part
-                                # files are byte-identical to per-item
-                                # formation of the same partition.
+                            my_terms += share.terms
+                            my_checksum += share.checksum
+                            if write is not None:
                                 with obs.span("form.write", worker=me):
-                                    for idx in sub:
-                                        cat, pos = placement[int(idx)]
-                                        my_bytes += writer(
-                                            batches[cat].block(pos), fh
-                                        )
-                            done += len(sub)
+                                    my_bytes += sum(map(write, share))
                             if sup is not None:
                                 sup.tick(me, advance=len(sub))
                             if injector is not None:
-                                injector.on_progress(me, done)
-                    ok = True
+                                injector.on_progress(me, lo + len(sub))
                 finally:
-                    _close_writer(fh, ok)
                     if me != 0:
                         # Forked children exit via os._exit: their span
                         # buffers die with them unless spooled here.
@@ -360,7 +333,7 @@ class _PartitionedStrategy:
             )
         obs.merge_workers()
         elapsed = time.perf_counter() - start
-        parts = _part_files(output_dir, fmt, workers)
+        parts = _part_files(output_dir, fmt, "equations-part", workers)
         report = FormationReport(
             strategy=self.name,
             n=n,
@@ -436,17 +409,6 @@ def _resolve_deadline(deadline, supervise):
     return deadline
 
 
-def _expected_share(n, items, mine_r, tables):
-    """(terms, checksum) a rank's share must total, from the O(1) table."""
-    terms = 0
-    checksum = 0.0
-    for i in mine_r:
-        item = items[int(i)]
-        terms += int(item.cost)
-        checksum += float(tables[item.category][item.row, item.col])
-    return terms, checksum
-
-
 def _salvage_lost_shares(
     exc,
     *,
@@ -468,93 +430,63 @@ def _salvage_lost_shares(
 
     Called in the parent after a supervised region lost workers
     (crash, injected kill, or watchdog kill).  Every rank's reported
-    (terms, checksum) is verified against the exact per-category
-    template checksum tables; verified shares are *salvaged* as-is
-    (their part files committed atomically before the loss), while
-    missing or mismatched shares are re-formed here — reusing any
-    speculative tail the straggler hook already formed — and their
-    part files written by the parent, so the final output is
-    bit-identical to a fault-free run.  Returns
-    ``(blocks_salvaged, blocks_reformed)`` in work items.
+    (terms, checksum) is checked against :func:`expected_share`;
+    verified shares are *salvaged* as-is (their part files committed
+    atomically before the loss), while missing or mismatched shares
+    are re-formed here — reusing any speculative tail the straggler
+    hook already formed — and their part files written by the parent,
+    head then tail, so the final output is bit-identical to a
+    fault-free run.  Returns ``(blocks_salvaged, blocks_reformed)`` in
+    work items.
     """
     failed = set(exc.failed_ranks)
-    workers = len(per_worker_terms)
-    tables = {
-        cat: get_template(n, (cat,)).checksum_table
-        for cat in sorted({it.category for it in items})
-    }
     salvaged = 0
     reformed = 0
-    for rank in range(workers):
+    for rank in range(len(per_worker_terms)):
         mine_r = np.flatnonzero(worker_of == rank)
-        expected_terms, expected_checksum = _expected_share(
-            n, items, mine_r, tables
-        )
-        intact = (
-            rank not in failed
-            and int(per_worker_terms[rank]) == expected_terms
-            and math.isclose(
-                float(per_worker_checksum[rank]),
-                expected_checksum,
-                rel_tol=1e-9,
-                abs_tol=1e-6,
-            )
-        )
-        if intact:
+        if rank not in failed and share_matches(
+            expected_share(n, items, mine_r),
+            per_worker_terms[rank],
+            per_worker_checksum[rank],
+        ):
             salvaged += len(mine_r)
             continue
         if deadline is not None:
             deadline.check("salvage re-formation")
         # Reuse the speculative tail if the straggler hook got there
         # first; only the head still needs forming.
-        head = mine_r
-        shares = []
-        if rank in spec:
-            head_count, tail_batches, tail_placement = spec[rank]
-            head = mine_r[:head_count]
-            shares.append((tail_batches, tail_placement))
-            salvaged += len(mine_r) - head_count
-        if len(head):
-            shares.append(form_worker_share(n, items, head, z, voltage=voltage))
-            reformed += len(head)
-        my_terms = sum(
-            b.num_terms for batches, _ in shares for b in batches.values()
-        )
-        my_checksum = sum(
-            float(b.checksums().sum())
-            for batches, _ in shares
-            for b in batches.values()
-        )
+        head_count, tail = spec.get(rank, (len(mine_r), None))
+        shares = [
+            form_worker_share(n, items, mine_r[:head_count], z, voltage=voltage)
+        ]
+        if tail is not None:
+            shares.append(tail)
+            salvaged += len(tail)
+        reformed += head_count
         my_bytes = 0
-        writer, fh = _open_writer(output_dir, fmt, worker=rank)
-        ok = False
-        try:
-            if writer is not None:
-                for idx in mine_r:
-                    for batches, placement in shares:
-                        if int(idx) in placement:
-                            cat, pos = placement[int(idx)]
-                            my_bytes += writer(batches[cat].block(pos), fh)
-                            break
-            ok = True
-        finally:
-            _close_writer(fh, ok)
-        per_worker_terms[rank] = my_terms
-        per_worker_checksum[rank] = my_checksum
+        with part_writer(output_dir, fmt, f"equations-part{rank:04d}") as write:
+            if write is not None:
+                for share in shares:
+                    my_bytes += sum(map(write, share))
+        per_worker_terms[rank] = sum(share.terms for share in shares)
+        per_worker_checksum[rank] = sum(share.checksum for share in shares)
         per_worker_bytes[rank] = my_bytes
         obs.event(
             "supervise.blocks_salvaged",
             rank=rank,
-            reformed_items=int(len(head)),
-            reused_speculative=rank in spec,
+            reformed_items=int(head_count),
+            reused_speculative=tail is not None,
         )
     obs.count("supervise.blocks_salvaged", salvaged)
     obs.count("supervise.blocks_reformed", reformed)
     return salvaged, reformed
 
 
-def _open_writer(output_dir, fmt, worker):
-    """(writer function, atomic part file) or (None, None).
+_EXTENSIONS = {"binary": "bin", "text": "txt"}
+
+
+def _open_writer(output_dir, fmt, name):
+    """(writer function, atomic part file ``<name>.bin|.txt``) or (None, None).
 
     Part files are written atomically (:class:`AtomicFile`:
     tmp+fsync+rename on commit), so a worker that dies mid-run leaves
@@ -563,17 +495,12 @@ def _open_writer(output_dir, fmt, worker):
     """
     if output_dir is None:
         return None, None
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if fmt not in _EXTENSIONS:
+        raise ValueError(f"unknown format {fmt!r}; use 'binary' or 'text'")
+    path = Path(output_dir) / f"{name}.{_EXTENSIONS[fmt]}"
     if fmt == "binary":
-        part = AtomicFile(out / f"equations-part{worker:04d}.bin", "wb")
-        return write_block_binary, part
-    if fmt == "text":
-        part = AtomicFile(
-            out / f"equations-part{worker:04d}.txt", "w", encoding="utf-8"
-        )
-        return write_block_text, part
-    raise ValueError(f"unknown format {fmt!r}; use 'binary' or 'text'")
+        return write_block_binary, AtomicFile(path, "wb")
+    return write_block_text, AtomicFile(path, "w", encoding="utf-8")
 
 
 def _close_writer(part, ok: bool) -> None:
@@ -584,15 +511,35 @@ def _close_writer(part, ok: bool) -> None:
             part.abort()
 
 
-def _part_files(output_dir, fmt, workers) -> tuple[str, ...]:
+@contextmanager
+def part_writer(output_dir, fmt, name):
+    """Write one part file ``<output_dir>/<name>.bin|.txt`` atomically.
+
+    Yields ``write(block) -> bytes written``, or None when
+    ``output_dir`` is None.  The part is committed when the block
+    exits normally and aborted (its ``*.tmp`` removed) when it raises,
+    so no caller ever leaves a truncated part under its final name.
+    Every share writer — PyMP workers, salvage, MPI ranks, elastic
+    chunks — and the serial strategy go through here.
+    """
+    writer, fh = _open_writer(output_dir, fmt, name)
+    ok = False
+    try:
+        yield None if writer is None else (lambda block: writer(block, fh))
+        ok = True
+    finally:
+        _close_writer(fh, ok)
+
+
+def _part_files(output_dir, fmt, stem, count) -> tuple[str, ...]:
+    """The committed ``<stem><i:04d>`` part files, ``i < count``."""
     if output_dir is None:
         return ()
-    ext = "bin" if fmt == "binary" else "txt"
-    return tuple(
-        str(Path(output_dir) / f"equations-part{w:04d}.{ext}")
-        for w in range(workers)
-        if (Path(output_dir) / f"equations-part{w:04d}.{ext}").exists()
+    paths = (
+        Path(output_dir) / f"{stem}{i:04d}.{_EXTENSIONS[fmt]}"
+        for i in range(count)
     )
+    return tuple(str(p) for p in paths if p.exists())
 
 
 def make_strategy(

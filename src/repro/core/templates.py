@@ -48,6 +48,7 @@ per process and surface through :func:`cache_stats`, the
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -493,34 +494,106 @@ def iter_pair_blocks_cached(
         yield from batch
 
 
+def _group_by_category(
+    items: Sequence, item_indices: Sequence[int]
+) -> dict[Category, np.ndarray]:
+    """``category -> (3, k)`` array of ``(slot, row, col)`` per item.
+
+    ``slot`` is the item's position in ``item_indices``.
+    """
+    groups: dict[Category, list[tuple[int, int, int]]] = {}
+    for slot, idx in enumerate(item_indices):
+        item = items[int(idx)]
+        groups.setdefault(item.category, []).append((slot, item.row, item.col))
+    return {cat: np.array(g, dtype=np.intp).T for cat, g in groups.items()}
+
+
+@dataclass(frozen=True)
+class WorkerShare:
+    """One worker's formed share of the work items.
+
+    ``batches`` hold one :class:`PairBlockBatch` per category;
+    ``order[k]`` is the ``(batch, position)`` of the ``k``-th item in
+    the caller's order, so iterating the share yields its blocks in
+    that order (part files stay byte-identical to per-item formation).
+    ``terms``/``checksum`` are summed per batch.
+    """
+
+    batches: tuple[PairBlockBatch, ...]
+    order: np.ndarray  # intp (K, 2)
+    terms: int
+    checksum: float
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self) -> Iterator[PairBlock]:
+        for b, pos in self.order.tolist():
+            yield self.batches[b].block(pos)
+
+
 def form_worker_share(
     n: int,
     items: Sequence,
-    item_indices: np.ndarray,
+    item_indices: Sequence[int],
     z: np.ndarray,
     voltage: float = 5.0,
-) -> tuple[dict[Category, PairBlockBatch], dict[int, tuple[Category, int]]]:
-    """Batched formation of one worker's partition share.
+) -> WorkerShare:
+    """Batched formation of one share of the work items.
 
     ``items`` are :class:`repro.core.partition.WorkItem`-likes (with
-    ``row``/``col``/``category``); ``item_indices`` selects this
-    worker's share.  Items are grouped per category — one
-    :func:`form_all_pairs` call each — while ``placement`` maps every
-    item index back to ``(category, position)`` so callers can emit
-    blocks in the original deterministic item order (part files stay
-    byte-identical to per-item formation).
+    ``row``/``col``/``category``); ``item_indices`` selects the share,
+    in the order its blocks are to be written.  This is the one place
+    a share is formed: PyMP workers, salvage, MPI ranks and elastic
+    chunks all call it.  Items are grouped per category, one
+    :func:`form_all_pairs` call each; iterating the returned
+    :class:`WorkerShare` yields the blocks back in ``item_indices``
+    order.
     """
-    by_cat: dict[Category, list[int]] = {}
-    for idx in item_indices:
-        by_cat.setdefault(items[idx].category, []).append(int(idx))
-    batches: dict[Category, PairBlockBatch] = {}
-    placement: dict[int, tuple[Category, int]] = {}
-    for cat, idxs in by_cat.items():
-        rows = np.array([items[i].row for i in idxs], dtype=np.intp)
-        cols = np.array([items[i].col for i in idxs], dtype=np.intp)
-        batches[cat] = form_all_pairs(
-            n, rows, cols, z[rows, cols], voltage=voltage, categories=(cat,)
+    batches = []
+    order = np.empty((len(item_indices), 2), dtype=np.intp)
+    for b, (cat, (slots, rows, cols)) in enumerate(
+        _group_by_category(items, item_indices).items()
+    ):
+        batches.append(
+            form_all_pairs(
+                n, rows, cols, z[rows, cols], voltage=voltage, categories=(cat,)
+            )
         )
-        for pos, i in enumerate(idxs):
-            placement[i] = (cat, pos)
-    return batches, placement
+        order[slots, 0] = b
+        order[slots, 1] = np.arange(len(slots))
+    return WorkerShare(
+        batches=tuple(batches),
+        order=order,
+        terms=sum(batch.num_terms for batch in batches),
+        checksum=sum((float(b.checksums().sum()) for b in batches), 0.0),
+    )
+
+
+def expected_share(
+    n: int, items: Sequence, item_indices: Sequence[int]
+) -> tuple[int, float]:
+    """``(terms, checksum)`` a share must total, read from the O(1)
+    per-category checksum tables — nothing is formed."""
+    terms = 0
+    checksum = 0.0
+    for cat, (_, rows, cols) in _group_by_category(items, item_indices).items():
+        tpl = get_template(n, (cat,))
+        terms += len(rows) * tpl.num_terms
+        checksum += float(tpl.checksum_table[rows, cols].sum())
+    return terms, checksum
+
+
+def share_matches(
+    expected: tuple[int, float], terms: int, checksum: float
+) -> bool:
+    """Whether a reported share equals its :func:`expected_share`.
+
+    Terms must match exactly.  The checksum is compared to within
+    ``1e-9`` relative / ``1e-6`` absolute: table entries are exact, but
+    a sum past ``2**53`` rounds differently per summation order.
+    """
+    expected_terms, expected_checksum = expected
+    return int(terms) == expected_terms and math.isclose(
+        float(checksum), expected_checksum, rel_tol=1e-9, abs_tol=1e-6
+    )

@@ -42,25 +42,25 @@ up in run manifests and the catalog (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-import math
 import select
 import signal
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.partition import hole_of_pair, make_items
+from repro.core.strategies import part_writer
 from repro.core.templates import (
+    expected_share,
     form_worker_share,
-    get_template,
+    share_matches,
     warm_template_cache,
 )
-from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
 from repro.parallel import proc, pymp
 from repro.parallel.simcluster import (
@@ -76,7 +76,6 @@ from repro.parallel.workstealing import (
     contiguous_schedule,
     lpt_schedule,
 )
-from repro.resilience.atomio import AtomicFile
 from repro.resilience.faults import as_injector
 from repro.resilience.supervise import Deadline, HeartbeatBoard
 
@@ -95,11 +94,6 @@ __all__ = [
     "scaling_strategy_schedulers",
     "sweep_scaling_curves",
 ]
-
-#: Tolerances for checksum verification; same convention as the
-#: salvage path in :mod:`repro.core.strategies`.
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-6
 
 #: The parent's wait for worker messages between reap/watchdog passes.
 _POLL_SECONDS = 0.02
@@ -141,26 +135,18 @@ def plan_chunks(
 ) -> tuple[WorkChunk, ...]:
     """Cut the ``4 n^2`` formation items into contiguous lease chunks.
 
-    Expectations are read from the per-category template checksum
-    tables — O(1) per item, no formation happens here.
+    Expectations come from
+    :func:`repro.core.templates.expected_share` — no formation happens
+    here.
     """
     if chunk_items < 1:
         raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
     if items is None:
         items = make_items(n)
-    tables = {
-        cat: get_template(n, (cat,)).checksum_table
-        for cat in sorted({it.category for it in items})
-    }
     chunks: list[WorkChunk] = []
     for lo in range(0, len(items), chunk_items):
         hi = min(lo + chunk_items, len(items))
-        terms = 0
-        checksum = 0.0
-        for i in range(lo, hi):
-            item = items[i]
-            terms += int(item.cost)
-            checksum += float(tables[item.category][item.row, item.col])
+        terms, checksum = expected_share(n, items, range(lo, hi))
         chunks.append(
             WorkChunk(
                 chunk_id=len(chunks),
@@ -264,12 +250,8 @@ class WorkLedger:
             self.stale_results += 1
             return False
         chunk = self._chunks[chunk_id]
-        if int(terms) != chunk.expected_terms or not math.isclose(
-            float(checksum),
-            chunk.expected_checksum,
-            rel_tol=_REL_TOL,
-            abs_tol=_ABS_TOL,
-        ):
+        expected = (chunk.expected_terms, chunk.expected_checksum)
+        if not share_matches(expected, terms, checksum):
             raise LeaseVerificationError(
                 f"chunk {chunk_id} from worker {worker} failed "
                 f"verification: terms {terms} vs {chunk.expected_terms}, "
@@ -821,25 +803,16 @@ def run_elastic_formation(
     ledger = WorkLedger(chunks)
 
     def runner(chunk: WorkChunk, ctx: WorkerContext) -> tuple[int, float, int]:
-        indices = np.arange(chunk.item_lo, chunk.item_hi)
-        batches, placement = form_worker_share(n, items, indices, z, voltage)
-        sink = AtomicFile(out / f"equations-chunk{chunk.chunk_id:05d}.bin")
-        try:
-            terms = 0
-            checksum = 0.0
-            nbytes = 0
-            for i in indices:  # original item order: byte-stable output
-                cat, pos = placement[int(i)]
-                block = batches[cat].block(pos)
-                nbytes += write_block_binary(block, sink)
-                terms += int(block.num_terms)
-                checksum += block.checksum()
+        share = form_worker_share(
+            n, items, range(chunk.item_lo, chunk.item_hi), z, voltage
+        )
+        nbytes = 0
+        name = f"equations-chunk{chunk.chunk_id:05d}"
+        with part_writer(out, "binary", name) as write:
+            for block in share:
+                nbytes += write(block)
                 ctx.tick(1)
-            sink.commit()
-        except BaseException:
-            sink.abort()
-            raise
-        return terms, checksum, nbytes
+        return share.terms, share.checksum, nbytes
 
     pool = ElasticPool(
         workers,

@@ -158,14 +158,19 @@ class ServiceConfig:
             )
 
 
+class ListenError(OSError):
+    """An address could not be bound; ``strerror`` names it and why."""
+
+
 class Listener:
     """The front door of a :class:`SolveService` and of the fleet front.
 
     Construction binds each address (a ``Path`` is a unix socket, any
     other spec goes through :func:`repro.serve.protocol.parse_address`)
     before the host forks anything; a failed bind closes what was bound
-    and raises.  A unix path a live listener still answers on is
-    refused with ``EADDRINUSE``; a stale socket file is replaced.
+    and raises :class:`ListenError`.  A unix path a live listener still
+    answers on is refused with ``EADDRINUSE``; a stale socket file is
+    replaced.
 
     :meth:`start` runs one acceptor thread per socket until
     :meth:`stop`; each connection carries one frame and gets one reply.
@@ -188,7 +193,13 @@ class Listener:
         self._stopped = threading.Event()
         try:
             for spec in addresses:
-                self._bind(spec)
+                try:
+                    self._bind(spec)
+                except OSError as exc:
+                    raise ListenError(
+                        exc.errno,
+                        f"cannot listen on {spec}: {exc.strerror or exc}",
+                    ) from exc
         except BaseException:
             self.stop()
             raise
@@ -336,7 +347,7 @@ def _claim_unix_path(path: Path) -> None:
         pass  # a live listener whose backlog is full
     finally:
         probe.close()
-    raise OSError(errno.EADDRINUSE, f"a live listener answers on {path}")
+    raise OSError(errno.EADDRINUSE, "a live listener already answers there")
 
 
 class SolveService:
@@ -414,9 +425,15 @@ class SolveService:
         parent; see :meth:`repro.serve.executor.ExecutorPool.start`).
         A failed start closes the listeners, unlinks the socket and
         retires any forked child, so ``start()`` may be called again.
+        A service that has been drained or stopped cannot be restarted
+        (it would reject every solve as draining); build a new one.
         """
         if self._listener is not None:
             raise RuntimeError("service already started")
+        if self._stopping.is_set():
+            raise RuntimeError(
+                "service was drained or stopped; build a new SolveService"
+            )
         self.config.results_dir.mkdir(parents=True, exist_ok=True)
         listener = Listener(self, [self.config.socket_path] + (
             [self.config.tcp] if self.config.tcp is not None else []

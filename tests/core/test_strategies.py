@@ -19,7 +19,9 @@ from repro.core.strategies import (
 from repro.core.partition import partition_balanced
 from repro.io.equations_io import load_blocks_binary
 from repro.mea.wetlab import quick_device_data
+from repro.parallel.elastic import run_elastic_formation
 from tests.oracles.formation_reference import (
+    reference_chunk_files,
     reference_formation,
     reference_rank_files,
 )
@@ -187,3 +189,25 @@ class TestFormationModes:
         rep = MPIFormation(size).run(z, output_dir=tmp_path / "product")
         ref = reference_rank_files(size, z, output_dir=tmp_path / "oracle")
         _assert_same_output(rep, ref)
+
+
+class TestElasticChunks:
+    """Elastic chunk files against the per-pair oracle, byte for byte."""
+
+    def test_chunk_files_byte_identical_to_oracle(self, device8, tmp_path):
+        _, z = device8
+        rep = run_elastic_formation(
+            z, workers=2, chunk_items=24, output_dir=tmp_path / "product"
+        )
+        ref = reference_chunk_files(
+            z, chunk_items=24, output_dir=tmp_path / "oracle"
+        )
+        assert rep.terms_formed == ref.terms_formed
+        assert rep.checksum == ref.checksum
+        assert rep.bytes_written == sum(
+            Path(p).stat().st_size for p in ref.part_files
+        )
+        assert list(rep.part_files) == [Path(p).name for p in ref.part_files]
+        for oracle in map(Path, ref.part_files):
+            product = tmp_path / "product" / oracle.name
+            assert product.read_bytes() == oracle.read_bytes()

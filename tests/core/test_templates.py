@@ -158,12 +158,12 @@ class TestWorkerShare:
         part = partition_betti(n, workers)
         for w in range(workers):
             mine = np.flatnonzero(part.worker_of == w)
-            batches, placement = form_worker_share(n, part.items, mine, z)
-            assert sorted(placement) == [int(i) for i in mine]
-            for idx in mine:
+            share = form_worker_share(n, part.items, mine, z)
+            assert len(share) == len(mine)
+            terms = 0
+            checksum = 0.0
+            for idx, block in zip(mine, share, strict=True):
                 item = part.items[idx]
-                cat, pos = placement[int(idx)]
-                assert cat == item.category
                 ref = form_pair_block(
                     n,
                     item.row,
@@ -171,7 +171,11 @@ class TestWorkerShare:
                     z[item.row, item.col],
                     categories=[item.category],
                 )
-                assert_blocks_identical(batches[cat].block(pos), ref)
+                assert_blocks_identical(block, ref)
+                terms += ref.num_terms
+                checksum += ref.checksum()
+            assert share.terms == terms
+            assert share.checksum == checksum
 
 
 class TestCacheBookkeeping:

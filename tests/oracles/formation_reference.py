@@ -6,8 +6,8 @@ worker formed each of its work items from scratch with
 :func:`repro.core.equations.form_pair_block`, one item at a time in
 item order.  This module does exactly that, writing with the product's
 block writers under the product's part-file names, so a strategy's
-part files — and an MPI run's rank files — must equal the oracle's
-byte for byte, and its ``terms_formed``/``checksum`` must equal the
+part files — an MPI run's rank files, and an elastic run's chunk
+files — must equal the oracle's byte for byte, and its ``terms_formed``/``checksum`` must equal the
 oracle's exactly.  Nothing in ``src/`` imports this module.
 """
 
@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.equations import PairBlock, form_pair_block, iter_pair_blocks
-from repro.core.partition import Partition, partition_betti
+from repro.core.partition import make_items, partition_betti
 from repro.core.strategies import SingleThread
 from repro.io.equations_io import write_block_binary, write_block_text
 
@@ -55,7 +55,8 @@ def reference_formation(
     else:
         part = strategy._partition(z.shape[0])
         shares = [
-            _item_blocks(part, w, z, voltage) for w in range(part.num_workers)
+            _item_blocks(part.items_of(w), z, voltage)
+            for w in range(part.num_workers)
         ]
     ext = {"binary": "bin", "text": "txt"}[fmt]
     return _write_shares(shares, output_dir, "equations-part{:04d}." + ext, fmt)
@@ -70,16 +71,35 @@ def reference_rank_files(
     """Per-pair formation of ``MPIFormation(size)``'s Betti rank shares."""
     z = np.asarray(z, dtype=np.float64)
     part = partition_betti(z.shape[0], size)
-    shares = [_item_blocks(part, r, z, voltage) for r in range(size)]
+    shares = [_item_blocks(part.items_of(r), z, voltage) for r in range(size)]
     return _write_shares(shares, output_dir, "equations-rank{:04d}.bin", "binary")
 
 
-def _item_blocks(
-    part: Partition, worker: int, z: np.ndarray, voltage: float
-) -> Iterator[PairBlock]:
-    for item in part.items_of(worker):
+def reference_chunk_files(
+    z: np.ndarray,
+    chunk_items: int = 32,
+    voltage: float = 5.0,
+    output_dir: str | Path | None = None,
+) -> ReferenceReport:
+    """Per-pair formation of ``run_elastic_formation``'s chunks.
+
+    Chunk ``c`` is items ``[c * chunk_items, (c + 1) * chunk_items)``
+    of :func:`repro.core.partition.make_items`, written in item order
+    to ``equations-chunk<c:05d>.bin``.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    items = make_items(z.shape[0])
+    shares = [
+        _item_blocks(items[lo : lo + chunk_items], z, voltage)
+        for lo in range(0, len(items), chunk_items)
+    ]
+    return _write_shares(shares, output_dir, "equations-chunk{:05d}.bin", "binary")
+
+
+def _item_blocks(items, z: np.ndarray, voltage: float) -> Iterator[PairBlock]:
+    for item in items:
         yield form_pair_block(
-            part.n,
+            z.shape[0],
             item.row,
             item.col,
             z[item.row, item.col],

@@ -52,12 +52,9 @@ class TestPlanChunks:
         chunks = plan_chunks(n, chunk_items=50, items=items)
         chunk = chunks[0]
         indices = np.arange(chunk.item_lo, chunk.item_hi)
-        batches, placement = form_worker_share(n, items, indices, z, 5.0)
         terms = 0
         checksum = 0.0
-        for i in indices:
-            cat, pos = placement[int(i)]
-            block = batches[cat].block(pos)
+        for block in form_worker_share(n, items, indices, z, 5.0):
             terms += int(block.num_terms)
             checksum += block.checksum()
         assert terms == chunk.expected_terms

@@ -508,6 +508,17 @@ class TestDrain:
         assert path.exists()
         assert client.ping()["kind"] == "pong"
 
+    def test_restart_after_stop_is_refused(self, tmp_path):
+        svc = SolveService(ServiceConfig(
+            socket_path=tmp_path / "once.sock",
+            results_dir=tmp_path / "once", executor="thread",
+        ))
+        svc.start()
+        svc.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            svc.start()
+        assert not (tmp_path / "once.sock").exists()
+
     @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
     def test_failed_start_releases_everything(self, tmp_path, monkeypatch):
         holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -541,6 +552,64 @@ class TestDrain:
             assert svc.tcp_address == ("127.0.0.1", port)
         finally:
             svc.stop()
+
+
+class TestTakenAddress:
+    """``parma serve``/``parma fleet`` beside a live service: one line, exit 2."""
+
+    @pytest.fixture()
+    def live(self, tmp_path):
+        svc = SolveService(ServiceConfig(
+            socket_path=tmp_path / "live.sock",
+            results_dir=tmp_path / "live",
+            tcp="127.0.0.1:0",
+            executor="thread",
+        ))
+        svc.start()
+        yield svc
+        svc.stop()
+
+    def _run(self, capsys, argv):
+        from repro.cli import main
+
+        status = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        return status, err
+
+    def test_serve_on_live_unix_socket(self, live, tmp_path, capsys):
+        path = live.config.socket_path
+        status, err = self._run(capsys, [
+            "serve", "--socket", str(path), "--results", str(tmp_path / "r"),
+        ])
+        assert status == 2
+        assert err == [
+            f"error: cannot listen on {path}: "
+            "a live listener already answers there"
+        ]
+        assert SolveClient(path).ping()["kind"] == "pong"
+
+    def test_serve_on_taken_tcp_port(self, live, tmp_path, capsys):
+        host, port = live.tcp_address
+        status, err = self._run(capsys, [
+            "serve", "--socket", str(tmp_path / "other.sock"),
+            "--tcp", f"{host}:{port}", "--results", str(tmp_path / "r"),
+        ])
+        assert status == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot listen on {host}:{port}: ")
+        assert not (tmp_path / "other.sock").exists()
+
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+    def test_fleet_on_taken_addresses(self, live, tmp_path, capsys):
+        host, port = live.tcp_address
+        for listen in (str(live.config.socket_path), f"{host}:{port}"):
+            status, err = self._run(capsys, [
+                "fleet", "--listen", listen, "--results", str(tmp_path / "f"),
+            ])
+            assert status == 2
+            assert len(err) == 1
+            assert err[0].startswith(f"error: cannot listen on {listen}: ")
+        assert SolveClient(live.config.socket_path).ping()["kind"] == "pong"
 
 
 class TestCatalogIngest:
