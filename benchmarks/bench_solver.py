@@ -3,9 +3,10 @@
 Times full nested solves (noise-free data, so convergence behavior is
 deterministic) through the fast path — cached Laplacian Cholesky
 factorizations, batched multi-RHS drives, and Gauss–Newton steps that
-are refined dense LU solves up to ``DENSE_STEP_MAX`` resistors and
-Jacobi-preconditioned GMRES on the matrix-free transfer operator above
-— against the retained historical reference solver
+solve the SPD system ``S w = Z∘(-res)``: a Cholesky factorisation of
+the assembled ``S`` up to ``DENSE_STEP_MAX`` resistors and
+Jacobi-preconditioned conjugate gradients on the matrix-free transfer
+operator above — against the retained historical reference solver
 (:func:`tests.oracles.solver_reference.solve_nested_reference`).
 Writes a machine-readable JSON report, including the host's CPU count
 and the crossover the run used.
@@ -148,9 +149,10 @@ def run_benchmark(sizes: list[int]) -> dict:
         "benchmark": "solver_fastpath",
         "description": (
             "nested variable-projection solve, fast path (cached "
-            "Cholesky factors, batched drives; refined dense LU steps "
-            "up to dense_step_max resistors, Jacobi-preconditioned "
-            "GMRES on the matrix-free transfer operator above) vs "
+            "Cholesky factors, batched drives; Cholesky steps on the "
+            "assembled SPD matrix S up to dense_step_max resistors, "
+            "Jacobi-preconditioned CG on the matrix-free transfer "
+            "operator above) vs "
             "retained reference solver"
         ),
         "nproc": os.cpu_count(),

@@ -25,33 +25,35 @@ with each other and with the ground truth on noise-free data.
 
 Fast path
 ---------
-:func:`solve_nested` computes the Gauss–Newton step by solving the
-*square* system ``J s = -res`` directly instead of the normal
-equations: normal equations square the condition number
-(``cond(JᵀJ) = cond(J)²``), which stalls the late iterations near
-``tol``.  How ``J s = -res`` is solved depends on the device size:
+:func:`solve_nested` takes each Gauss–Newton step from the *square*
+system ``J s = -res``, not the normal equations, which square the
+condition number and stall the late iterations near ``tol``.
+``J = diag(1/Z)·S·diag(1/R)`` with ``S = T∘T`` for the transfer
+potentials ``T = BᵀL⁺B``, a Gram matrix over the incidence vectors
+that measurement pairs and resistors share; so ``S`` is symmetric
+positive definite (Schur product theorem), and the step is the SPD
+solve ``S w = Z∘(-res)``, ``s = R∘w``:
 
-* up to :data:`DENSE_STEP_MAX` resistors the Jacobian is assembled
-  densely and the step is a single-precision LU factorisation polished
-  by iterative refinement against the double-precision Jacobian,
-  accurate to ~1e-13;
-* above it the Jacobian is never formed.  Each entry is a squared
-  transfer potential ``(hh[s,a] - hv[s,b] - hv[a,t] + vv[t,b])²``
-  over the blocks of ``P = L⁺``; expanding the square gives ten
-  separable terms, so :class:`TransferOperator` applies ``J·v`` and
-  ``Jᵀ·w`` in seven n×n matmuls (O(n³) time, O(n²) memory instead
-  of the dense path's O(n⁶) and O(n⁴)).  The step is scipy's
-  Jacobi-preconditioned GMRES (:func:`_krylov_step`) to the same
-  ~1e-13; the preconditioner is just ``Ẑ²/(R·Z)``, since a pair's
-  transfer potential onto its own resistor is the predicted ``Ẑ``.
-  When GMRES misses :data:`_REFINE_LIMIT` (rough fields, e.g.
-  lognormal σ ≥ 2) the iteration takes the dense step instead and
-  counts ``solver.gn.krylov_fallbacks``.
+* up to :data:`DENSE_STEP_MAX` resistors, one float64 Cholesky
+  factorisation of the assembled ``S`` (relative residual ~1e-15);
+* above it ``S`` is never formed.  Expanding the square of
+  ``T = hh[s,a] - hv[s,b] - hv[a,t] + vv[t,b]`` over the blocks of
+  ``P = L⁺`` gives ten separable terms, so :class:`TransferOperator`
+  applies ``S`` in five n×n matmuls (O(n³) time, O(n²) memory instead
+  of the dense path's O(n⁶) and O(n⁴)), and the step is conjugate
+  gradients preconditioned by ``diag S = Ẑ²`` (:func:`_krylov_step`;
+  a pair's transfer potential onto its own resistor is the predicted
+  ``Ẑ``).  A step that misses :data:`_REFINE_LIMIT` on ``J s = -res``
+  (rough fields, e.g. lognormal σ ≥ 2) is replaced by the dense step
+  and counted as ``solver.gn.krylov_fallbacks``.
 
-Both give the same step to ~1e-13, hence the same iterates to ~1e-10
-and the same iteration counts and verdicts; the dense path wins only
-on small devices, where ~25 Krylov iterations (and scipy's per-call
-Python overhead) cost more than one small LU.
+Below the crossover one small Cholesky beats ~20 CG iterations of
+scipy's per-call Python overhead.  These steps replaced a float32 LU
+with iterative refinement (up to 20×20) and GMRES on ``J`` (above), so
+fields up to 20×20 are no longer bit-identical to that solver's; on
+the e2ebench seed-1 and seed-7 pools (n = 8–40) all fields agree with
+it to 1.4e-13 relative, with identical iteration counts and ladder
+verdicts.
 
 Rejected steps fall to a backtracking line search whose trial
 evaluations are single forward solves (~1 ms), not new
@@ -74,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.core.residual import JointSystem
@@ -85,25 +86,23 @@ from repro.kirchhoff.forward import (
 )
 from repro.utils.validation import require_positive, require_positive_array
 
-#: Relative residual at which an iteratively-refined GN step is
-#: accepted as exact for stepping purposes (~100x float64 epsilon).
-_REFINE_TARGET = 1e-13
-#: Relative residual beyond which the float32-factored step is deemed
-#: unusable and the solver re-factorises in double precision.
+#: Relative residual the matrix-free CG step iterates to (~1000x
+#: float64 epsilon).
+_KRYLOV_TARGET = 1e-13
+#: Relative residual of ``J s = -res`` beyond which a matrix-free step
+#: is rejected and the dense step taken instead.
 _REFINE_LIMIT = 1e-10
-#: Maximum refinement sweeps before giving up on the float32 factor.
-_REFINE_SWEEPS = 6
+#: Iteration cap of the matrix-free CG step.
+_KRYLOV_MAXITER = 200
 #: Largest device, in resistors ``m * n``, whose Gauss–Newton step is
-#: assembled and LU-factored densely; larger devices take the
-#: matrix-free Krylov step.  Measured per cold solve on 2 vCPUs (dense
-#: vs matrix-free, median of 7): 12 vs 26 ms at n = 16, 20–26 vs
-#: 28–32 ms at n = 18, 27–41 vs 28–47 ms at n = 20, 49–67 vs 31–40 ms
-#: at n = 22.  n = 20 is a tie and stays dense, so every device up to
-#: 20×20 keeps bit-identical results.
-DENSE_STEP_MAX = 400
-#: GMRES restart length and restart cycles of the matrix-free step.
-_KRYLOV_RESTART = 50
-_KRYLOV_CYCLES = 4
+#: a Cholesky factorisation of the assembled ``S``; larger devices take
+#: the matrix-free CG step.  Median cold solve on 2 vCPUs (e2ebench
+#: seed-7 pool, 16 fields per size, 12 alternating pairs), dense vs
+#: all-CG, and the pairs the dense step won: 4.3 vs 10.1 ms (12/12)
+#: at n = 12, 7.7 vs 10.7 ms (12/12) at n = 14, 9.2 vs 12.1 ms (8/12)
+#: at n = 15, 12.5 vs 11.1 ms (2/12) at n = 16, 18.4 vs 7.8 ms (0/12)
+#: at n = 18, 26.7 vs 8.7 ms (0/12) at n = 20.
+DENSE_STEP_MAX = 225
 #: Maximum step halvings in the backtracking line search.
 _LINESEARCH_HALVINGS = 20
 #: Target bytes for one Jacobian assembly row block: the blocked
@@ -155,7 +154,7 @@ def nested_jacobian(r: np.ndarray) -> np.ndarray:
     # Cached: within one Gauss-Newton iteration the residual already
     # factorised this same field, so this is usually a cache hit.
     pinv = laplacian_pinv_cached(r)
-    return _transfer_jacobian(pinv, r)
+    return _transfer_squares(pinv, r.shape, r=r)
 
 
 def _jacobian_row_block(m: int, n: int) -> int:
@@ -169,18 +168,23 @@ def _jacobian_row_block(m: int, n: int) -> int:
     return int(np.clip(JACOBIAN_BLOCK_TARGET_BYTES // max(1, per_row), 1, m))
 
 
-def _transfer_jacobian(
-    pinv: np.ndarray, r: np.ndarray, z: np.ndarray | None = None
+def _transfer_squares(
+    pinv: np.ndarray,
+    shape: tuple[int, int],
+    r: np.ndarray | None = None,
+    z: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dense ``∂Z_st/∂θ_ab`` from the Laplacian pseudo-inverse.
+    """Dense squared transfer potentials from the Laplacian pseudo-inverse.
 
     With the transfer potential
     ``T = P[Hs,Ha] - P[Hs,Vb] - P[Vt,Ha] + P[Vt,Vb]`` each entry is
-    ``T² / R_ab``; when ``z`` is given every row ``(s, t)`` is
-    additionally divided by ``z[s, t]`` (the relative-residual scaling
-    fused into assembly instead of a second full-matrix pass).
+    ``T²``: the symmetric ``S`` of the Gauss–Newton step.  With ``r``
+    every column ``(a, b)`` is divided by ``r[a, b]``, giving
+    ``∂Z_st/∂θ_ab``; with ``z`` as well every row ``(s, t)`` is then
+    divided by ``z[s, t]`` (the relative-residual scaling fused into
+    assembly instead of a second full-matrix pass).
     """
-    m, n = r.shape
+    m, n = shape
     hh = pinv[:m, :m]
     hv = pinv[:m, m:]
     vv = pinv[m:, m:]
@@ -196,7 +200,8 @@ def _transfer_jacobian(
             + vv[None, :, None, :]
         )
         np.multiply(t, t, out=t)
-        t /= r[None, None, :, :]
+        if r is not None:
+            t /= r[None, None, :, :]
         if z is not None:
             t /= z[s0:s1, :, None, None]
         out[s0 * n : s1 * n] = t.reshape((s1 - s0) * n, m * n)
@@ -221,6 +226,7 @@ class TransferOperator(scipy.sparse.linalg.LinearOperator):
         self.pinv, self.r, self.z = pinv, r, z
         self.hh, self.hv, self.vv = pinv[:m, :m], pinv[:m, m:], pinv[m:, m:]
         self.hh2, self.hv2, self.vv2 = self.hh**2, self.hv**2, self.vv**2
+        self._square: np.ndarray | None = None
         self._dense: np.ndarray | None = None
 
     def _square_product(self, w: np.ndarray) -> np.ndarray:
@@ -230,14 +236,15 @@ class TransferOperator(scipy.sparse.linalg.LinearOperator):
         a product of factors indexed by at most two of (s, a), (s, b),
         (a, t), (t, b): the squares and the two cross terms that share
         only ``s`` (only ``t``) reduce to one vector over ``s`` (over
-        ``t``), the other four are n×n matmuls.
+        ``t``), the other four pair up into two n×n matmuls.
         """
         hh, hv, vv = self.hh, self.hv, self.vv
         wa, wb = w.sum(axis=1), w.sum(axis=0)
         hw, wv = hh @ w, w @ vv
         per_s = self.hh2 @ wa + self.hv2 @ wb - 2.0 * (hw * hv).sum(1)
         per_t = self.hv2.T @ wa + self.vv2 @ wb - 2.0 * (wv * hv).sum(0)
-        out = hw @ vv + hv @ w.T @ hv - (hh * wa) @ hv - (hv * wb) @ vv
+        hw -= hv * wb
+        out = hw @ vv + (hv @ w.T - hh * wa) @ hv
         out *= 2.0
         out += per_s[:, None]
         out += per_t[None, :]
@@ -251,119 +258,108 @@ class TransferOperator(scipy.sparse.linalg.LinearOperator):
         w = u.reshape(self.z.shape) / self.z
         return (self._square_product(w) / self.r).ravel()
 
-    def diagonal(self) -> np.ndarray:
-        """``Ẑ² / (R·Z)``: a pair's transfer potential onto its own
+    def square_diagonal(self) -> np.ndarray:
+        """``diag S = Ẑ²``: a pair's transfer potential onto its own
         resistor is the predicted effective resistance ``Ẑ``."""
         hh, hv, vv = self.hh, self.hv, self.vv
         z_hat = np.diag(hh)[:, None] - 2.0 * hv + np.diag(vv)[None, :]
-        return (z_hat * z_hat / (self.r * self.z)).ravel()
+        return (z_hat * z_hat).ravel()
+
+    def square(self) -> np.ndarray:
+        """``S`` assembled (blocked kernel, memoised)."""
+        if self._square is None:
+            self._square = _transfer_squares(self.pinv, self.r.shape)
+        return self._square
 
     def dense(self) -> np.ndarray:
         """The assembled matrix (blocked kernel, memoised)."""
         if self._dense is None:
-            self._dense = _transfer_jacobian(self.pinv, self.r, z=self.z)
+            self._dense = _transfer_squares(
+                self.pinv, self.r.shape, r=self.r, z=self.z
+            )
         return self._dense
 
 
-def _scaled_jacobian(
-    r: np.ndarray, z: np.ndarray
-) -> np.ndarray | TransferOperator:
+def _scaled_jacobian(r: np.ndarray, z: np.ndarray) -> TransferOperator:
     """The relative-residual Jacobian ``nested_jacobian(r) / z`` rows.
 
-    Dense up to :data:`DENSE_STEP_MAX` resistors — the per-row
-    ``1/z_st`` scaling fused into the blocked assembly (same division,
-    so bit-identical to the two-pass expression) — and a
-    :class:`TransferOperator` above.  Reuses the factorisation the
-    residual evaluation left in the cache.
+    A :class:`TransferOperator` over the factorisation the residual
+    evaluation left in the cache, with ``S`` assembled up to
+    :data:`DENSE_STEP_MAX` resistors for the Cholesky step.
     """
-    pinv = laplacian_factor_cached(r).pinv
+    op = TransferOperator(laplacian_factor_cached(r).pinv, r, z)
     if r.size <= DENSE_STEP_MAX:
-        return _transfer_jacobian(pinv, r, z=z)
-    return TransferOperator(pinv, r, z)
+        op.square()
+    return op
 
 
 def _dense_scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """:func:`_scaled_jacobian` assembled densely at every size."""
-    return _transfer_jacobian(laplacian_factor_cached(r).pinv, r, z=z)
+    pinv = laplacian_factor_cached(r).pinv
+    return _transfer_squares(pinv, r.shape, r=r, z=z)
 
 
 def _krylov_step(
     op: TransferOperator, rhs: np.ndarray, rhs_norm: float
 ) -> np.ndarray | None:
-    """Jacobi-preconditioned restarted GMRES for ``op @ step = rhs``.
+    """Jacobi-preconditioned CG on ``S w = Z∘rhs``, then ``R∘w``.
 
-    Runs to :data:`_REFINE_TARGET` relative residual, at most
-    :data:`_KRYLOV_CYCLES` restart cycles; the step is accepted when
-    the true residual reaches :data:`_REFINE_LIMIT` relative to
-    ``rhs``, as the dense step is, and is ``None`` otherwise.
+    Runs to :data:`_KRYLOV_TARGET` relative residual, at most
+    :data:`_KRYLOV_MAXITER` iterations; the step is accepted when the
+    true residual of ``op @ step = rhs`` reaches :data:`_REFINE_LIMIT`
+    relative to ``rhs``, and is ``None`` otherwise.
     """
+    shape, inv_diag = op.r.shape, 1.0 / op.square_diagonal()
     with np.errstate(all="ignore"):
-        step, _ = scipy.sparse.linalg.gmres(
-            op,
-            rhs,
-            rtol=_REFINE_TARGET,
+        w, _ = scipy.sparse.linalg.cg(
+            scipy.sparse.linalg.LinearOperator(
+                op.shape,
+                matvec=lambda v: op._square_product(v.reshape(shape)).ravel(),
+            ),
+            op.z.ravel() * rhs,
+            rtol=_KRYLOV_TARGET,
             atol=0.0,
-            restart=_KRYLOV_RESTART,
-            maxiter=_KRYLOV_CYCLES,
-            M=scipy.sparse.diags_array(1.0 / op.diagonal()),
+            maxiter=_KRYLOV_MAXITER,
+            M=scipy.sparse.linalg.LinearOperator(
+                op.shape, matvec=lambda u: u * inv_diag
+            ),
         )
+        step = op.r.ravel() * w
         relres = float(np.linalg.norm(rhs - op.matvec(step))) / rhs_norm
     if np.isfinite(relres) and relres <= _REFINE_LIMIT:
         return step
     return None
 
 
-def _gn_step(
-    jac: np.ndarray | TransferOperator, rhs: np.ndarray, obs
-) -> np.ndarray | None:
-    """Solve the square system ``jac @ step = rhs`` to ~1e-13.
+def _gn_step(jac: TransferOperator, rhs: np.ndarray, obs) -> np.ndarray | None:
+    """Solve ``jac @ step = rhs`` as the SPD ``S w = Z∘rhs``, ``R∘w``.
 
-    A :class:`TransferOperator` takes the matrix-free
-    :func:`_krylov_step`; if that misses, the step counts
-    ``solver.gn.krylov_fallbacks`` and continues on ``jac.dense()``.
-    A dense ``jac`` is factorised once in float32 (half the memory
-    traffic of dgetrf on this n²×n² matrix), then polished by iterative
-    refinement against the double-precision ``jac``.  If refinement
-    cannot reach :data:`_REFINE_LIMIT` — ill-conditioned or overflowed
-    float32 factor — re-factorise in double precision; ``None`` only
-    when even that is singular.
+    Above :data:`DENSE_STEP_MAX` resistors the step is the matrix-free
+    CG of :func:`_krylov_step`; if that misses, the step counts
+    ``solver.gn.krylov_fallbacks`` and is taken densely: a float64
+    Cholesky factorisation of the assembled ``S``.  If rounding leaves
+    ``S`` numerically indefinite, the step counts
+    ``solver.gn.cholesky_fallbacks`` and solves ``jac.dense()`` by LU;
+    ``None`` only when even that is singular.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    if isinstance(jac, TransferOperator):
+    if jac.shape[0] > DENSE_STEP_MAX:
         step = _krylov_step(jac, rhs, rhs_norm)
         if step is not None:
             return step
         obs.count("solver.gn.krylov_fallbacks")
-        jac = jac.dense()
-    step = None
     try:
-        lu32 = scipy.linalg.lu_factor(
-            jac.astype(np.float32), check_finite=False
-        )
-        step = scipy.linalg.lu_solve(
-            lu32, rhs.astype(np.float32), check_finite=False
-        ).astype(np.float64)
-        for _ in range(_REFINE_SWEEPS):
-            resid = rhs - jac @ step
-            relres = float(np.linalg.norm(resid)) / rhs_norm
-            if not np.isfinite(relres) or relres <= _REFINE_TARGET:
-                break
-            step = step + scipy.linalg.lu_solve(
-                lu32, resid.astype(np.float32), check_finite=False
-            ).astype(np.float64)
-        resid = rhs - jac @ step
-        relres = float(np.linalg.norm(resid)) / rhs_norm
-        if np.isfinite(relres) and relres <= _REFINE_LIMIT:
-            return step
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        pass
-    obs.count("solver.gn.refine_fallbacks")
-    try:
-        return scipy.linalg.solve(jac, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        return None
+        factor = scipy.linalg.cho_factor(jac.square(), check_finite=False)
+    except scipy.linalg.LinAlgError:
+        obs.count("solver.gn.cholesky_fallbacks")
+        try:
+            return scipy.linalg.solve(jac.dense(), rhs, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return None
+    w = scipy.linalg.cho_solve(factor, jac.z.ravel() * rhs, check_finite=False)
+    return jac.r.ravel() * w
 
 
 def solve_nested(
@@ -454,9 +450,7 @@ def solve_nested(
                 alpha *= 0.5
         if accepted_step is None:
             obs.count("solver.gn.lm_rescues")
-            if isinstance(jac, TransferOperator):
-                jac = jac.dense()
-            rescue = _lm_rescue(jac, res, theta, cost, cost_and_res)
+            rescue = _lm_rescue(jac.dense(), res, theta, cost, cost_and_res)
             if rescue is not None:
                 accepted_step, cost, res, r_cur, theta = rescue
         obs.observe_hist(

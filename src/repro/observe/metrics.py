@@ -30,12 +30,11 @@ service adds the ``serve.*`` family — ``serve.requests``,
 (carrying ``n``), documented in ``docs/SERVING.md``.  The solver fast
 path adds the ``solver.*`` family — ``solver.iteration.seconds``
 (per-Gauss–Newton-iteration histogram), ``solver.gn.krylov_fallbacks``
-(matrix-free GMRES step missed its residual limit, dense step taken
-instead),
-``solver.gn.refine_fallbacks`` (float32 step factorisation
-abandoned for double precision), ``solver.gn.lm_rescues`` (line search
-exhausted, Levenberg normal equations assembled) — documented in
-``docs/OBSERVABILITY.md``.
+(matrix-free CG step missed its residual limit, dense step taken
+instead), ``solver.gn.cholesky_fallbacks`` (Cholesky factorisation of
+the dense step failed, Jacobian solved by LU instead),
+``solver.gn.lm_rescues`` (line search exhausted, Levenberg normal
+equations assembled) — documented in ``docs/OBSERVABILITY.md``.
 
 One cross-registry operation exists for the serving path:
 :meth:`MetricsRegistry.merge` folds a *snapshot* of another registry

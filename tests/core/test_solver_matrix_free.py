@@ -1,17 +1,23 @@
-"""The matrix-free Gauss–Newton step above the dense-step crossover.
+"""The Gauss–Newton step as an SPD solve, on both sides of the crossover.
 
+``J = diag(1/Z)·S·diag(1/R)`` with ``S`` symmetric positive definite.
 Above :data:`repro.core.solver.DENSE_STEP_MAX` resistors the nested
-solver never assembles its Jacobian: :class:`TransferOperator` applies
-it through separable n×n products and the step is preconditioned
-GMRES.  The operator must reproduce the dense kernel to rounding, the
-solves must land on the reference oracle's answer with the same
-iteration counts and verdicts, and a Krylov miss must fall back to the
-dense step exactly.
+solver never assembles anything n²×n²: :class:`TransferOperator`
+applies ``S`` through separable n×n products and the step is
+Jacobi-preconditioned CG; at or below it the step is a Cholesky
+factorisation of the assembled ``S``.  The operator must reproduce the
+dense kernel to rounding, both steps must solve ``J s = -res`` to
+:data:`repro.core.solver._REFINE_LIMIT`, the solves must land on the
+reference oracle's answer with the same iteration counts and verdicts,
+and a CG miss must fall back to the dense step exactly.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import solver
 from repro.core.solver import TransferOperator, solve_nested
@@ -45,7 +51,7 @@ class TestOperator:
         # Off-field measurements, so the row scaling is not Ẑ itself.
         z = forward.measure(r) * np.exp(rng.normal(0.0, 0.01, (m, n)))
         pinv = forward.laplacian_pinv_cached(r)
-        dense = solver._transfer_jacobian(pinv, r, z=z)
+        dense = solver._transfer_squares(pinv, r.shape, r=r, z=z)
         return TransferOperator(pinv, r, z), dense, rng
 
     def test_matvec(self, case):
@@ -61,20 +67,60 @@ class TestOperator:
             assert _rel(op.rmatvec(w), dense.T @ w) <= 1e-13
 
     def test_diagonal(self, case):
-        op, dense, _ = case
-        diag = np.diag(dense)
-        assert np.max(np.abs(op.diagonal() - diag) / diag) <= 1e-13
+        op, _, _ = case
+        diag = np.diag(op.square())
+        assert np.max(np.abs(op.square_diagonal() - diag) / diag) <= 1e-13
 
     def test_dense_is_the_blocked_kernel(self, case):
         op, dense, _ = case
         assert np.array_equal(op.dense(), dense)
 
     def test_size_selects_representation(self, monkeypatch):
+        """``S`` is assembled up to the crossover and never above it."""
         r = _field(4, 4, seed=1)
         z = forward.measure(r)
-        assert isinstance(solver._scaled_jacobian(r, z), np.ndarray)
+        assert solver._scaled_jacobian(r, z)._square is not None
         monkeypatch.setattr(solver, "DENSE_STEP_MAX", r.size - 1)
-        assert isinstance(solver._scaled_jacobian(r, z), TransferOperator)
+        assert solver._scaled_jacobian(r, z)._square is None
+
+
+class TestSquareIsSPD:
+    """``diag(Z)·J·diag(R)`` is the symmetric positive definite ``S``."""
+
+    @pytest.mark.parametrize("n", [3, 8, 14, 24])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_symmetric_and_cholesky_factorable(self, n, seed):
+        r = np.random.default_rng(seed).uniform(2000.0, 11000.0, (n, n))
+        z = forward.measure(r)
+        jac = solver._dense_scaled_jacobian(r, z)
+        square = z.ravel()[:, None] * jac * r.ravel()[None, :]
+        asym = np.max(np.abs(square - square.T)) / np.max(np.abs(square))
+        assert asym <= 1e-14
+        scipy.linalg.cholesky(square, lower=True)
+
+
+class TestStepAccuracy:
+    """Cholesky and PCG steps both solve ``J s = -res`` to the limit."""
+
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize("path", ["cholesky", "pcg"])
+    def test_step_meets_refine_limit(self, monkeypatch, n, path):
+        monkeypatch.setattr(
+            solver, "DENSE_STEP_MAX", n * n if path == "cholesky" else 0
+        )
+        r_true = _field(n, n, seed=50 + n)
+        z = forward.measure(r_true)
+        # An iterate off the answer, so the residual is not tiny.
+        rng = np.random.default_rng(n)
+        r = r_true * np.exp(rng.normal(0.0, 0.2, (n, n)))
+        res = (forward.measure(r) - z).ravel() / z.ravel()
+        jac = solver._scaled_jacobian(r, z)
+        obs = Observer()
+        step = solver._gn_step(jac, -res, obs)
+        resid = np.linalg.norm(-res - jac.dense() @ step)
+        assert resid <= solver._REFINE_LIMIT * np.linalg.norm(res)
+        assert obs.metrics.snapshot() == {}
 
 
 class TestSolveParity:
@@ -95,8 +141,14 @@ class TestSolveParity:
         assert 24 * 24 > solver.DENSE_STEP_MAX
         self._check(24, 24, seed=40)
 
-    # Non-square and tiny devices give Krylov spaces that exhaust
-    # (GMRES breakdown) before the restart length.
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_parity_across_the_crossover(self, n):
+        """Cholesky (n = 12) and PCG (n = 16) land on the oracle; n = 24
+        is :meth:`test_above_crossover`."""
+        self._check(n, n, seed=60 + n)
+
+    # Non-square and tiny devices: CG's Krylov space is exhausted
+    # within m·n iterations.
     @pytest.mark.parametrize("shape", [(8, 8), (6, 3), (1, 5)])
     def test_forced_matrix_free_small_device(self, monkeypatch, shape):
         monkeypatch.setattr(solver, "DENSE_STEP_MAX", 0)
@@ -104,7 +156,7 @@ class TestSolveParity:
 
 
 class TestKrylovFallback:
-    def test_gmres_miss_takes_the_dense_step(self, monkeypatch):
+    def test_cg_miss_takes_the_dense_step(self, monkeypatch):
         r_true = _field(6, 6, seed=42)
         z = forward.measure(r_true)
         dense = solve_nested(z)
@@ -113,7 +165,7 @@ class TestKrylovFallback:
             return np.zeros_like(rhs), 1
 
         monkeypatch.setattr(solver, "DENSE_STEP_MAX", 0)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_progress)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", no_progress)
         obs = Observer()
         fallback = solve_nested(z, observer=obs)
         counter = obs.metrics.snapshot()["solver.gn.krylov_fallbacks"]
@@ -121,6 +173,24 @@ class TestKrylovFallback:
         assert counter["value"] == fallback.iterations - 1
         assert fallback.iterations == dense.iterations
         assert np.array_equal(fallback.r_estimate, dense.r_estimate)
+
+    def test_cholesky_failure_solves_the_jacobian(self, monkeypatch):
+        r_true = _field(6, 6, seed=44)
+        z = forward.measure(r_true)
+        dense = solve_nested(z)
+
+        square = TransferOperator.square
+        monkeypatch.setattr(
+            TransferOperator, "square", lambda self: -square(self)
+        )
+        obs = Observer()
+        fallback = solve_nested(z, observer=obs)
+        counter = obs.metrics.snapshot()["solver.gn.cholesky_fallbacks"]
+        assert counter["value"] == fallback.iterations - 1
+        assert fallback.iterations == dense.iterations
+        assert fallback.converged == dense.converged
+        cross = np.max(np.abs(fallback.r_estimate - dense.r_estimate) / r_true)
+        assert cross <= 1e-10
 
     def test_no_fallback_on_smooth_fields(self):
         z = forward.measure(_field(24, 24, seed=43))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.heterogeneous import (
@@ -15,6 +15,22 @@ from repro.parallel.simcluster import HPC_FDR
 from repro.parallel.workstealing import lpt_schedule
 
 cost_lists = st.lists(st.floats(0.1, 50.0), min_size=1, max_size=50)
+#: Instances small enough to find the optimal makespan by trying every
+#: assignment (at most 6**7 of them).
+small_cost_lists = st.lists(st.floats(0.1, 50.0), min_size=1, max_size=7)
+
+
+def optimal_makespan(costs, speeds) -> float:
+    """Exact optimum over every job-to-worker assignment."""
+    costs = np.asarray(costs, dtype=np.float64)
+    speeds = np.asarray(speeds, dtype=np.float64)
+    jobs, workers = len(costs), len(speeds)
+    codes = np.arange(workers**jobs)[:, None]
+    worker_of = codes // workers ** np.arange(jobs) % workers
+    loads = np.stack(
+        [((worker_of == w) * costs).sum(axis=1) for w in range(workers)]
+    )
+    return float((loads / speeds[:, None]).max(axis=0).min())
 
 
 class TestSpeedAwareLPT:
@@ -42,22 +58,30 @@ class TestSpeedAwareLPT:
         ideal = ideal_heterogeneous_time(costs, speeds)
         assert aware.makespan >= ideal - 1e-9
 
-    @given(cost_lists, st.lists(st.floats(0.5, 4.0), min_size=2, max_size=6))
+    @given(
+        small_cost_lists, st.lists(st.floats(0.5, 4.0), min_size=2, max_size=6)
+    )
+    @example(costs=[1.0, 1.0, 1.0], speeds=[1.5, 0.5, 0.5, 0.5, 0.5])
     @settings(max_examples=40, deadline=None)
     def test_aware_within_2x_of_optimal(self, costs, speeds):
         """Gonzalez–Ibarra–Sahni: LPT on uniform machines <= 2 OPT.
 
-        (Aware is NOT always <= blind pointwise — hypothesis found
-        costs [2,2,3] / speeds [3,4] where blind wins 1.0 vs 1.25 —
-        the guarantee is against OPT, and the *systematic* gain on
-        skewed clusters is asserted separately below.)
+        OPT is found exactly, by trying every assignment: a lower bound
+        in its place is not a bound on LPT (the ``@example`` is optimal
+        at 2.0, against an ideal bound of 0.857).  (Aware is NOT always
+        <= blind pointwise — hypothesis found costs [2,2,3] / speeds
+        [3,4] where blind wins 1.0 vs 1.25 — the guarantee is against
+        OPT, and the *systematic* gain on skewed clusters is asserted
+        separately below.)
         """
         aware = lpt_schedule_speeds(costs, speeds)
-        lower = max(
-            ideal_heterogeneous_time(costs, speeds),
-            max(costs) / max(speeds),
+        assert aware.makespan <= 2.0 * optimal_makespan(costs, speeds) + 1e-9
+
+    def test_optimal_makespan_is_exact(self):
+        assert optimal_makespan([1.0, 1.0, 1.0], [1.5, 1.0]) == pytest.approx(
+            4.0 / 3.0
         )
-        assert aware.makespan <= 2.0 * lower + 1e-9
+        assert optimal_makespan([3.0, 2.0, 2.0], [1.0, 1.0]) == 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
