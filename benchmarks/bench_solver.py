@@ -4,9 +4,10 @@ Times full nested solves (noise-free data, so convergence behavior is
 deterministic) through the fast path — cached Laplacian Cholesky
 factorizations, batched multi-RHS drives, and Gauss–Newton steps that
 solve the SPD system ``S w = Z∘(-res)``: a Cholesky factorisation of
-the assembled ``S`` up to ``DENSE_STEP_MAX`` resistors and
-Jacobi-preconditioned conjugate gradients on the matrix-free transfer
-operator above — against the retained historical reference solver
+the assembled ``S`` up to ``DENSE_STEP_MAX`` resistors and conjugate
+gradients on the matrix-free transfer operator above, preconditioned
+by the inverse of the uniform crossbar's ``S`` — against the retained
+historical reference solver
 (:func:`tests.oracles.solver_reference.solve_nested_reference`).
 Writes a machine-readable JSON report, including the host's CPU count
 and the crossover the run used.
@@ -151,8 +152,8 @@ def run_benchmark(sizes: list[int]) -> dict:
             "nested variable-projection solve, fast path (cached "
             "Cholesky factors, batched drives; Cholesky steps on the "
             "assembled SPD matrix S up to dense_step_max resistors, "
-            "Jacobi-preconditioned CG on the matrix-free transfer "
-            "operator above) vs "
+            "CG preconditioned by the uniform crossbar's inverse S on "
+            "the matrix-free transfer operator above) vs "
             "retained reference solver"
         ),
         "nproc": os.cpu_count(),

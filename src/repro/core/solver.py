@@ -40,20 +40,29 @@ solve ``S w = Z∘(-res)``, ``s = R∘w``:
   ``T = hh[s,a] - hv[s,b] - hv[a,t] + vv[t,b]`` over the blocks of
   ``P = L⁺`` gives ten separable terms, so :class:`TransferOperator`
   applies ``S`` in five n×n matmuls (O(n³) time, O(n²) memory instead
-  of the dense path's O(n⁶) and O(n⁴)), and the step is conjugate
-  gradients preconditioned by ``diag S = Ẑ²`` (:func:`_krylov_step`;
-  a pair's transfer potential onto its own resistor is the predicted
-  ``Ẑ``).  A step that misses :data:`_REFINE_LIMIT` on ``J s = -res``
+  of the dense path's O(n⁶) and O(n⁴)), and the step is one
+  hand-written preconditioned-CG loop on ``(m, n)`` arrays
+  (:func:`_krylov_step`).  Its preconditioner is the exact inverse of
+  the uniform crossbar's ``S``, rescaled to this field's diagonal
+  ``diag S = Ẑ²`` (:func:`_crossbar_preconditioner`): on a uniform
+  field ``S`` has only four eigenvalues, on the mean, row, column and
+  remaining parts of the weights, so its inverse costs two small
+  matmuls.  A step that misses :data:`_REFINE_LIMIT` on ``J s = -res``
   (rough fields, e.g. lognormal σ ≥ 2) is replaced by the dense step
-  and counted as ``solver.gn.krylov_fallbacks``.
+  and counted as ``solver.gn.krylov_fallbacks``; the PCG iterations
+  of a solve add up in ``solver.gn.cg_iterations``.
 
-Below the crossover one small Cholesky beats ~20 CG iterations of
-scipy's per-call Python overhead.  These steps replaced a float32 LU
-with iterative refinement (up to 20×20) and GMRES on ``J`` (above), so
-fields up to 20×20 are no longer bit-identical to that solver's; on
-the e2ebench seed-1 and seed-7 pools (n = 8–40) all fields agree with
-it to 1.4e-13 relative, with identical iteration counts and ladder
-verdicts.
+At n = 40 nearly all of a step's cost is the fixed numpy dispatch of
+each ``S`` product, so the lever is how many products run: the
+structured preconditioner takes about 10 PCG iterations per step on
+the e2ebench pools where the Jacobi preconditioner ``diag S`` it
+replaced took about 21, and exactly one from the uniform start.
+Below the crossover one small Cholesky is still cheaper than those
+products.  Fields above the crossover are not bit-identical to the
+Jacobi-preconditioned solver's: on the e2ebench seed-1 and seed-7
+pools (n = 8–40, including n = 13–15, which that solver stepped by
+Cholesky) all fields agree with it to 1.1e-13 relative, with
+identical iteration counts and ladder verdicts.
 
 Rejected steps fall to a backtracking line search whose trial
 evaluations are single forward solves (~1 ms), not new
@@ -92,17 +101,23 @@ _KRYLOV_TARGET = 1e-13
 #: Relative residual of ``J s = -res`` beyond which a matrix-free step
 #: is rejected and the dense step taken instead.
 _REFINE_LIMIT = 1e-10
-#: Iteration cap of the matrix-free CG step.
-_KRYLOV_MAXITER = 200
+#: Iteration cap of the matrix-free PCG step.  On lognormal
+#: σ ∈ {1, 1.5, 2} fields at n = 18–40 (seeds 0–2), every step of every
+#: field whose solve converged needed at most 55 iterations (most need
+#: 25–45); steps that needed more came only from runaway iterates,
+#: where the dense step is cheaper than hundreds of products.
+_KRYLOV_MAXITER = 100
 #: Largest device, in resistors ``m * n``, whose Gauss–Newton step is
 #: a Cholesky factorisation of the assembled ``S``; larger devices take
-#: the matrix-free CG step.  Median cold solve on 2 vCPUs (e2ebench
-#: seed-7 pool, 16 fields per size, 12 alternating pairs), dense vs
-#: all-CG, and the pairs the dense step won: 4.3 vs 10.1 ms (12/12)
-#: at n = 12, 7.7 vs 10.7 ms (12/12) at n = 14, 9.2 vs 12.1 ms (8/12)
-#: at n = 15, 12.5 vs 11.1 ms (2/12) at n = 16, 18.4 vs 7.8 ms (0/12)
-#: at n = 18, 26.7 vs 8.7 ms (0/12) at n = 20.
-DENSE_STEP_MAX = 225
+#: the matrix-free PCG step.  Median cold solve on 2 vCPUs (e2ebench
+#: seed-7 pool, 16 fields per size, Laplacian cache cleared before each
+#: solve, 12 alternating pairs), dense vs all-PCG, and the pairs the
+#: dense step won: 2.19 vs 3.10 ms (12/12) at n = 11, 3.02 vs 3.62 ms
+#: (12/12) at n = 12, 4.05 vs 3.77 ms (3/12) at n = 13, 5.22 vs
+#: 3.82 ms (0/12) at n = 14, 7.17 vs 4.10 ms (0/12) at n = 15, 12.7
+#: vs 6.9 ms (0/12) at n = 16.  A second run of 16 pairs read 2.93 vs
+#: 3.71 ms (16/16) at n = 12 and 3.85 vs 3.74 ms (1/16) at n = 13.
+DENSE_STEP_MAX = 144
 #: Maximum step halvings in the backtracking line search.
 _LINESEARCH_HALVINGS = 20
 #: Target bytes for one Jacobian assembly row block: the blocked
@@ -299,32 +314,84 @@ def _dense_scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _transfer_squares(pinv, r.shape, r=r, z=z)
 
 
-def _krylov_step(
-    op: TransferOperator, rhs: np.ndarray, rhs_norm: float
-) -> np.ndarray | None:
-    """Jacobi-preconditioned CG on ``S w = Z∘rhs``, then ``R∘w``.
+def _crossbar_preconditioner(scale: np.ndarray):
+    """``u ↦ scale∘C̄⁻¹(scale∘u)``, with ``C̄`` the unit-diagonal ``S``
+    of a uniform crossbar of the shape of ``scale``.
 
-    Runs to :data:`_KRYLOV_TARGET` relative residual, at most
-    :data:`_KRYLOV_MAXITER` iterations; the step is accepted when the
-    true residual of ``op @ step = rhs`` reaches :data:`_REFINE_LIMIT`
-    relative to ``rhs``, and is ``None`` otherwise.
+    On a uniform ``m × n`` field ``T`` is ``R`` times the orthogonal
+    projector ``Π[(s,t),(a,b)] = δ_sa/n + δ_tb/m − 1/(mn)`` onto the
+    node-potential differences ``h_s − v_t`` (the cut space of the
+    K_{m,n} graph), so ``S = R²·Π∘Π``.  ``Π∘Π`` is ``2/(mn)`` times the
+    identity plus row, column and total sums, so it acts by one scalar
+    on each of four parts of an ``(m, n)`` array: the mean, the row
+    deviations, the column deviations and the rest, with eigenvalues
+    ``(m+n−1)/(mn)``, ``1/n``, ``1/m`` and ``2/(mn)``.  Its diagonal is
+    ``((m+n−1)/(mn))²``, so ``C̄⁻¹`` scales those parts by
+    ``k/(m+n−1)``, ``k/m``, ``k/n`` and ``k/2`` with
+    ``k = (m+n−1)²/(mn)``.  The last three are ``(k/2)·A u B`` with
+    ``A = F_m + (2/n)·E_m`` and ``B = F_n + (2/m)·E_n`` (``E`` the
+    averaging matrix, ``F = I − E``), which scales the mean by
+    ``2k/(mn)``; one correction of the mean makes it exact.  Two small
+    matmuls and a sum, O(mn²) to apply.
     """
-    shape, inv_diag = op.r.shape, 1.0 / op.square_diagonal()
+    m, n = scale.shape
+    k = (m + n - 1) ** 2 / (m * n)
+    left = np.full((m, m), 0.5 * k * (2.0 / n - 1.0) / m)
+    left.flat[:: m + 1] += 0.5 * k
+    right = np.full((n, n), (2.0 / m - 1.0) / n)
+    right.flat[:: n + 1] += 1.0
+    mean_fix = (k / (m + n - 1) - 2.0 * k / (m * n)) / (m * n)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        v = scale * u
+        out = left @ v @ right
+        out += mean_fix * v.sum()
+        out *= scale
+        return out
+
+    return apply
+
+
+def _krylov_step(
+    op: TransferOperator, rhs: np.ndarray, rhs_norm: float, obs
+) -> np.ndarray | None:
+    """Preconditioned CG on ``S w = Z∘rhs`` over ``(m, n)`` arrays, then ``R∘w``.
+
+    The preconditioner is ``M⁻¹ = D^{-½}·C̄⁻¹·D^{-½}`` with
+    ``D = diag S = Ẑ²`` (:func:`_crossbar_preconditioner`): exact on a
+    uniform field (one iteration from the uniform start), and about 10
+    iterations per step on the e2ebench pools.  Each iteration is one
+    :meth:`TransferOperator._square_product`.
+    The recurrence stops at :data:`_KRYLOV_TARGET` relative residual,
+    or after :data:`_KRYLOV_MAXITER` iterations, and the iterations
+    land in ``solver.gn.cg_iterations``.  The step is accepted when
+    the true residual of ``op @ step = rhs`` reaches
+    :data:`_REFINE_LIMIT` relative to ``rhs``, and is ``None``
+    otherwise, wherever the recurrence stopped.
+    """
+    shape = op.r.shape
+    precondition = _crossbar_preconditioner(
+        (1.0 / np.sqrt(op.square_diagonal())).reshape(shape)
+    )
     with np.errstate(all="ignore"):
-        w, _ = scipy.sparse.linalg.cg(
-            scipy.sparse.linalg.LinearOperator(
-                op.shape,
-                matvec=lambda v: op._square_product(v.reshape(shape)).ravel(),
-            ),
-            op.z.ravel() * rhs,
-            rtol=_KRYLOV_TARGET,
-            atol=0.0,
-            maxiter=_KRYLOV_MAXITER,
-            M=scipy.sparse.linalg.LinearOperator(
-                op.shape, matvec=lambda u: u * inv_diag
-            ),
-        )
-        step = op.r.ravel() * w
+        res = op.z * rhs.reshape(shape)
+        stop = _KRYLOV_TARGET * float(np.linalg.norm(res))
+        w = np.zeros(shape)
+        p = precondition(res)
+        ry = np.vdot(res, p)
+        for iterations in range(1, _KRYLOV_MAXITER + 1):
+            q = op._square_product(p)
+            alpha = ry / np.vdot(p, q)
+            w += alpha * p
+            res -= alpha * q
+            # ``not >`` also stops on a NaN recurrence.
+            if not np.linalg.norm(res) > stop:
+                break
+            y = precondition(res)
+            ry, ry_old = np.vdot(res, y), ry
+            p = y + (ry / ry_old) * p
+        obs.count("solver.gn.cg_iterations", iterations)
+        step = (op.r * w).ravel()
         relres = float(np.linalg.norm(rhs - op.matvec(step))) / rhs_norm
     if np.isfinite(relres) and relres <= _REFINE_LIMIT:
         return step
@@ -335,7 +402,9 @@ def _gn_step(jac: TransferOperator, rhs: np.ndarray, obs) -> np.ndarray | None:
     """Solve ``jac @ step = rhs`` as the SPD ``S w = Z∘rhs``, ``R∘w``.
 
     Above :data:`DENSE_STEP_MAX` resistors the step is the matrix-free
-    CG of :func:`_krylov_step`; if that misses, the step counts
+    preconditioned CG of :func:`_krylov_step`; if its true residual
+    misses :data:`_REFINE_LIMIT`, whether the recurrence reached its
+    target or its iteration cap, the step counts
     ``solver.gn.krylov_fallbacks`` and is taken densely: a float64
     Cholesky factorisation of the assembled ``S``.  If rounding leaves
     ``S`` numerically indefinite, the step counts
@@ -346,7 +415,7 @@ def _gn_step(jac: TransferOperator, rhs: np.ndarray, obs) -> np.ndarray | None:
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     if jac.shape[0] > DENSE_STEP_MAX:
-        step = _krylov_step(jac, rhs, rhs_norm)
+        step = _krylov_step(jac, rhs, rhs_norm, obs)
         if step is not None:
             return step
         obs.count("solver.gn.krylov_fallbacks")

@@ -29,9 +29,11 @@ service adds the ``serve.*`` family — ``serve.requests``,
 ``serve.worker_lost`` — and the per-request ``serve.dispatch`` span
 (carrying ``n``), documented in ``docs/SERVING.md``.  The solver fast
 path adds the ``solver.*`` family — ``solver.iteration.seconds``
-(per-Gauss–Newton-iteration histogram), ``solver.gn.krylov_fallbacks``
-(matrix-free CG step missed its residual limit, dense step taken
-instead), ``solver.gn.cholesky_fallbacks`` (Cholesky factorisation of
+(per-Gauss–Newton-iteration histogram), ``solver.gn.cg_iterations``
+(preconditioned-CG iterations of the matrix-free steps, summed per
+solve), ``solver.gn.krylov_fallbacks`` (matrix-free CG step missed its
+true-residual limit, dense step taken instead),
+``solver.gn.cholesky_fallbacks`` (Cholesky factorisation of
 the dense step failed, Jacobian solved by LU instead),
 ``solver.gn.lm_rescues`` (line search exhausted, Levenberg normal
 equations assembled) — documented in ``docs/OBSERVABILITY.md``.

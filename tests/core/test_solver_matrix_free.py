@@ -3,10 +3,12 @@
 ``J = diag(1/Z)·S·diag(1/R)`` with ``S`` symmetric positive definite.
 Above :data:`repro.core.solver.DENSE_STEP_MAX` resistors the nested
 solver never assembles anything n²×n²: :class:`TransferOperator`
-applies ``S`` through separable n×n products and the step is
-Jacobi-preconditioned CG; at or below it the step is a Cholesky
-factorisation of the assembled ``S``.  The operator must reproduce the
-dense kernel to rounding, both steps must solve ``J s = -res`` to
+applies ``S`` through separable n×n products and the step is CG
+preconditioned by the inverse of the uniform crossbar's ``S``; at or
+below it the step is a Cholesky factorisation of the assembled ``S``.
+The operator must reproduce the dense kernel to rounding, the
+preconditioner must be the exact inverse on a uniform field, both
+steps must solve ``J s = -res`` to
 :data:`repro.core.solver._REFINE_LIMIT`, the solves must land on the
 reference oracle's answer with the same iteration counts and verdicts,
 and a CG miss must fall back to the dense step exactly.
@@ -15,7 +17,6 @@ and a CG miss must fall back to the dense step exactly.
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +101,59 @@ class TestSquareIsSPD:
         scipy.linalg.cholesky(square, lower=True)
 
 
+def _dense_preconditioner(scale: np.ndarray) -> np.ndarray:
+    """The preconditioner as a matrix, column by column."""
+    apply = solver._crossbar_preconditioner(scale)
+    basis = np.eye(scale.size)
+    return np.stack(
+        [apply(e.reshape(scale.shape)).ravel() for e in basis], axis=1
+    )
+
+
+class TestCrossbarPreconditioner:
+    """``M⁻¹ = D^{-½}·C̄⁻¹·D^{-½}`` from the uniform crossbar's ``S``."""
+
+    @pytest.mark.parametrize("shape", [(3, 5), (8, 8), (6, 11)])
+    def test_inverts_the_normalised_uniform_square(self, shape):
+        r = np.full(shape, 5000.0)
+        square = TransferOperator(
+            forward.laplacian_pinv_cached(r), r, forward.measure(r)
+        ).square()
+        d = np.sqrt(np.diag(square))
+        normalised = square / d[:, None] / d[None, :]
+        inverse = _dense_preconditioner(np.ones(shape))
+        assert np.allclose(
+            inverse @ normalised, np.eye(r.size), rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 5), (4, 9)])
+    def test_pcg_takes_one_iteration_on_a_uniform_field(self, shape):
+        r = np.full(shape, 5000.0)
+        rng = np.random.default_rng(r.size)
+        # Off-field measurements, as at the uniform start of a solve.
+        z = forward.measure(r) * np.exp(rng.normal(0.0, 0.2, shape))
+        op = TransferOperator(forward.laplacian_pinv_cached(r), r, z)
+        rhs = rng.normal(size=r.size)
+        obs = Observer()
+        step = solver._krylov_step(op, rhs, float(np.linalg.norm(rhs)), obs)
+        assert step is not None
+        assert obs.metrics.snapshot()["solver.gn.cg_iterations"]["value"] == 1
+
+    @pytest.mark.parametrize("n", [3, 8, 14])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_symmetric_positive_definite(self, n, seed):
+        r = np.random.default_rng(seed).uniform(2000.0, 11000.0, (n, n))
+        op = TransferOperator(
+            forward.laplacian_pinv_cached(r), r, forward.measure(r)
+        )
+        scale = (1.0 / np.sqrt(op.square_diagonal())).reshape(r.shape)
+        inverse = _dense_preconditioner(scale)
+        asym = np.max(np.abs(inverse - inverse.T)) / np.max(np.abs(inverse))
+        assert asym <= 1e-14
+        scipy.linalg.cholesky(inverse, lower=True)
+
+
 class TestStepAccuracy:
     """Cholesky and PCG steps both solve ``J s = -res`` to the limit."""
 
@@ -120,7 +174,8 @@ class TestStepAccuracy:
         step = solver._gn_step(jac, -res, obs)
         resid = np.linalg.norm(-res - jac.dense() @ step)
         assert resid <= solver._REFINE_LIMIT * np.linalg.norm(res)
-        assert obs.metrics.snapshot() == {}
+        # No fallback: the only counter is the PCG iteration count.
+        assert set(obs.metrics.snapshot()) <= {"solver.gn.cg_iterations"}
 
 
 class TestSolveParity:
@@ -144,8 +199,28 @@ class TestSolveParity:
     @pytest.mark.parametrize("n", [12, 16])
     def test_parity_across_the_crossover(self, n):
         """Cholesky (n = 12) and PCG (n = 16) land on the oracle; n = 24
-        is :meth:`test_above_crossover`."""
+        is :meth:`test_above_crossover`, n = 40 :meth:`test_n40`."""
         self._check(n, n, seed=60 + n)
+
+    def test_n40(self, monkeypatch):
+        """At n = 40 the oracle's normal equations, which square the
+        condition number, need one to four more iterations than any
+        square-system step on every field tried, so iteration parity
+        is checked against the Cholesky step instead, which takes the
+        same Gauss–Newton path; the field and verdict must match both."""
+        r_true = _field(40, 40, seed=100)
+        z = forward.measure(r_true)
+        fast = solve_nested(z)
+        ref = solve_nested_reference(z)
+        assert fast.converged and ref.converged
+        assert fast.iterations <= ref.iterations
+        assert np.max(np.abs(fast.r_estimate - ref.r_estimate) / r_true) <= 1e-10
+        monkeypatch.setattr(solver, "DENSE_STEP_MAX", r_true.size)
+        dense = solve_nested(z)
+        assert dense.converged
+        assert fast.iterations == dense.iterations
+        cross = np.max(np.abs(fast.r_estimate - dense.r_estimate) / r_true)
+        assert cross <= 1e-10
 
     # Non-square and tiny devices: CG's Krylov space is exhausted
     # within m·n iterations.
@@ -161,16 +236,37 @@ class TestKrylovFallback:
         z = forward.measure(r_true)
         dense = solve_nested(z)
 
-        def no_progress(op, rhs, **kwargs):
-            return np.zeros_like(rhs), 1
+        def no_progress(scale):
+            return np.zeros_like
 
         monkeypatch.setattr(solver, "DENSE_STEP_MAX", 0)
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", no_progress)
+        monkeypatch.setattr(solver, "_crossbar_preconditioner", no_progress)
         obs = Observer()
         fallback = solve_nested(z, observer=obs)
         counter = obs.metrics.snapshot()["solver.gn.krylov_fallbacks"]
         # Every iteration but the final (converged) one takes a step.
         assert counter["value"] == fallback.iterations - 1
+        assert fallback.iterations == dense.iterations
+        assert np.array_equal(fallback.r_estimate, dense.r_estimate)
+
+    def test_true_residual_miss_takes_the_dense_step(self, monkeypatch):
+        """The recurrence reaching its target is not enough: a step
+        whose true residual misses the limit is a miss as well."""
+        r_true = _field(6, 6, seed=45)
+        z = forward.measure(r_true)
+        dense = solve_nested(z)
+
+        monkeypatch.setattr(solver, "DENSE_STEP_MAX", 0)
+        monkeypatch.setattr(solver, "_REFINE_LIMIT", 0.0)
+        obs = Observer()
+        fallback = solve_nested(z, observer=obs)
+        snap = obs.metrics.snapshot()
+        steps = fallback.iterations - 1
+        assert snap["solver.gn.krylov_fallbacks"]["value"] == steps
+        # The recurrences stopped on their target, within the m·n
+        # iterations that exhaust the Krylov space, not at the cap.
+        assert z.size < solver._KRYLOV_MAXITER
+        assert snap["solver.gn.cg_iterations"]["value"] <= steps * z.size
         assert fallback.iterations == dense.iterations
         assert np.array_equal(fallback.r_estimate, dense.r_estimate)
 
@@ -196,7 +292,9 @@ class TestKrylovFallback:
         z = forward.measure(_field(24, 24, seed=43))
         obs = Observer()
         assert solve_nested(z, observer=obs).converged
-        assert "solver.gn.krylov_fallbacks" not in obs.metrics.snapshot()
+        snap = obs.metrics.snapshot()
+        assert "solver.gn.krylov_fallbacks" not in snap
+        assert snap["solver.gn.cg_iterations"]["value"] > 0
 
 
 class TestLadderAboveCrossover:
