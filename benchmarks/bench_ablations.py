@@ -6,10 +6,14 @@
 2. Parallelism budget: worker counts beyond the (n-1)^2 hole count buy
    nothing (§IV-B's bound).
 3. Solver formulation: nested variable-projection vs the paper's full
-   joint system — same answer, very different cost profile.
+   joint system — same answer, very different cost profile.  The joint
+   solver is the test oracle ``tests/oracles/joint_system.py``.
 4. Serialization: binary vs text equation files (the I/O experiment's
    hidden constant).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +24,17 @@ from repro.core.partition import (
     partition_betti,
     partition_by_category,
 )
-from repro.core.solver import solve_full, solve_nested
+from repro.core.solver import solve_nested
 from repro.core.strategies import SingleThread, item_costs_seconds
 from repro.instrument.report import ResultTable, human_seconds
 from repro.io.equations_io import save_blocks_binary, save_blocks_text
 from repro.core.equations import form_all_blocks
 from repro.mea.wetlab import quick_device_data
 from repro.parallel.workstealing import simulate_runtime_stealing
+
+# The joint solver is a test oracle under tests/, not a src/ module.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.joint_system import solve_full  # noqa: E402
 
 
 @pytest.mark.benchmark(group="ablation-scheduling")

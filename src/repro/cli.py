@@ -66,6 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.engine import VALIDATE_MODES
+from repro.core.solver import SOLVER_METHODS
+
 
 def _make_observer(args: argparse.Namespace):
     """Build + install the run Observer for ``--trace`` / ``--metrics``.
@@ -2003,11 +2006,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="formation region width (applies with "
                               "--equations-dir)")
     p_solve.add_argument("--solver", default="nested",
-                         choices=["nested", "full", "regularized", "bounded"])
+                         choices=SOLVER_METHODS)
     p_solve.add_argument("--lam", type=float, default=1e-3,
                          help="Tikhonov weight for --solver regularized")
     p_solve.add_argument("--validate", default="strict",
-                         choices=["strict", "repair", "off"],
+                         choices=VALIDATE_MODES,
                          help="measurement boundary policy: reject bad "
                               "channels, impute them, or skip the audit")
     p_solve.add_argument("--inject-fail-rungs", default=None, metavar="RUNGS",
@@ -2198,13 +2201,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "to --socket)")
     p_sub.add_argument("--hour", type=float, default=0.0)
     p_sub.add_argument("--solver", default="nested",
-                       choices=["nested", "full", "regularized", "bounded"])
+                       choices=SOLVER_METHODS)
     p_sub.add_argument("--lam", type=float, default=1e-3,
                        help="Tikhonov weight for --solver regularized")
     p_sub.add_argument("--threshold", type=float, default=3.0,
                        help="anomaly threshold in robust sigmas")
     p_sub.add_argument("--validate", default="strict",
-                       choices=["strict", "repair", "off"],
+                       choices=VALIDATE_MODES,
                        help="measurement boundary policy applied server-side")
     p_sub.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",

@@ -8,9 +8,11 @@
   balanced (deterministic LPT), and Betti-aware (homology holes).
 * :mod:`repro.core.strategies` — the paper's four executable systems:
   SingleThread / Parallel / Balanced Parallel / PyMP-k.
-* :mod:`repro.core.residual` / :mod:`repro.core.solver` — the
-  nonlinear inverse problem: recover R from Z (nested variable-
-  projection and full joint formulations).
+* :mod:`repro.core.solver` / :mod:`repro.core.regularized` — the
+  nonlinear inverse problem: recover R from Z (nested variable
+  projection, plus the degradation ladder's fallback rungs).  The
+  paper's joint system over every unknown is a test oracle,
+  ``tests/oracles/joint_system.py``, not a solver here.
 * :mod:`repro.core.engine` / :mod:`repro.core.pipeline` — the public
   parametrize() API and campaign pipelines.
 """
@@ -55,11 +57,6 @@ from repro.core.regularized import (
     pick_lambda_by_discrepancy,
     solve_regularized,
 )
-from repro.core.residual import (
-    JointSystem,
-    clear_jacobian_cache,
-    jacobian_cache_stats,
-)
 from repro.core.selftest import SelfTestReport, run_selftest
 from repro.core.streaming import (
     BinaryFileSink,
@@ -72,7 +69,6 @@ from repro.core.solver import (
     SolveResult,
     solve,
     solve_bounded,
-    solve_full,
     solve_nested,
 )
 from repro.core.templates import (
@@ -97,6 +93,16 @@ from repro.core.strategies import (
     make_strategy,
 )
 
+
+def clear_jacobian_cache() -> None:
+    """Do nothing: the joint-Jacobian structure cache is gone.
+
+    It served the joint system, which is now the test oracle
+    ``tests/oracles/joint_system.py`` with its own cache.  Kept as a
+    no-op because ``e2ebench/workloads.py`` still imports it.
+    """
+
+
 __all__ = [
     "BalancedParallel",
     "ConditioningReport",
@@ -111,7 +117,6 @@ __all__ = [
     "CampaignResult",
     "Category",
     "FormationReport",
-    "JointSystem",
     "PairBlock",
     "PairBlockBatch",
     "PairTemplate",
@@ -122,7 +127,6 @@ __all__ = [
     "form_worker_share",
     "get_template",
     "iter_pair_blocks_cached",
-    "jacobian_cache_stats",
     "warm_template_cache",
     "ParallelStrategy",
     "ParmaEngine",
@@ -156,7 +160,6 @@ __all__ = [
     "run_pipeline",
     "solve",
     "solve_bounded",
-    "solve_full",
     "solve_nested",
     "terms_per_pair",
     "total_equations",

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.anomaly.detect import DetectionResult, detect_anomalies
-from repro.core.solver import SolveResult
+from repro.core.solver import SOLVER_METHODS, SolveResult
 from repro.core.strategies import FormationReport, make_strategy
 from repro.mea.dataset import Measurement, repair_z, validate_z
 from repro.observe.observer import as_observer
@@ -110,10 +110,12 @@ class ParmaEngine:
         Region width for the multi-worker strategies (ignored by
         ``single``; forced to 4 by ``parallel``).
     solver:
-        ``"nested"`` (recommended) or ``"full"``: the primary rung.  The
-        solve walks the resilience ladder (primary → cold-start →
-        regularized → bounded) instead of crashing on numerical
-        failure; the rung used is recorded in
+        The primary rung, one of
+        :data:`repro.core.solver.SOLVER_METHODS`: ``"nested"``
+        (recommended), ``"regularized"`` or ``"bounded"``; any other
+        name raises ``ValueError`` here.  The solve walks the resilience
+        ladder (primary → cold-start → regularized → bounded) instead
+        of crashing on numerical failure; the rung used is recorded in
         :attr:`ParmaResult.degradation`.
     threshold_sigmas:
         Anomaly-detection threshold (see :mod:`repro.anomaly.detect`).
@@ -171,6 +173,11 @@ class ParmaEngine:
         supervise: Supervisor | None = None,
     ) -> None:
         self._strategy = make_strategy(strategy, num_workers)
+        if solver not in SOLVER_METHODS:
+            raise ValueError(
+                f"unknown method {solver!r}; solver must be one of "
+                f"{SOLVER_METHODS}"
+            )
         self.solver = solver
         self.threshold_sigmas = threshold_sigmas
         if validate not in VALIDATE_MODES:

@@ -1,27 +1,24 @@
 """R-recovery solvers: invert the measurement map Z(R).
 
-Two complementary solvers, both enforcing R > 0 via ``θ = log R``:
+:func:`solve_nested` — *variable projection*, enforcing R > 0 via
+``θ = log R``: the per-pair voltages are always the exact solution of
+the inner linear circuit, so the outer problem is just ``Z̃(R) = Z``
+over the ``n^2`` resistances.  The outer Jacobian is analytic and
+beautifully compact: with ``P = L^+`` (Laplacian pseudo-inverse) and
+incidence vector ``b_ab`` of resistor (a, b),
 
-* :func:`solve_nested` — *variable projection*: the per-pair voltages
-  are always the exact solution of the inner linear circuit, so the
-  outer problem is just ``Z̃(R) = Z`` over the ``n^2`` resistances.
-  The outer Jacobian is analytic and beautifully compact: with
-  ``P = L^+`` (Laplacian pseudo-inverse) and incidence vector ``b_ab``
-  of resistor (a, b),
+    ``∂Z_st / ∂R_ab = (x_st^T P b_ab)^2 / R_ab^2``
 
-      ``∂Z_st / ∂R_ab = (x_st^T P b_ab)^2 / R_ab^2``
+(the squared transfer potential), computed for *all* pair/resistor
+combinations with a blocked broadcast kernel.  This is the scalable,
+recommended solver; :func:`solve` dispatches to it and to the
+degradation ladder's fallback rungs by the names in
+:data:`SOLVER_METHODS`.
 
-  (the squared transfer potential), computed for *all* pair/resistor
-  combinations with a blocked broadcast kernel.  This is the scalable,
-  recommended solver.
-
-* :func:`solve_full` — the paper's formulation taken literally: one
-  joint nonlinear system over the ``(2n-1) n^2`` unknowns
-  ``(θ, Ua, Ub)``, solved by trust-region least squares with the
-  analytic sparse Jacobian of :mod:`repro.core.residual`.
-
-Both return a :class:`SolveResult`; the test suite checks they agree
-with each other and with the ground truth on noise-free data.
+The paper's formulation taken literally — one joint nonlinear system
+over the ``(2n-1) n^2`` unknowns ``(θ, Ua, Ub)`` — is a test oracle,
+``tests/oracles/joint_system.py``: the test suite checks that both
+agree with each other and with the ground truth on noise-free data.
 
 Fast path
 ---------
@@ -87,7 +84,6 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse.linalg
 
-from repro.core.residual import JointSystem
 from repro.kirchhoff.forward import (
     effective_resistance_matrix,
     laplacian_factor_cached,
@@ -95,6 +91,10 @@ from repro.kirchhoff.forward import (
 )
 from repro.utils.validation import require_positive, require_positive_array
 
+#: The solvers :func:`solve` dispatches to, by name: the one list that
+#: ``solve()``, :class:`repro.core.engine.ParmaEngine`, the wire
+#: ``Request`` and the CLI's ``--solver`` flags all check against.
+SOLVER_METHODS = ("nested", "regularized", "bounded")
 #: Relative residual the matrix-free CG step iterates to (~1000x
 #: float64 epsilon).
 _KRYLOV_TARGET = 1e-13
@@ -572,51 +572,6 @@ def _lm_rescue(jac, res, theta, cost, cost_and_res):
     return None
 
 
-def solve_full(
-    z: np.ndarray,
-    voltage: float = 5.0,
-    r0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_nfev: int = 60,
-    observer=None,
-) -> SolveResult:
-    """Joint solve over (θ, Ua, Ub) — the paper's literal formulation.
-
-    Trust-region reflective least squares with the analytic sparse
-    Jacobian; ``tr_solver='lsmr'`` keeps memory at the Jacobian's
-    O(n^4) nonzeros.  ``observer`` is accepted so :func:`solve` can
-    dispatch uniformly; this path records no solver metrics.
-    """
-    del observer
-    z = require_positive_array(z, "z")
-    if z.shape[0] != z.shape[1]:
-        raise ValueError("full solver requires a square device")
-    n = z.shape[0]
-    system = JointSystem(n=n, z=z, voltage=voltage)
-    start = time.perf_counter()
-    x0 = system.initial_state(r0)
-    result = scipy.optimize.least_squares(
-        system.residual,
-        x0,
-        jac=system.jacobian,
-        method="trf",
-        tr_solver="lsmr",
-        xtol=tol,
-        ftol=tol,
-        gtol=tol,
-        max_nfev=max_nfev,
-    )
-    r_est, _, _ = system.unpack(result.x)
-    return SolveResult(
-        r_estimate=r_est,
-        method="full",
-        iterations=int(result.nfev),
-        residual_norm=float(np.linalg.norm(result.fun)),
-        elapsed_seconds=time.perf_counter() - start,
-        converged=bool(result.success),
-    )
-
-
 #: Half-width, in natural-log units, of the box :func:`solve_bounded`
 #: confines ``θ = log R`` to around :func:`uniform_log_field` (a factor
 #: ``e^6 ≈ 400`` in resistance either way).
@@ -705,20 +660,15 @@ def solve(
     observer=None,
     **kwargs,
 ) -> SolveResult:
-    """Dispatch to a solver by name.
+    """Dispatch to a solver by name (one of :data:`SOLVER_METHODS`).
 
-    ``"nested"`` (recommended), ``"full"`` (the paper's joint system),
-    ``"regularized"`` (Tikhonov-smoothed nested; pass ``lam=...``,
-    default 1e-3 — see :mod:`repro.core.regularized`), or ``"bounded"``
-    (box-constrained trust region, the degradation ladder's safety
-    net).
+    ``"nested"`` (recommended), ``"regularized"`` (Tikhonov-smoothed
+    nested; pass ``lam=...``, default 1e-3 — see
+    :mod:`repro.core.regularized`), or ``"bounded"`` (box-constrained
+    trust region, the degradation ladder's safety net).
     """
     if method == "nested":
         return solve_nested(
-            z, voltage=voltage, observer=observer, **kwargs
-        )
-    if method == "full":
-        return solve_full(
             z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "regularized":
@@ -733,6 +683,5 @@ def solve(
             z, voltage=voltage, observer=observer, **kwargs
         )
     raise ValueError(
-        f"unknown method {method!r}; use 'nested', 'full', 'regularized' "
-        "or 'bounded'"
+        f"unknown method {method!r}; use one of {SOLVER_METHODS}"
     )

@@ -68,12 +68,11 @@ def human_bytes(nbytes: float) -> str:
 
 
 def cache_stats_table(stats_list: Sequence[Any]) -> ResultTable:
-    """Tabulate formation/Jacobian/Laplacian cache statistics.
+    """Tabulate formation-template and Laplacian cache statistics.
 
     Accepts any objects exposing ``name``, ``entries``, ``hits``,
     ``misses``, ``bytes_resident`` and ``build_seconds`` (the shape of
-    :func:`repro.core.templates.cache_stats`,
-    :func:`repro.core.residual.jacobian_cache_stats` and
+    :func:`repro.core.templates.cache_stats` and
     :func:`repro.kirchhoff.forward.laplacian_cache_stats`).
     """
     table = ResultTable(

@@ -61,9 +61,6 @@ CATALOG_SCHEMA_VERSION = 1
 #: the test suite).
 _LADDER_RUNGS = ("primary", "cold-start", "regularized", "bounded")
 
-#: Caches whose hit rates get their own indexed columns.
-_RATE_CACHES = ("pair-template", "laplacian-pinv", "jacobian-structure")
-
 #: Leading-comment-tolerant matcher for read-only statements.
 _SELECT_RE = re.compile(
     r"^(?:\s|--[^\n]*\n|/\*.*?\*/)*(select|with)\b", re.IGNORECASE | re.DOTALL
@@ -190,6 +187,9 @@ def flatten_manifest(manifest: dict, source_path: str | None = None) -> dict:
         "num_spans": _int(manifest.get("num_spans")),
         "template_hit_rate": _hit_rate(metrics, "pair-template"),
         "laplacian_hit_rate": _hit_rate(metrics, "laplacian-pinv"),
+        # Only manifests from before the joint system left the solvers
+        # carry this cache's gauges; the column stays so old databases
+        # open as-is, and is NULL for every newer run.
         "jacobian_hit_rate": _hit_rate(metrics, "jacobian-structure"),
         "mem_peak_bytes": _float(memory.get("peak")),
         "mem_p50_bytes": _float(memory.get("p50")),

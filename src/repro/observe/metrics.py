@@ -272,7 +272,7 @@ def record_degradation(registry: MetricsRegistry, report: Any) -> None:
 
 
 def all_cache_stats() -> list[Any]:
-    """The three formation/assembly cache stats, one authoritative list.
+    """The two formation/solver cache stats, one authoritative list.
 
     This is the *single source* consumed by ``parma info``'s
     :func:`repro.instrument.report.cache_stats_table`, by
@@ -280,11 +280,10 @@ def all_cache_stats() -> list[Any]:
     manifest — all three surfaces show the same numbers.
     """
     # Imported here: the core/kirchhoff layers sit above this module.
-    from repro.core.residual import jacobian_cache_stats
     from repro.core.templates import cache_stats
     from repro.kirchhoff.forward import laplacian_cache_stats
 
-    return [cache_stats(), jacobian_cache_stats(), laplacian_cache_stats()]
+    return [cache_stats(), laplacian_cache_stats()]
 
 
 def sync_cache_gauges(registry: MetricsRegistry) -> list[Any]:

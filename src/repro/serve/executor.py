@@ -5,8 +5,8 @@ threads inside the acceptor process (where one native fault — a BLAS
 segfault, an OOM kill — takes down every queued request), the service
 forks a small pool of executor children.  Each child owns a private
 :class:`repro.serve.runner.RequestRunner` (and therefore its own warm
-engine pool and per-process caches) and speaks the framed worker
-channel of :mod:`repro.parallel.proc` over an inherited ``socketpair``:
+per-process caches) and speaks the framed worker channel of
+:mod:`repro.parallel.proc` over an inherited ``socketpair``:
 
 * parent → child: ``{"kind": "solve", "request": Request,
   "queue_seconds": float}``
@@ -330,7 +330,7 @@ def _child_main(
 ) -> None:  # pragma: no cover - runs in the forked child
     """Request loop of one executor child; exits via ``os._exit``.
 
-    The child is single-threaded: a private runner (warm engine pool),
+    The child is single-threaded: a private runner (warm caches),
     the inherited heartbeat row ticked at request boundaries, and a
     metrics registry snapshotted back with every result so the parent's
     ``stats`` stay a running total across the whole pool.
@@ -340,7 +340,6 @@ def _child_main(
     runner = RequestRunner(
         results_dir,
         max_deadline=max_deadline,
-        pool_engines=True,
         observer=Observer(),
     )
     ordinal = 0  # requests served since this child forked

@@ -28,6 +28,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.engine import VALIDATE_MODES
+from repro.core.solver import SOLVER_METHODS
 from repro.resilience.supervise import DEADLINE_EXIT_CODE
 
 #: Per-message length-prefix format (4-byte big-endian unsigned).
@@ -190,8 +192,10 @@ class Request:
         """Parse a ``solve`` message; raises ``ValueError`` when malformed.
 
         Every field is type-checked (a JSON ``true`` is not a number, a
-        string ``"false"`` is not a bool), so a wrongly typed frame is
-        answered ``invalid`` by every host.  Unknown keys are ignored,
+        string ``"false"`` is not a bool), and ``solver``/``validate``
+        must name one of :data:`repro.core.solver.SOLVER_METHODS` /
+        :data:`repro.core.engine.VALIDATE_MODES`, so a malformed frame
+        is answered ``invalid`` by every host.  Unknown keys are ignored,
         which keeps frames from older clients — e.g. ones still
         carrying ``formation`` or ``backend`` — acceptable.
         """
@@ -203,20 +207,17 @@ class Request:
         kwargs = message.get("solver_kwargs") or {}
         if not isinstance(kwargs, dict):
             raise ValueError("request field 'solver_kwargs' must be an object")
-        priority = _field(message, "priority", str, PRIORITY_BATCH)
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(
-                f"unknown priority {priority!r}; "
-                f"expected one of {PRIORITY_CLASSES}"
-            )
+        priority = _choice(
+            message, "priority", PRIORITY_CLASSES, PRIORITY_BATCH
+        )
         deadline = message.get("deadline")
         return cls(
             z=z,
             voltage=_number(message, "voltage", 5.0),
             hour=_number(message, "hour", 0.0),
-            solver=_field(message, "solver", str, "nested"),
+            solver=_choice(message, "solver", SOLVER_METHODS, "nested"),
             threshold_sigmas=_number(message, "threshold_sigmas", 3.0),
-            validate=_field(message, "validate", str, "strict"),
+            validate=_choice(message, "validate", VALIDATE_MODES, "strict"),
             deadline=(
                 None if deadline is None else _number(message, "deadline")
             ),
@@ -236,6 +237,14 @@ def _field(message: dict, key: str, kind: type, default: object = None):
             f"request field {key!r} must be a {kind.__name__}, "
             f"got {type(value).__name__}"
         )
+    return value
+
+
+def _choice(message: dict, key: str, allowed: tuple, default: str) -> str:
+    """A string field that must be one of ``allowed``."""
+    value = _field(message, key, str, default)
+    if value not in allowed:
+        raise ValueError(f"unknown {key} {value!r}; expected one of {allowed}")
     return value
 
 

@@ -9,15 +9,12 @@ fallback for dirty payloads, same per-request
 :class:`repro.observe.Observer` manifest under
 ``results_dir/req-<id>/``, same status mapping.
 
-The runner owns a pool of :class:`repro.core.engine.ParmaEngine`
-keyed on solver knobs; the Jacobian-structure cache and the
-Laplacian-pinv LRU those engines use are process-global and stay warm
-across requests.  Served requests never persist equations, so the
-engines never run the formation stage.  ``pool_engines=False`` (used
-when several threads share one runner) hands out throwaway engines
-instead, because the observer handle and deadline are mutable engine
-state.  The runner also owns the warm/cold label: a request is warm
-when this runner has already run a request of the same ``n``.
+Each request gets its own :class:`repro.core.engine.ParmaEngine`
+(construction costs microseconds); the Laplacian-pinv LRU the
+solver uses is process-global and stays warm across requests.  Served
+requests never persist equations, so the engines never run the
+formation stage.  The runner also owns the warm/cold label: a request
+is warm when this runner has already run a request of the same ``n``.
 
 Service-level counters (``serve.responses.*``, ``serve.latency.*``)
 and each request's merged metric registry land in the runner's
@@ -45,7 +42,7 @@ from repro.serve.protocol import (
 
 
 class RequestRunner:
-    """Executes solve requests against a warm engine pool.
+    """Executes solve requests, one engine per request.
 
     One instance per execution host (service process or executor
     child).  :meth:`run` never raises: every outcome — converged,
@@ -61,48 +58,16 @@ class RequestRunner:
         strategy: str = "single",
         num_workers: int = 4,
         max_deadline: float | None = None,
+        # Unused (engines are per request); kept because
+        # e2ebench/workloads.py passes it.
         pool_engines: bool = True,
         observer: object | None = None,
     ) -> None:
         self.results_dir = Path(results_dir)
         self.max_deadline = max_deadline
-        self.pool_engines = pool_engines
         self.observer = as_observer(observer)
-        self._engines: dict[tuple, ParmaEngine] = {}
         self._sizes_run: set[int] = set()
         self._sizes_lock = threading.Lock()  # runners may be shared by threads
-
-    def engine_for(
-        self, request: Request, deadline: Deadline | None
-    ) -> ParmaEngine:
-        """A pooled engine for the request's knobs (fresh when deadlined).
-
-        Engines are stateless between calls, so one per knob
-        combination serves every matching request; a per-request
-        deadline (and the observer handle) is mutable engine state, so
-        deadlined requests — and every request when the runner is
-        shared across threads (``pool_engines=False``) — get a
-        throwaway.  Engine construction is cheap; the expensive state
-        (pinv LRU, Jacobian structure) is process-global
-        either way.
-        """
-        key = (request.solver, request.threshold_sigmas, request.validate)
-        if deadline is not None or not self.pool_engines:
-            return ParmaEngine(
-                solver=request.solver,
-                threshold_sigmas=request.threshold_sigmas,
-                validate=request.validate,
-                deadline=deadline,
-            )
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = ParmaEngine(
-                solver=request.solver,
-                threshold_sigmas=request.threshold_sigmas,
-                validate=request.validate,
-            )
-            self._engines[key] = engine
-        return engine
 
     def run(
         self,
@@ -162,8 +127,12 @@ class RequestRunner:
         from repro.mea.dataset import Measurement, MeasurementValidationError
         from repro.resilience.degrade import SolverDegradationError
 
-        deadline = Deadline.capped(request.deadline, self.max_deadline)
-        engine = self.engine_for(request, deadline)
+        engine = ParmaEngine(
+            solver=request.solver,
+            threshold_sigmas=request.threshold_sigmas,
+            validate=request.validate,
+            deadline=Deadline.capped(request.deadline, self.max_deadline),
+        )
         request_dir = self.results_dir / f"req-{request.id}"
         obs = Observer(trace_dir=request_dir)
         engine.observer = obs
@@ -227,8 +196,6 @@ class RequestRunner:
                 queue_seconds=queue_seconds,
                 elapsed_seconds=time.perf_counter() - started,
             )
-        finally:
-            engine.observer = None
         elapsed = time.perf_counter() - started
         failed = (
             result.degradation is not None

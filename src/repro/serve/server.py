@@ -396,7 +396,6 @@ class SolveService:
             self._runner = RequestRunner(
                 config.results_dir,
                 max_deadline=config.max_deadline,
-                pool_engines=(config.serve_workers == 1),
                 observer=self.observer,
             )
         self._listener: Listener | None = None

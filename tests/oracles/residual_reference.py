@@ -1,6 +1,6 @@
 """The from-scratch joint Jacobian, kept as a test oracle.
 
-:meth:`repro.core.residual.JointSystem.jacobian` fetches the COO
+:meth:`tests.oracles.joint_system.JointSystem.jacobian` fetches the COO
 sparsity pattern of the joint Jacobian from a per-``n`` cache and only
 recomputes values.  This module assembles the same matrix from scratch
 with one ``add(rows, cols, vals)`` per derivative block, in the order
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from repro.core.residual import JointSystem, _others
+from tests.oracles.joint_system import JointSystem, _others
 
 
 def jacobian_reference(

@@ -422,6 +422,14 @@ class TestFleetInProcess:
             f.stop()
 
 
+#: Solver and validate names outside ``SOLVER_METHODS``/``VALIDATE_MODES``;
+#: ``full`` is the joint system, which is a test oracle, not a solver.
+_UNKNOWN_NAMES = [
+    {"solver": "full"},
+    {"solver": "alchemy"},
+    {"validate": "bogus"},
+]
+
 #: Frames a typed client never sends; each must be answered ``invalid``.
 _MALFORMED_FIELDS = [
     {"voltage": None},
@@ -431,6 +439,7 @@ _MALFORMED_FIELDS = [
     {"threshold_sigmas": {"s": 3}},
     {"want_field": "false"},
     {"deadline": False},
+    *_UNKNOWN_NAMES,
 ]
 
 
@@ -500,6 +509,25 @@ class TestMalformedFrames:
             assert reply["status"] == STATUS_INVALID, (address, reply)
             assert reply["exit_status"] == 2
             assert next(iter(field)) in reply["error"]
+
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+    def test_subprocess_service_answers_unknown_names_invalid(self, tmp_path):
+        svc = SolveService(ServiceConfig(
+            socket_path=tmp_path / "proc.sock",
+            results_dir=tmp_path / "proc",
+            executor="subprocess",
+        ))
+        svc.start()
+        try:
+            assert svc.executor_mode == "subprocess"
+            for field in _UNKNOWN_NAMES:
+                message = {"kind": "solve", "z": _z(4), **field}
+                reply = _raw_roundtrip(svc.config.socket_path, message)
+                assert reply["status"] == STATUS_INVALID, (field, reply)
+                assert reply["exit_status"] == 2
+                assert next(iter(field)) in reply["error"]
+        finally:
+            svc.stop()
 
     @pytest.mark.parametrize("name", sorted(_BAD_FRAMES))
     def test_bad_frames_answer_invalid(self, name, host):

@@ -5,6 +5,8 @@ import socket
 import numpy as np
 import pytest
 
+from repro.core.engine import VALIDATE_MODES
+from repro.core.solver import SOLVER_METHODS
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     PRIORITY_BATCH,
@@ -165,6 +167,25 @@ class TestRequestSchema:
     def test_unknown_priority_rejected(self):
         with pytest.raises(ValueError, match="unknown priority"):
             Request.from_dict({"kind": "solve", "z": _z(3), "priority": "vip"})
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"solver": "full"}, {"solver": "alchemy"}, {"validate": "bogus"}],
+        ids=str,
+    )
+    def test_unknown_solver_and_validate_names_rejected(self, field):
+        key = next(iter(field))
+        with pytest.raises(ValueError, match=f"unknown {key}"):
+            Request.from_dict({"kind": "solve", "z": _z(3), **field})
+
+    def test_every_solver_and_validate_name_accepted(self):
+        for solver in SOLVER_METHODS:
+            for validate in VALIDATE_MODES:
+                parsed = Request.from_dict({
+                    "kind": "solve", "z": _z(3),
+                    "solver": solver, "validate": validate,
+                })
+                assert (parsed.solver, parsed.validate) == (solver, validate)
 
     @pytest.mark.parametrize(
         "field",
