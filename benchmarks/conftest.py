@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one of the paper's figures as a text table
 (the series the figure plots).  Tables are printed and also written to
-``benchmarks/results/<name>.txt`` so the artifact survives pytest's
-output capture; EXPERIMENTS.md references those files.
+``.bench_out/tables/<name>.txt`` (ignored by git) so the artifact
+survives pytest's output capture.  The checked-in tables under
+``benchmarks/results/`` that EXPERIMENTS.md references change only on
+purpose: run with ``--update-results`` to rewrite them.
 
 Scale control: set ``REPRO_BENCH_SCALE=full`` to run the paper's full
 n-range (n to 100; minutes on one core).  The default ``quick`` range
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent.parent / ".bench_out" / "tables"
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick")
 
@@ -37,14 +40,28 @@ def bench_ks():
     return FULL_KS if SCALE == "full" else QUICK_KS
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="rewrite the checked-in benchmarks/results/*.txt tables "
+             "(default: write them under .bench_out/tables/)",
+    )
+
+
 @pytest.fixture(scope="session")
-def emit():
-    """Write a rendered ResultTable to results/<name>.txt and stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def emit(request):
+    """Write a rendered ResultTable to <name>.txt and stdout."""
+    out_dir = (
+        RESULTS_DIR if request.config.getoption("--update-results")
+        else OUT_DIR
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def _emit(table, name: str) -> None:
         text = table.render()
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (out_dir / f"{name}.txt").write_text(text + "\n")
         print("\n" + text)
 
     return _emit

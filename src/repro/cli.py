@@ -35,8 +35,10 @@ Subcommands mirror the wet-lab workflow:
 ``trace``
     Inspect observability artifacts: ``parma trace summarize DIR``
     prints the phase rollup, metrics and environment of a traced run
-    (``parma solve/monitor --trace DIR``); ``--json`` emits the same
-    flattened record the run catalog ingests.
+    (``parma solve/monitor --trace DIR``), and ``parma trace summarize
+    LOG#OFFSET`` the same for one served request's evidence record;
+    ``--json`` emits the same flattened record the run catalog
+    ingests, ``--chrome FILE`` renders the spans as a Chrome trace.
 ``runs``
     The SQLite run catalog (docs/OBSERVABILITY.md): ``ingest``
     manifest directories, ``list``/``show``/``query``/``stats`` them,
@@ -1244,29 +1246,56 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """``parma trace summarize DIR``: digest a traced run's artifacts."""
+    """``parma trace summarize DIR|LOCATOR``: digest a traced run."""
     from repro.instrument.report import (
         human_seconds,
         metrics_table,
         trace_phase_table,
     )
     from repro.observe import load_manifest, phase_total_seconds
+    from repro.observe.evidence import parse_locator, read_record, record_spans
+    from repro.observe.manifest import ManifestError
     from repro.observe.observer import MANIFEST_FILE_NAME, TRACE_JSONL_NAME
-    from repro.observe.tracing import build_span_tree, read_jsonl
+    from repro.observe.tracing import (
+        build_span_tree,
+        read_jsonl,
+        write_chrome_trace,
+    )
 
-    directory = Path(args.dir)
-    manifest_path = directory / MANIFEST_FILE_NAME
-    if not manifest_path.exists():
-        print(f"error: no {MANIFEST_FILE_NAME} in {directory}", file=sys.stderr)
-        return 2
-    manifest = load_manifest(manifest_path)
+    if parse_locator(str(args.dir)) is not None:
+        # One served request's evidence record: manifest plus spans.
+        source = str(args.dir)
+        try:
+            record = read_record(source)
+        except ManifestError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        manifest = record["manifest"]
+
+        def load_spans():
+            return record_spans(record)
+    else:
+        directory = Path(args.dir)
+        manifest_path = directory / MANIFEST_FILE_NAME
+        if not manifest_path.exists():
+            print(f"error: no {MANIFEST_FILE_NAME} in {directory}", file=sys.stderr)
+            return 2
+        source = str(manifest_path)
+        manifest = load_manifest(manifest_path)
+        trace_path = directory / TRACE_JSONL_NAME
+
+        def load_spans():
+            return read_jsonl(trace_path) if trace_path.exists() else []
+    if args.chrome is not None:
+        count = write_chrome_trace(load_spans(), args.chrome)
+        print(f"wrote {count} trace event(s) to {args.chrome}", file=sys.stderr)
     if args.json:
         # Same serializer the run catalog ingests through, so scripted
         # consumers and `parma runs` always agree on derived fields.
         from repro.observe.catalog import summarize_run
 
         print(json.dumps(
-            summarize_run(manifest, source_path=str(manifest_path)),
+            summarize_run(manifest, source_path=source),
             indent=2, sort_keys=True, default=str,
         ))
         return 0
@@ -1300,9 +1329,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"  phase coverage: {covered / wall:.1%} of wall time traced")
     print(trace_phase_table(manifest["phases"]).render())
     print(metrics_table(manifest["metrics"]).render())
-    trace_path = directory / TRACE_JSONL_NAME
-    if args.tree and trace_path.exists():
-        spans = read_jsonl(trace_path)
+    if args.tree:
+        spans = load_spans()
         roots = build_span_tree([s for s in spans if s.kind == "span"])
 
         def show(node, depth):
@@ -2112,8 +2140,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "bind loopback unless the network is trusted "
                             "— the protocol has no authentication)")
     p_srv.add_argument("--results", type=Path, required=True,
-                       help="directory for per-request run manifests "
-                            "(req-<id>/manifest.json)")
+                       help="directory for the per-request evidence logs "
+                            "(evidence-*.jsonl, one fsynced record of "
+                            "manifest plus spans per request)")
     p_srv.add_argument("--queue-depth", type=int, default=64,
                        help="admission bound; beyond it requests are "
                             "rejected retriably (exit 75 at the client)")
@@ -2156,7 +2185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--results", type=Path, required=True,
                          help="fleet root; shard i serves on "
                               "<results>/shard-i/shard.sock and writes "
-                              "its manifests there")
+                              "its evidence logs there")
     p_fleet.add_argument("--shards", type=int, default=2,
                          help="worker processes; requests shard by n "
                               "on a consistent-hash ring")
@@ -2244,12 +2273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="inspect observability artifacts")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_tsum = trace_sub.add_parser(
-        "summarize", help="phase/metrics digest of a traced run directory"
+        "summarize",
+        help="phase/metrics digest of a traced run directory or of one "
+             "served request's evidence record",
     )
-    p_tsum.add_argument("dir", type=Path,
-                        help="directory written by --trace")
+    p_tsum.add_argument("dir", metavar="DIR|LOCATOR",
+                        help="directory written by --trace, or a served "
+                             "response's manifest_path "
+                             "(<results>/evidence-*.jsonl#<offset>)")
     p_tsum.add_argument("--tree", action="store_true",
                         help="also print the reconstructed span tree")
+    p_tsum.add_argument("--chrome", type=Path, default=None, metavar="FILE",
+                        help="also write the run's spans as a "
+                             "Perfetto-loadable Chrome trace to FILE")
     p_tsum.add_argument("--json", action="store_true",
                         help="emit the flattened run record as JSON (the "
                              "same serializer `parma runs ingest` indexes)")
@@ -2291,8 +2327,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="index manifest files/directories (idempotent)"
     )
     p_ringest.add_argument("paths", type=Path, nargs="+",
-                           help="manifest.json files or directories to "
-                                "scan recursively")
+                           help="manifest.json files, evidence logs "
+                                "(evidence-*.jsonl), record locators "
+                                "(<log>#<offset>) or directories to scan "
+                                "recursively")
     _add_db(p_ringest)
     p_ringest.set_defaults(func=_cmd_runs_ingest)
 

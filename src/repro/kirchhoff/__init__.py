@@ -19,7 +19,6 @@ from repro.kirchhoff.forward import (
     laplacian_pinv_cached,
     measure,
     solve_all_drives,
-    solve_all_drives_shared,
     solve_drive,
 )
 from repro.kirchhoff.laws import Circuit, CircuitSolution, ResistorEdge
@@ -69,7 +68,6 @@ __all__ = [
     "laplacian_pinv_cached",
     "measure",
     "solve_all_drives",
-    "solve_all_drives_shared",
     "solve_drive",
     "solve_mesh",
     "solve_path_system",

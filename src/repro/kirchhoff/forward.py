@@ -412,23 +412,6 @@ def solve_all_drives(
     return _batched_drive_solutions(resistance, voltage)
 
 
-def solve_all_drives_shared(
-    resistance: np.ndarray, voltage: float = 5.0
-) -> list[DriveSolution]:
-    """Every drive solution from ONE Laplacian factorisation.
-
-    Historical alias of :func:`solve_all_drives`: the batched
-    multi-RHS path *is* now the only path (superposition against the
-    shared factor), so both names run identical code.  Kirchhoff L1
-    holds to machine precision (``L L⁺ (e_i - e_{m+j}) = e_i - e_{m+j}``
-    exactly on a connected graph), and results match the historical
-    per-pair Dirichlet reference to solver precision — this is the
-    campaign-pipeline fast path for seeding the joint solver's
-    voltages.
-    """
-    return _batched_drive_solutions(resistance, voltage)
-
-
 def measure(resistance: np.ndarray, voltage: float = 5.0) -> np.ndarray:
     """The device's measurement: the ``(m, n)`` matrix of ``Z_ij``.
 

@@ -19,8 +19,11 @@ all together next to the results.
 * :mod:`repro.observe.observer` — the :class:`Observer` bundle and
   the global no-op default (:data:`NULL_OBSERVER`), which keeps hot
   paths at < 2 % overhead when tracing is off;
+* :mod:`repro.observe.evidence` — the per-process evidence log:
+  one fsynced ``{manifest, spans}`` line per served request, read
+  back by ``<log>#<offset>`` locator;
 * :mod:`repro.observe.catalog` — the SQLite run catalog indexing
-  manifest directories for ``parma runs``
+  manifest directories and evidence logs for ``parma runs``
   (list/query/stats/regress/watch).
 
 ``manifest`` is imported lazily (PEP 562): it depends on

@@ -1,8 +1,9 @@
 """The run catalog: SQLite-indexed run manifests with a query surface.
 
 Every traced run — a ``parma solve``, a full ``parma monitor``
-campaign, each request a ``parma serve`` instance executes, a
-benchmark size — ends in one :mod:`repro.observe.manifest` JSON file.
+campaign, a benchmark size — ends in one :mod:`repro.observe.manifest`
+JSON file, and each request a ``parma serve`` instance executes in one
+record of an evidence log (:mod:`repro.observe.evidence`).
 The catalog turns that pile of per-run files into a fleet-level,
 queryable corpus: ``parma runs ingest`` flattens each manifest into
 indexed columns (kind, n, knobs, status, degradation rung, phase
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.observe.evidence import EVIDENCE_GLOB, iter_log, parse_locator
 from repro.observe.manifest import ManifestError, load_manifest
 from repro.observe.observer import MANIFEST_FILE_NAME
 
@@ -611,38 +613,59 @@ class Catalog:
 
     # -- ingest --------------------------------------------------------------
 
-    def _iter_manifest_files(
+    def _iter_manifests(
         self, paths: Iterable[str | Path]
-    ) -> Iterator[Path]:
+    ) -> Iterator[tuple[str, dict | ManifestError]]:
+        """``(source, manifest or its load error)`` for every run found."""
         for path in paths:
-            path = Path(path)
-            if path.is_dir():
-                yield from sorted(path.rglob(MANIFEST_FILE_NAME))
-            elif path.name == MANIFEST_FILE_NAME or path.suffix == ".json":
-                yield path
+            if parse_locator(str(path)) is not None:
+                sources: list = [str(path)]  # one record, read by seek
             else:
-                yield path / MANIFEST_FILE_NAME
+                path = Path(path)
+                if path.is_dir():
+                    sources = sorted(
+                        [*path.rglob(MANIFEST_FILE_NAME), *path.rglob(EVIDENCE_GLOB)]
+                    )
+                elif path.name == MANIFEST_FILE_NAME or path.suffix in (
+                    ".json",
+                    ".jsonl",
+                ):
+                    sources = [path]
+                else:
+                    sources = [path / MANIFEST_FILE_NAME]
+            for source in sources:
+                if isinstance(source, Path) and source.suffix == ".jsonl":
+                    for locator, record in iter_log(source):
+                        if not isinstance(record, ManifestError):
+                            record = record["manifest"]
+                        yield locator, record
+                    continue
+                try:
+                    yield str(source), load_manifest(source)
+                except ManifestError as exc:
+                    yield str(source), exc
 
     def ingest(self, paths: Iterable[str | Path]) -> IngestReport:
         """Index every manifest under ``paths`` (idempotent).
 
-        Directories are scanned recursively for ``manifest.json``
-        files; explicit file paths are taken as-is.  A manifest whose
+        A path is a ``manifest.json`` file, an evidence log
+        (``evidence-*.jsonl``, one record per served request), a
+        record locator (``<log>.jsonl#<offset>``) or a directory,
+        scanned recursively for the first two.  A manifest whose
         content hash is already cataloged counts as a duplicate and
-        changes nothing; an invalid manifest lands in
+        changes nothing; an invalid manifest, or a log line that does
+        not parse (the torn tail of a killed writer), lands in
         ``report.errors`` without aborting the rest of the scan.
         """
         if self.readonly:
             raise CatalogError("catalog opened read-only; cannot ingest")
         report = IngestReport()
-        for file_path in self._iter_manifest_files(paths):
+        for source, manifest in self._iter_manifests(paths):
             report.scanned += 1
-            try:
-                manifest = load_manifest(file_path)
-            except ManifestError as exc:
-                report.errors.append((str(file_path), str(exc)))
+            if isinstance(manifest, ManifestError):
+                report.errors.append((source, str(manifest)))
                 continue
-            if self.ingest_manifest(manifest, source_path=str(file_path)):
+            if self.ingest_manifest(manifest, source_path=source):
                 report.ingested += 1
             else:
                 report.duplicates += 1

@@ -1,7 +1,9 @@
 """Run manifests: one JSON artifact answering "what ran, where, how long".
 
 A manifest is written next to the trace by
-:meth:`repro.observe.Observer.finalize` and records:
+:meth:`repro.observe.Observer.finalize` (or, for a served request,
+appended with its spans to an evidence log, see
+:mod:`repro.observe.evidence`) and records:
 
 * identity — run id, start time, schema version;
 * config — the caller's knob dict (strategy, n, workers, solver, ...);
@@ -173,7 +175,16 @@ def write_manifest(path: str | Path, manifest: dict) -> Path:
 
 
 def load_manifest(path: str | Path) -> dict:
-    """Read and structurally validate a manifest file."""
+    """Read and structurally validate a manifest.
+
+    ``path`` is a ``manifest.json`` file or an evidence-log locator
+    (``<log>.jsonl#<offset>``, what a served response's
+    ``manifest_path`` holds), read by one seek.
+    """
+    from repro.observe import evidence
+
+    if evidence.parse_locator(str(path)) is not None:
+        return evidence.read_record(str(path))["manifest"]
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))

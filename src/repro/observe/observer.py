@@ -50,6 +50,14 @@ TRACE_CHROME_NAME = "trace.chrome.json"
 MANIFEST_FILE_NAME = "manifest.json"
 
 
+def new_run_id() -> str:
+    """A run id unique to this process lifetime: time, pid, random."""
+    return (
+        time.strftime("%Y%m%dT%H%M%S")
+        + f"-{os.getpid():x}-{uuid.uuid4().hex[:6]}"
+    )
+
+
 class _NullSpan:
     """Shared do-nothing context manager (singleton)."""
 
@@ -151,10 +159,7 @@ class Observer:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.run_id = (
-            time.strftime("%Y%m%dT%H%M%S")
-            + f"-{os.getpid():x}-{uuid.uuid4().hex[:6]}"
-        )
+        self.run_id = new_run_id()
         self._t0_wall = time.time()
         self._t0_perf = time.perf_counter()
         self._t0_cpu = time.process_time()
@@ -237,6 +242,52 @@ class Observer:
     def phase_rollup(self) -> dict[str, dict[str, float]]:
         return phase_rollup(self.tracer.spans)
 
+    def build_manifest(
+        self,
+        config: dict | None = None,
+        memory: dict | None = None,
+        extra: dict | None = None,
+    ) -> dict:
+        """Snapshot the run into a manifest dict (no I/O).
+
+        Merges any straggler spool files and mirrors the cache stats
+        into gauges (so the manifest and ``parma info`` report the
+        same numbers from the same source).  :meth:`finalize` writes
+        the result to ``manifest.json``; a served request appends it
+        to the evidence log (:mod:`repro.observe.evidence`).
+        """
+        # Deferred import: manifest -> atomio -> this module.
+        from repro.observe.manifest import build_manifest
+
+        # Snapshot the clocks before any export work so the reported
+        # wall covers the observed run, not the export itself.
+        end_perf = time.perf_counter()
+        cpu_seconds = self.elapsed_cpu()
+        self.merge_workers()
+        if self._tmp_spool is not None:
+            self._tmp_spool.cleanup()
+            self._tmp_spool = None
+            self.tracer.spool_dir = None
+        sync_cache_gauges(self.metrics)
+        spans = self.tracer.spans
+        # Manifest wall covers the *observed* window: from the first
+        # recorded span to this call (ctor time when nothing was
+        # traced), so phase coverage is judged against traced activity
+        # rather than importer/CLI setup outside any span.
+        t0 = min((s.ts for s in spans), default=self._t0_perf)
+        return build_manifest(
+            run_id=self.run_id,
+            config=config or {},
+            phases=self.phase_rollup(),
+            metrics=self.metrics.snapshot(),
+            wall_seconds=end_perf - min(t0, end_perf),
+            cpu_seconds=cpu_seconds,
+            started_unix=self._t0_wall,
+            memory=memory,
+            num_spans=len(spans),
+            extra=extra,
+        )
+
     def finalize(
         self,
         config: dict | None = None,
@@ -245,50 +296,20 @@ class Observer:
     ) -> dict:
         """Write the run artifacts and return the manifest dict.
 
-        Requires ``trace_dir``; merges any straggler spool files,
-        mirrors the formation-cache stats into gauges (so the manifest
-        and ``parma info`` report the same numbers from the same
-        source), then writes ``trace.jsonl``, ``trace.chrome.json``
-        and ``manifest.json`` atomically.
+        Requires ``trace_dir``: writes ``trace.jsonl``,
+        ``trace.chrome.json`` and :meth:`build_manifest`'s
+        ``manifest.json`` atomically.
         """
         if self.trace_dir is None:
             raise ValueError("Observer was created without a trace_dir")
-        # Deferred import: manifest -> atomio -> this module.
-        from repro.observe.manifest import build_manifest, write_manifest
+        from repro.observe.manifest import write_manifest
 
-        # Snapshot the clocks before artifact writing so the reported
-        # wall covers the observed run, not the export itself.
-        end_perf = time.perf_counter()
-        cpu_seconds = self.elapsed_cpu()
-        self.merge_workers()
-        sync_cache_gauges(self.metrics)
+        manifest = self.build_manifest(config=config, memory=memory, extra=extra)
         spans = self.tracer.spans
-        # Manifest wall covers the *observed* window: from the first
-        # recorded span to finalize entry (ctor time when nothing was
-        # traced), so phase coverage is judged against traced activity
-        # rather than importer/CLI setup outside any span.
-        t0 = min((s.ts for s in spans), default=self._t0_perf)
-        wall_seconds = end_perf - min(t0, end_perf)
         self.trace_dir.mkdir(parents=True, exist_ok=True)
         write_jsonl(spans, self.trace_dir / TRACE_JSONL_NAME)
         write_chrome_trace(spans, self.trace_dir / TRACE_CHROME_NAME)
-        manifest = build_manifest(
-            run_id=self.run_id,
-            config=config or {},
-            phases=self.phase_rollup(),
-            metrics=self.metrics.snapshot(),
-            wall_seconds=wall_seconds,
-            cpu_seconds=cpu_seconds,
-            started_unix=self._t0_wall,
-            memory=memory,
-            num_spans=len(spans),
-            extra=extra,
-        )
         write_manifest(self.trace_dir / MANIFEST_FILE_NAME, manifest)
-        if self._tmp_spool is not None:
-            self._tmp_spool.cleanup()
-            self._tmp_spool = None
-            self.tracer.spool_dir = None
         return manifest
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -42,7 +42,7 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 # -- statuses -----------------------------------------------------------------
 
-#: Request ran to a converged result; manifest written.
+#: Request ran to a converged result; evidence record committed.
 STATUS_OK = "ok"
 #: Request ran and failed (solver exhausted, validation error, ...).
 STATUS_FAILED = "failed"
@@ -280,9 +280,11 @@ def _number(message: dict, key: str, default: float | None = None) -> float:
 class Response:
     """What the service answers for one request.
 
-    ``manifest_path`` points at the per-request run manifest written
-    through :mod:`repro.observe` (absent for rejected/invalid
-    requests); ``cache_warm`` says whether the executing host had
+    ``manifest_path`` is the locator (``<log>.jsonl#<offset>``) of the
+    request's evidence record, its run manifest plus spans, in the
+    executing host's evidence log (:mod:`repro.observe.evidence`;
+    ``repro.observe.load_manifest`` reads it).  It is absent for
+    rejected, invalid and worker-lost requests.  ``cache_warm`` says whether the executing host had
     already served that ``n``; ``batch_size`` is 1 for every executed
     request (one request per dispatch) and 0 for rejected ones;
     ``queue_seconds``/``elapsed_seconds`` split latency into waiting

@@ -6,8 +6,15 @@ workers of :class:`repro.serve.executor.ExecutorPool` — run requests
 through this one class, which is what makes the two paths
 bit-identical: same engine construction, same ``Measurement``
 fallback for dirty payloads, same per-request
-:class:`repro.observe.Observer` manifest under
-``results_dir/req-<id>/``, same status mapping.
+:class:`repro.observe.Observer` manifest, same status mapping.
+
+Every request that reaches the engine — ok, degraded, failed or
+deadline — leaves one record (its manifest plus spans) appended and
+fsynced to the host's evidence log under ``results_dir``
+(:mod:`repro.observe.evidence`) before its response exists;
+``Response.manifest_path`` is that record's locator,
+``<log>.jsonl#<offset>``.  ``Response.elapsed_seconds`` is stamped
+after the commit, so it covers the runner's whole work.
 
 Each request gets its own :class:`repro.core.engine.ParmaEngine`
 (construction costs microseconds); the Laplacian-pinv LRU the
@@ -30,7 +37,8 @@ from pathlib import Path
 
 from repro.core.engine import ParmaEngine
 from repro.observe import Observer
-from repro.observe.observer import MANIFEST_FILE_NAME, as_observer
+from repro.observe.evidence import EvidenceLog
+from repro.observe.observer import as_observer
 from repro.resilience.supervise import Deadline, DeadlineExceeded
 from repro.serve.protocol import (
     STATUS_DEADLINE,
@@ -64,6 +72,7 @@ class RequestRunner:
         observer: object | None = None,
     ) -> None:
         self.results_dir = Path(results_dir)
+        self.evidence = EvidenceLog(self.results_dir)
         self.max_deadline = max_deadline
         self.observer = as_observer(observer)
         self._sizes_run: set[int] = set()
@@ -115,6 +124,10 @@ class RequestRunner:
         if self.observer.metrics is not None:
             self.observer.metrics.merge(request_observer.metrics.snapshot())
 
+    def close(self) -> None:
+        """Release the evidence log (a later request opens a new one)."""
+        self.evidence.close()
+
     def _run(
         self,
         request: Request,
@@ -123,7 +136,7 @@ class RequestRunner:
         queue_seconds: float,
         started: float,
     ) -> Response:
-        """The per-request pipeline: engine, observer, manifest, response."""
+        """The per-request pipeline: engine, observer, record, response."""
         from repro.mea.dataset import Measurement, MeasurementValidationError
         from repro.resilience.degrade import SolverDegradationError
 
@@ -133,8 +146,7 @@ class RequestRunner:
             validate=request.validate,
             deadline=Deadline.capped(request.deadline, self.max_deadline),
         )
-        request_dir = self.results_dir / f"req-{request.id}"
-        obs = Observer(trace_dir=request_dir)
+        obs = Observer()
         engine.observer = obs
         config = {
             "command": "serve",
@@ -147,8 +159,9 @@ class RequestRunner:
             "cache_warm": warm,
             "queue_seconds": queue_seconds,
         }
-        z = request.z_array()
+        result = None
         try:
+            z = request.z_array()
             measurement: Measurement | object
             try:
                 measurement = Measurement(
@@ -167,69 +180,57 @@ class RequestRunner:
                     hour=request.hour,
                 )
         except DeadlineExceeded as exc:
-            config["status"] = "deadline"
-            obs.finalize(config=config)
-            self._fold_request_metrics(obs)
-            self.observer.count("serve.responses.deadline")
-            return Response(
-                id=request.id or "",
-                status=STATUS_DEADLINE,
-                error=str(exc),
-                manifest_path=str(request_dir / MANIFEST_FILE_NAME),
-                batch_size=batch_size,
-                cache_warm=warm,
-                queue_seconds=queue_seconds,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+            status, outcome, error = STATUS_DEADLINE, "deadline", str(exc)
         except (SolverDegradationError, MeasurementValidationError) as exc:
-            config["status"] = "failed"
-            obs.finalize(config=config)
-            self._fold_request_metrics(obs)
-            self.observer.count("serve.responses.failed")
-            return Response(
-                id=request.id or "",
-                status=STATUS_FAILED,
-                error=str(exc),
-                manifest_path=str(request_dir / MANIFEST_FILE_NAME),
-                batch_size=batch_size,
-                cache_warm=warm,
-                queue_seconds=queue_seconds,
-                elapsed_seconds=time.perf_counter() - started,
+            status, outcome, error = STATUS_FAILED, "failed", str(exc)
+        except Exception as exc:  # noqa: BLE001 - still leaves a record
+            status, outcome = STATUS_FAILED, "failed"
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            degraded = (
+                result.degradation is not None and result.degradation.degraded
             )
-        elapsed = time.perf_counter() - started
-        failed = (
-            result.degradation is not None
-            and result.degradation.degraded
-            and not result.solve.converged
+            failed = degraded and not result.solve.converged
+            status = STATUS_FAILED if failed else STATUS_OK
+            outcome = "failed" if failed else "degraded" if degraded else "ok"
+            error = (
+                "solve did not converge even after degradation" if failed else ""
+            )
+        # Recorded in the manifest, so the run catalog's `status` column
+        # carries the request's outcome.
+        config["status"] = outcome
+        locator = self.evidence.append(
+            obs.build_manifest(config=config), obs.spans
         )
-        degraded = result.degradation is not None and result.degradation.degraded
-        # Stamped before finalize so the manifest (and hence the run
-        # catalog's `status` column) records the request's outcome.
-        config["status"] = "failed" if failed else "degraded" if degraded else "ok"
-        obs.finalize(config=config)
         self._fold_request_metrics(obs)
-        bucket = (
-            "serve.latency.warm_seconds" if warm else "serve.latency.cold_seconds"
-        )
-        self.observer.observe_hist(bucket, elapsed)
+        elapsed = time.perf_counter() - started
+        solved = {}
+        if result is not None:
+            bucket = (
+                "serve.latency.warm_seconds"
+                if warm
+                else "serve.latency.cold_seconds"
+            )
+            self.observer.observe_hist(bucket, elapsed)
+            solved = {
+                "summary": result.summary(),
+                "num_regions": result.detection.num_regions,
+                "resistance": (
+                    result.resistance.tolist() if request.want_field else None
+                ),
+                "events": result.events,
+            }
         self.observer.count(
-            "serve.responses.failed" if failed else "serve.responses.ok"
+            "serve.responses." + ("ok" if outcome == "degraded" else outcome)
         )
         return Response(
             id=request.id or "",
-            status=STATUS_FAILED if failed else STATUS_OK,
-            summary=result.summary(),
-            error=(
-                "solve did not converge even after degradation" if failed else ""
-            ),
-            manifest_path=str(request_dir / MANIFEST_FILE_NAME),
-            num_regions=result.detection.num_regions,
-            resistance=(
-                result.resistance.tolist() if request.want_field else None
-            ),
-            events=result.events,
+            status=status,
+            error=error,
+            manifest_path=locator,
             batch_size=batch_size,
             cache_warm=warm,
             queue_seconds=queue_seconds,
             elapsed_seconds=elapsed,
+            **solved,
         )

@@ -34,9 +34,11 @@ their responses are delivered, then the dispatchers exit, executor
 children are retired and the socket is unlinked.  Nothing already
 being computed is discarded.
 
-Every request that executes gets a run manifest (plus trace
-artifacts) written through :mod:`repro.observe` under
-``results_dir/req-<id>/``; service-level health lands in the
+Every request that executes leaves one evidence record, its run
+manifest plus spans, appended and fsynced to the executing process's
+``results_dir/evidence-<token>.jsonl`` before its response is sent
+(:mod:`repro.observe.evidence`; ``Response.manifest_path`` is the
+record's ``<log>#<offset>`` locator); service-level health lands in the
 ``serve.*`` spans/counters of the service observer (see
 ``docs/SERVING.md`` for the metric names and
 ``docs/OBSERVABILITY.md`` for the manifest schema).
@@ -114,7 +116,7 @@ class ServiceConfig:
     estimated wait.  ``faults`` (a ``FaultPlan``/``FaultInjector``) arms the
     serve chaos hooks inside executor children.  ``catalog_path``
     auto-ingests every executed request's run manifest into the SQLite
-    run catalog (:mod:`repro.observe.catalog`) as it finalizes.
+    run catalog (:mod:`repro.observe.catalog`) once it is committed.
     ``tcp`` additionally binds a ``HOST:PORT`` stream listener beside
     the unix socket (same framing; port ``0`` picks an ephemeral port,
     observable as :attr:`SolveService.tcp_address`) — the transport
@@ -516,6 +518,8 @@ class SolveService:
         self.wait()
         if self.pool is not None:
             self.pool.stop()
+        if self._runner is not None:
+            self._runner.close()
         if self._listener is not None:
             self._listener.stop()
             self._listener = None
@@ -571,8 +575,8 @@ class SolveService:
         Active only with ``catalog_path`` configured; the Catalog's own
         lock serializes the dispatcher threads and WAL mode keeps
         concurrent external readers/ingesters safe.  Ingest failures
-        are counted, never allowed to fail the request — the manifest
-        file on disk remains the source of truth either way.
+        are counted, never allowed to fail the request — the evidence
+        record on disk remains the source of truth either way.
         """
         if self.config.catalog_path is None or not response.manifest_path:
             return
@@ -581,7 +585,7 @@ class SolveService:
                 from repro.observe.catalog import Catalog
 
                 self._catalog = Catalog(self.config.catalog_path)
-            if self._catalog.ingest([Path(response.manifest_path)]).ingested:
+            if self._catalog.ingest([response.manifest_path]).ingested:
                 self.observer.count("serve.catalog.ingested")
         except Exception as exc:  # noqa: BLE001 - never fail the request
             self.observer.count("serve.catalog.errors")

@@ -30,6 +30,7 @@ from repro.kirchhoff.forward import clear_laplacian_cache
 from repro.mea.synthetic import paper_like_spec
 from repro.mea.wetlab import run_campaign
 from repro.observe import Observer
+from repro.observe.evidence import iter_log, parse_locator
 from repro.observe.manifest import load_manifest, validate_manifest
 from repro.serve import (
     RETRIABLE_STATUSES,
@@ -95,7 +96,9 @@ class TestConcurrentBatching:
         for name, meas in jobs:
             r = responses[name]
             assert r.status == STATUS_OK, f"{name}: {r.error}"
-            # Every request carries a valid manifest of its own run.
+            # Every request carries a valid manifest of its own run,
+            # one record in its executor child's evidence log.
+            assert parse_locator(r.manifest_path)[0].parent == svc.config.results_dir
             manifest = validate_manifest(load_manifest(r.manifest_path))
             assert manifest["config"]["request_id"] == name
             assert manifest["config"]["n"] == meas.z_kohm.shape[0]
@@ -114,6 +117,13 @@ class TestConcurrentBatching:
             assert r.batch_size == 1
         snapshot = obs.metrics.snapshot()
         assert snapshot["serve.requests"]["value"] == 8
+        # The logs hold exactly these eight records and nothing else.
+        locators = [
+            loc
+            for log in svc.config.results_dir.glob("evidence-*.jsonl")
+            for loc, _ in iter_log(log)
+        ]
+        assert sorted(locators) == sorted(r.manifest_path for r in responses.values())
 
     def test_second_same_n_request_is_faster_warm(self, service):
         """The first request of an n is labelled cold, later ones warm.
@@ -225,8 +235,13 @@ class TestSigtermDrain:
             if r.status in RETRIABLE_STATUSES:
                 # Retriable rejections map to the resubmit exit code.
                 assert r.retriable and r.exit_status == 75
+                assert r.manifest_path is None
             else:
-                validate_manifest(load_manifest(r.manifest_path))
+                # Committed before the reply, so it survives the drain.
+                log, _ = parse_locator(r.manifest_path)
+                assert log.parent == results_dir
+                manifest = validate_manifest(load_manifest(r.manifest_path))
+                assert manifest["config"]["request_id"] == r.id
 
     def test_post_drain_submission_is_rejected_retriable(self, service):
         svc, client, obs = service

@@ -264,7 +264,7 @@ class JointSystem:
         R-error, not arbitrary voltages.  All ``n^2`` drive solutions
         come from one shared (and cached) Laplacian factorisation.
         """
-        from repro.kirchhoff.forward import solve_all_drives_shared
+        from repro.kirchhoff.forward import solve_all_drives
 
         n = self.n
         if r0 is None:
@@ -275,7 +275,7 @@ class JointSystem:
         r0 = np.asarray(r0, dtype=np.float64)
         ua = np.empty((self.num_pairs, n - 1))
         ub = np.empty((self.num_pairs, n - 1))
-        for sol in solve_all_drives_shared(r0, voltage=self.voltage):
+        for sol in solve_all_drives(r0, voltage=self.voltage):
             p = sol.row * n + sol.col
             ua[p] = sol.ua()
             ub[p] = sol.ub()

@@ -5,13 +5,12 @@ real count back inside an executor child and a fleet shard, through
 the ``blas_threads`` field each child writes into its manifests.
 """
 
-import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.observe import Observer
+from repro.observe import Observer, load_manifest
 from repro.parallel import blas
 from repro.parallel.pymp import fork_available
 from repro.serve import FleetConfig, ServiceConfig, SolveClient, SolveFleet
@@ -105,8 +104,8 @@ def _z(n: int = 6, seed: int = 7) -> np.ndarray:
     return np.random.default_rng(seed).uniform(2000.0, 11000.0, size=(n, n))
 
 
-def _manifest_blas_threads(path) -> int:
-    return json.loads(open(path).read())["environment"]["blas_threads"]
+def _manifest_blas_threads(locator) -> int:
+    return load_manifest(locator)["environment"]["blas_threads"]
 
 
 @needs_budgeted_fork

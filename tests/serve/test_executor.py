@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ParmaEngine
-from repro.observe import Observer
+from repro.observe import Observer, load_manifest
+from repro.observe.evidence import iter_log, parse_locator
 from repro.parallel.pymp import fork_available
 from repro.resilience.faults import FaultPlan
 from repro.serve.executor import ExecutorPool
@@ -103,8 +104,13 @@ class TestHappyPath:
         finally:
             pool.stop()
         response = tickets[0].wait(timeout=1.0)
-        assert response.manifest_path is not None
-        assert (tmp_path / "results" / "req-req-0" / "manifest.json").exists()
+        log, _ = parse_locator(response.manifest_path)
+        assert log.parent == tmp_path / "results"
+        assert log.name.startswith("evidence-")
+        manifest = load_manifest(response.manifest_path)
+        assert manifest["config"]["request_id"] == "req-0"
+        # One record in the child's log; no per-request directory.
+        assert [p.name for p in (tmp_path / "results").iterdir()] == [log.name]
 
     def test_metrics_snapshot_back_to_parent(self, tmp_path):
         observer = Observer()
@@ -194,6 +200,29 @@ class TestWorkerLoss:
         response = tickets[0].wait(timeout=1.0)
         assert response is not None and response.status == STATUS_OK
         assert pool.respawns == 1
+
+    def test_respawned_child_writes_a_new_log(self, tmp_path):
+        # The first child commits request 1's record, then its result
+        # frame is corrupted: the respawn must not append to that log.
+        pool = _pool(tmp_path, faults=FaultPlan(serve_corrupt_frames=(1,)))
+        pool.start()
+        try:
+            tickets = _tickets(2)
+            _run(pool, tickets)
+        finally:
+            pool.stop()
+        first, second = (ticket.wait(timeout=1.0) for ticket in tickets)
+        assert first.status == second.status == STATUS_OK
+        assert pool.respawns == 1 and pool.salvaged == 1
+        old_log, _ = parse_locator(first.manifest_path)
+        new_log, offset = parse_locator(second.manifest_path)
+        assert old_log != new_log and offset == 0
+        assert sorted(tmp_path.joinpath("results").iterdir()) == sorted(
+            [old_log, new_log]
+        )
+        old_ids = [r["manifest"]["config"]["request_id"] for _, r in iter_log(old_log)]
+        new_ids = [r["manifest"]["config"]["request_id"] for _, r in iter_log(new_log)]
+        assert old_ids == ["req-0", "req-1"] and new_ids == ["req-1"]
 
     def test_dropped_connection_treated_as_loss(self, tmp_path):
         pool = _pool(tmp_path, faults=FaultPlan(serve_drop_connections=(0,)))

@@ -5,7 +5,6 @@ import json
 import socket
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from repro.mea.synthetic import paper_like_spec
 from repro.mea.wetlab import run_campaign
 from repro.observe import Observer
+from repro.observe.evidence import iter_log, parse_locator
 from repro.observe.manifest import load_manifest, validate_manifest
 from repro.parallel import proc
 from repro.parallel.pymp import fork_available
@@ -76,7 +76,10 @@ class TestSolvePath:
         validate_manifest(manifest)
         assert manifest["config"]["command"] == "serve"
         assert manifest["config"]["n"] == 8
-        assert Path(response.manifest_path).parent.name.startswith("req-")
+        log, _ = parse_locator(response.manifest_path)
+        assert log.parent == svc.config.results_dir
+        assert log.name.startswith("evidence-")
+        assert not list(svc.config.results_dir.glob("req-*"))
 
     def test_result_bit_identical_to_standalone_engine(
         self, service, measurement
@@ -105,10 +108,13 @@ class TestSolvePath:
         svc, client, obs = service
         named = client.solve(measurement.z_kohm, id="my-req")
         assert named.id == "my-req"
-        assert "req-my-req" in named.manifest_path
+        named_config = load_manifest(named.manifest_path)["config"]
+        assert named_config["request_id"] == "my-req"
         anonymous = client.solve(measurement.z_kohm)
         assert anonymous.id  # server-assigned
         assert anonymous.id != named.id
+        anonymous_config = load_manifest(anonymous.manifest_path)["config"]
+        assert anonymous_config["request_id"] == anonymous.id
 
     def test_serve_metrics_move(self, service, measurement):
         svc, client, obs = service
@@ -274,8 +280,10 @@ class TestAdmissionAndProtocolEdges:
             np.asarray(with_key["resistance"]),
             np.asarray(without_key["resistance"]),
         )
+        assert parse_locator(with_key["manifest_path"]) is not None
         manifest = load_manifest(with_key["manifest_path"])
         assert "formation" not in manifest["config"]
+        assert manifest["config"]["status"] == "ok"
 
     def test_queue_full_is_retriable(self, tmp_path, measurement):
         # A dedicated tiny-queue service whose worker is wedged by a
@@ -644,3 +652,51 @@ class TestCatalogIngest:
         assert rows[0]["kind"] == "serve-request"
         assert rows[0]["status"] == "ok"
         assert rows[0]["n"] == 8
+        assert rows[0]["source_path"] == response.manifest_path
+        # The results dir holds the same record: re-ingest is a no-op.
+        with Catalog(db) as catalog:
+            again = catalog.ingest([tmp_path / "results"])
+        assert (again.scanned, again.ingested, again.duplicates) == (1, 0, 1)
+
+
+class TestEvidenceLog:
+    def test_thread_slots_leave_one_line_per_request(self, tmp_path):
+        config = ServiceConfig(
+            socket_path=tmp_path / "ev.sock",
+            results_dir=tmp_path / "results",
+            executor="thread",
+            serve_workers=2,
+        )
+        svc = SolveService(config)
+        svc.start()
+        responses = []
+        lock = threading.Lock()
+        try:
+            client = SolveClient(config.socket_path, timeout=120.0)
+            assert client.wait_ready(timeout=10.0)
+            z = np.random.default_rng(5).uniform(2000.0, 11000.0, (6, 6))
+
+            def submit(i):
+                response = client.solve(z, id=f"t{i}")
+                with lock:
+                    responses.append(response)
+
+            threads = [
+                threading.Thread(target=submit, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            svc.stop()
+        assert sorted(r.status for r in responses) == [STATUS_OK] * 8
+        logs = sorted((tmp_path / "results").glob("evidence-*.jsonl"))
+        assert len(logs) == 1
+        records = list(iter_log(logs[0]))
+        assert all(isinstance(record, dict) for _, record in records)
+        assert sorted(loc for loc, _ in records) == sorted(
+            r.manifest_path for r in responses
+        )
+        ids = [record["manifest"]["config"]["request_id"] for _, record in records]
+        assert sorted(ids) == [f"t{i}" for i in range(8)]
