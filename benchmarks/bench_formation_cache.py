@@ -7,6 +7,12 @@ batched path (:func:`repro.core.templates.iter_pair_batches`), then
 writes a machine-readable JSON report.  The acceptance bar for the
 cached path is a >= 5x formation speedup at n = 60.
 
+Each size also records formation *to disk* — the paper's Fig. 9 path:
+``PyMPStrategy(2).run(z, output_dir=...)`` into a fresh temporary
+directory, as ``persist_seconds`` (median of the repeats, wall clock
+including the fork and the fsynced part-file commits) and
+``persist_bytes`` (the report's ``bytes_written``).
+
 Run directly (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_formation_cache.py \
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.categories import total_terms  # noqa: E402
 from repro.core.equations import iter_pair_blocks  # noqa: E402
+from repro.core.strategies import PyMPStrategy  # noqa: E402
 from repro.core.templates import (  # noqa: E402
     clear_template_cache,
     get_template,
@@ -68,6 +77,20 @@ def _time_cached(z: np.ndarray, repeats: int) -> tuple[float, float]:
     return best, checksum
 
 
+def _time_persist(z: np.ndarray, repeats: int) -> tuple[float, int]:
+    """Median seconds and bytes of PyMP(2) formation to a fresh directory."""
+    strategy = PyMPStrategy(2)
+    seconds = []
+    nbytes = 0
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as out:
+            start = time.perf_counter()
+            report = strategy.run(z, output_dir=out)
+            seconds.append(time.perf_counter() - start)
+            nbytes = report.bytes_written
+    return statistics.median(seconds), nbytes
+
+
 def run_benchmark(sizes: list[int], repeats: int) -> dict:
     rows = []
     for n in sizes:
@@ -78,6 +101,7 @@ def run_benchmark(sizes: list[int], repeats: int) -> dict:
         build_seconds = time.perf_counter() - build_start
         legacy_s, legacy_sum = _time_legacy(z, repeats)
         cached_s, cached_sum = _time_cached(z, repeats)
+        persist_s, persist_bytes = _time_persist(z, repeats)
         if cached_sum != legacy_sum:
             raise RuntimeError(
                 f"checksum mismatch at n={n}: "
@@ -96,6 +120,8 @@ def run_benchmark(sizes: list[int], repeats: int) -> dict:
             "cached_us_per_pair": 1e6 * cached_s / pairs,
             "speedup": legacy_s / cached_s,
             "checksum": legacy_sum,
+            "persist_seconds": persist_s,
+            "persist_bytes": persist_bytes,
         }
         rows.append(row)
         print(
@@ -103,14 +129,16 @@ def run_benchmark(sizes: list[int], repeats: int) -> dict:
             f"cached {1e6 * cached_s / pairs:8.1f} us/pair, "
             f"speedup {row['speedup']:.2f}x "
             f"(template build {1e3 * build_seconds:.2f} ms, "
-            f"{tpl.nbytes()} B resident)"
+            f"{tpl.nbytes()} B resident); "
+            f"PyMP(2) to disk {1e3 * persist_s:.2f} ms, {persist_bytes} B"
         )
     return {
         "benchmark": "formation_cache",
         "description": (
             "full-device equation formation, template-cached batched "
             "path vs legacy per-pair path (best of repeats, checksums "
-            "verified identical)"
+            "verified identical); persist_* = PyMP(2) formation to a "
+            "temporary directory (median of repeats, bytes written)"
         ),
         "repeats": repeats,
         "target_speedup_at_n60": 5.0,

@@ -25,6 +25,7 @@ from repro.core.strategies import (
     _part_files,
     _validate_z,
     part_writer,
+    share_header,
 )
 from repro.core.templates import form_worker_share, warm_template_cache
 from repro.observe.observer import as_observer
@@ -44,13 +45,17 @@ def _rank_program(
     rank, size = comm.Get_rank(), comm.Get_size()
     n = z.shape[0]
     part = partition_betti(n, size)
-    share = form_worker_share(
-        n, part.items, np.flatnonzero(part.worker_of == rank), z, voltage=voltage
-    )
+    mine = np.flatnonzero(part.worker_of == rank)
+    share = form_worker_share(n, part.items, mine, z, voltage=voltage)
     my_bytes = 0
-    with part_writer(output_dir, "binary", f"equations-rank{rank:04d}") as write:
+    with part_writer(
+        output_dir,
+        "binary",
+        f"equations-rank{rank:04d}",
+        share_header(output_dir, n, voltage, part.items, mine),
+    ) as write:
         if write is not None:
-            my_bytes = sum(map(write, share))
+            my_bytes = write(share)
     totals = comm.allreduce(np.array([share.terms, share.checksum, my_bytes]))
     return {
         "rank": rank,

@@ -41,11 +41,18 @@ from repro.core.templates import (
     WorkerShare,
     expected_share,
     form_worker_share,
+    get_template,
     iter_pair_batches,
     share_matches,
+    share_templates,
     warm_template_cache,
 )
-from repro.io.equations_io import write_block_binary, write_block_text
+from repro.io.equations_io import (
+    EquationHeader,
+    EquationWriter,
+    write_block_binary,
+    write_block_text,
+)
 from repro.observe.observer import as_observer
 from repro.parallel import pymp
 from repro.resilience.atomio import AtomicFile
@@ -147,7 +154,8 @@ class SingleThread:
         terms = 0
         checksum = 0.0
         bytes_written = 0
-        with part_writer(output_dir, fmt, "equations-part0000") as write, \
+        header = EquationHeader(n, voltage, (get_template(n),), n * n)
+        with part_writer(output_dir, fmt, "equations-part0000", header) as write, \
                 obs.span("formation", strategy=self.name, n=n, workers=1):
             for batch in iter_pair_batches(z, voltage=voltage):
                 if deadline is not None:
@@ -156,7 +164,7 @@ class SingleThread:
                     terms += batch.num_terms
                     checksum += float(batch.checksums().sum())
                     if write is not None:
-                        bytes_written += sum(map(write, batch))
+                        bytes_written += write(batch)
         report = FormationReport(
             strategy=self.name,
             n=n,
@@ -282,7 +290,10 @@ class _PartitionedStrategy:
                 )
                 try:
                     with part_writer(
-                        output_dir, fmt, f"equations-part{me:04d}"
+                        output_dir,
+                        fmt,
+                        f"equations-part{me:04d}",
+                        share_header(output_dir, n, voltage, items, mine),
                     ) as write, obs.span(
                         "formation.worker", worker=me, items=len(mine)
                     ):
@@ -296,7 +307,7 @@ class _PartitionedStrategy:
                             my_checksum += share.checksum
                             if write is not None:
                                 with obs.span("form.write", worker=me):
-                                    my_bytes += sum(map(write, share))
+                                    my_bytes += write(share)
                             if sup is not None:
                                 sup.tick(me, advance=len(sub))
                             if injector is not None:
@@ -464,10 +475,15 @@ def _salvage_lost_shares(
             salvaged += len(tail)
         reformed += head_count
         my_bytes = 0
-        with part_writer(output_dir, fmt, f"equations-part{rank:04d}") as write:
+        with part_writer(
+            output_dir,
+            fmt,
+            f"equations-part{rank:04d}",
+            share_header(output_dir, n, voltage, items, mine_r),
+        ) as write:
             if write is not None:
                 for share in shares:
-                    my_bytes += sum(map(write, share))
+                    my_bytes += write(share)
         per_worker_terms[rank] = sum(share.terms for share in shares)
         per_worker_checksum[rank] = sum(share.checksum for share in shares)
         per_worker_bytes[rank] = my_bytes
@@ -485,8 +501,20 @@ def _salvage_lost_shares(
 _EXTENSIONS = {"binary": "bin", "text": "txt"}
 
 
-def _open_writer(output_dir, fmt, name):
-    """(writer function, atomic part file ``<name>.bin|.txt``) or (None, None).
+def share_header(
+    output_dir, n, voltage, items, item_indices
+) -> EquationHeader | None:
+    """The binary part-file header of one share of the work items, or
+    None when nothing is written (it costs a pass over the items)."""
+    if output_dir is None:
+        return None
+    return EquationHeader(
+        n, voltage, share_templates(n, items, item_indices), len(item_indices)
+    )
+
+
+def _open_writer(output_dir, fmt, name, header):
+    """(write function, atomic part file ``<name>.bin|.txt``) or (None, None).
 
     Part files are written atomically (:class:`AtomicFile`:
     tmp+fsync+rename on commit), so a worker that dies mid-run leaves
@@ -499,8 +527,11 @@ def _open_writer(output_dir, fmt, name):
         raise ValueError(f"unknown format {fmt!r}; use 'binary' or 'text'")
     path = Path(output_dir) / f"{name}.{_EXTENSIONS[fmt]}"
     if fmt == "binary":
-        return write_block_binary, AtomicFile(path, "wb")
-    return write_block_text, AtomicFile(path, "w", encoding="utf-8")
+        part = AtomicFile(path, "wb")
+        out = EquationWriter(part, header)
+        return (lambda blocks: write_block_binary(blocks, out)), part
+    part = AtomicFile(path, "w", encoding="utf-8")
+    return (lambda blocks: sum(write_block_text(b, part) for b in blocks)), part
 
 
 def _close_writer(part, ok: bool) -> None:
@@ -512,23 +543,26 @@ def _close_writer(part, ok: bool) -> None:
 
 
 @contextmanager
-def part_writer(output_dir, fmt, name):
+def part_writer(output_dir, fmt, name, header: EquationHeader | None):
     """Write one part file ``<output_dir>/<name>.bin|.txt`` atomically.
 
-    Yields ``write(block) -> bytes written``, or None when
-    ``output_dir`` is None.  The part is committed when the block
+    Yields ``write(blocks) -> bytes written``, or None when
+    ``output_dir`` is None; ``blocks`` is a :class:`PairBlockBatch` or
+    a :class:`WorkerShare`.  A binary part is a ``PMEQ2`` file
+    declaring ``header`` (text parts ignore it), and its records are
+    written from the batch arrays ``(rows, cols, z)``.  The part is committed when the block
     exits normally and aborted (its ``*.tmp`` removed) when it raises,
     so no caller ever leaves a truncated part under its final name.
     Every share writer — PyMP workers, salvage, MPI ranks, elastic
     chunks — and the serial strategy go through here.
     """
-    writer, fh = _open_writer(output_dir, fmt, name)
+    write, part = _open_writer(output_dir, fmt, name, header)
     ok = False
     try:
-        yield None if writer is None else (lambda block: writer(block, fh))
+        yield write
         ok = True
     finally:
-        _close_writer(fh, ok)
+        _close_writer(part, ok)
 
 
 def _part_files(output_dir, fmt, stem, count) -> tuple[str, ...]:

@@ -22,8 +22,12 @@ from typing import BinaryIO, Protocol
 import numpy as np
 
 from repro.core.equations import PairBlock
-from repro.core.templates import iter_pair_blocks_cached
-from repro.io.equations_io import write_block_binary
+from repro.core.templates import iter_pair_blocks_cached, template_of
+from repro.io.equations_io import (
+    EquationHeader,
+    EquationWriter,
+    write_block_binary,
+)
 from repro.observe.observer import as_observer
 from repro.resilience.atomio import atomic_open
 from repro.resilience.faults import as_injector
@@ -53,13 +57,25 @@ class CountingSink:
 
 @dataclass
 class BinaryFileSink:
-    """Appends each block to an open binary stream."""
+    """Writes one device's stream to an open binary stream.
+
+    The stream becomes one ``PMEQ2`` file (:mod:`repro.io.equations_io`)
+    declaring the first block's template and ``n^2`` records; each
+    block is checked against that template's stamp before its record
+    is written.
+    """
 
     fh: BinaryIO
     bytes_written: int = 0
+    _out: EquationWriter | None = field(default=None, init=False, repr=False)
 
     def consume(self, block: PairBlock) -> None:
-        self.bytes_written += write_block_binary(block, self.fh)
+        if self._out is None:
+            header = EquationHeader(
+                block.n, block.voltage, (template_of(block),), block.n**2
+            )
+            self._out = EquationWriter(self.fh, header)
+        self.bytes_written += write_block_binary(block, self._out)
 
 
 @dataclass
@@ -123,10 +139,14 @@ def stream_formation(
     no-retention contract above is what makes that safe.
 
     ``faults`` (a :class:`repro.resilience.FaultPlan` or injector) can
-    corrupt or drop blocks before the sink, and abort the stream — the
-    failure modes the checkpointed writer
+    corrupt or drop blocks before the sink, and abort the stream.  A
+    corrupted block has its checksum negated (what a
+    :class:`CountingSink` sees); a :class:`BinaryFileSink` refuses it
+    with :class:`ValueError`, since it is not its template's stamp.
+    The checkpointed writer
     (:func:`repro.resilience.checkpoint.stream_to_file_checkpointed`)
-    detects and repairs on resume.
+    corrupts written records instead, and detects and repairs them on
+    resume.
 
     ``deadline`` (seconds or a running
     :class:`repro.resilience.supervise.Deadline`) is checked once per

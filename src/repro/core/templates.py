@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -160,9 +160,9 @@ class PairTemplate:
         template structure.
         """
         n = self.n
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        z = np.asarray(z, dtype=np.float64)
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        z = np.array(z, dtype=np.float64)
         if not (rows.ndim == cols.ndim == z.ndim == 1):
             raise ValueError("rows, cols and z must be 1-D")
         if not (len(rows) == len(cols) == len(z)):
@@ -184,6 +184,8 @@ class PairTemplate:
         np.take(self.lookup[rows], self.rrow_code, axis=1, out=r_row, mode="clip")
         np.take(self.lookup[cols], self.rcol_code, axis=1, out=r_col, mode="clip")
         rhs = (voltage / z)[:, None] * self.rhs_unit[None, :]
+        for arr in (rows, cols, z, r_row, r_col, rhs):
+            arr.setflags(write=False)
         return PairBlockBatch(
             template=self,
             rows=rows,
@@ -202,6 +204,9 @@ class PairBlockBatch:
 
     ``r_row``/``r_col`` are ``(P, T)``; ``rhs`` is ``(P, E)``; all
     remaining structure lives on the shared :class:`PairTemplate`.
+    Every array is read-only, so a batch stays its template's stamp of
+    ``(rows, cols, z, voltage)`` — which is all an equation file
+    stores of it (:mod:`repro.io.equations_io`).
     :meth:`block` materialises one pair as a zero-copy
     :class:`PairBlock` view (row slices of the batch buffers), so
     serialization and checksums of individual pairs behave exactly as
@@ -322,6 +327,43 @@ def _build_template(
     """
     start = time.perf_counter()
     probe = form_pair_block(n, 0, 0, 1.0, voltage=1.0, categories=categories)
+    tpl = template_from_arrays(
+        n,
+        categories,
+        eq_id=probe.eq_id,
+        sign=probe.sign,
+        v_plus=probe.v_plus,
+        v_minus=probe.v_minus,
+        category=probe.category,
+        rhs_unit=probe.rhs,
+        rrow_code=probe.r_row,
+        rcol_code=probe.r_col,
+    )
+    return replace(tpl, build_seconds=time.perf_counter() - start)
+
+
+def template_from_arrays(
+    n: int,
+    categories: tuple[Category, ...],
+    *,
+    eq_id: np.ndarray,
+    sign: np.ndarray,
+    v_plus: np.ndarray,
+    v_minus: np.ndarray,
+    category: np.ndarray,
+    rhs_unit: np.ndarray,
+    rrow_code: np.ndarray,
+    rcol_code: np.ndarray,
+) -> PairTemplate:
+    """A :class:`PairTemplate` from its stored arrays.
+
+    The lookup and checksum tables are derived here, so a template
+    persisted as its eight layout arrays (the ``PMEQ2`` equation files
+    of :mod:`repro.io.equations_io`) is rebuilt exactly.  The codes
+    must lie in ``[0, n)``.
+    """
+    rrow_code = np.asarray(rrow_code).astype(np.intp)
+    rcol_code = np.asarray(rcol_code).astype(np.intp)
     lookup = np.empty((n, n), dtype=np.int32)
     base = np.arange(n, dtype=np.int32)
     for d in range(n):
@@ -329,9 +371,9 @@ def _build_template(
         lookup[d, 1:d + 1] = base[:d]
         lookup[d, d + 1:] = base[d + 1:]
     checksum_weight = (
-        probe.sign.astype(np.float64)
-        * (probe.v_plus.astype(np.float64) + 1.0)
-        * (probe.v_minus.astype(np.float64) + 3.0)
+        sign.astype(np.float64)
+        * (v_plus.astype(np.float64) + 1.0)
+        * (v_minus.astype(np.float64) + 3.0)
     )
     # The checksum is bilinear in the lookup rows:
     #   sum_t w_t (L[row, a_t] + 1) (L[col, b_t] + 1)
@@ -339,22 +381,18 @@ def _build_template(
     # pair's checksum as one (n, n) table.  All intermediate sums are
     # integers well below 2^53, so the table is exact, not approximate.
     weight_by_code = np.zeros((n, n), dtype=np.float64)
-    np.add.at(
-        weight_by_code,
-        (probe.r_row.astype(np.intp), probe.r_col.astype(np.intp)),
-        checksum_weight,
-    )
+    np.add.at(weight_by_code, (rrow_code, rcol_code), checksum_weight)
     shifted = lookup.astype(np.float64) + 1.0
     checksum_table = shifted @ weight_by_code @ shifted.T
     arrays = dict(
-        eq_id=probe.eq_id,
-        sign=probe.sign,
-        v_plus=probe.v_plus,
-        v_minus=probe.v_minus,
-        category=probe.category,
-        rhs_unit=probe.rhs,
-        rrow_code=probe.r_row.astype(np.intp),
-        rcol_code=probe.r_col.astype(np.intp),
+        eq_id=eq_id,
+        sign=sign,
+        v_plus=v_plus,
+        v_minus=v_minus,
+        category=category,
+        rhs_unit=rhs_unit,
+        rrow_code=rrow_code,
+        rcol_code=rcol_code,
         lookup=lookup,
         checksum_weight=checksum_weight,
         checksum_table=checksum_table,
@@ -362,10 +400,7 @@ def _build_template(
     for arr in arrays.values():
         arr.setflags(write=False)
     return PairTemplate(
-        n=n,
-        categories=categories,
-        build_seconds=time.perf_counter() - start,
-        **arrays,
+        n=n, categories=tuple(categories), build_seconds=0.0, **arrays
     )
 
 
@@ -394,6 +429,16 @@ def get_template(
         _STATS.bytes_resident += tpl.nbytes()
         _STATS.build_seconds += tpl.build_seconds
     return tpl
+
+
+def template_of(block: PairBlock) -> PairTemplate:
+    """The cached template whose stamps have ``block``'s layout.
+
+    The categories are read off ``block.category`` in order of first
+    appearance, the order formation emits their sections in.
+    """
+    codes = dict.fromkeys(np.asarray(block.category).tolist())
+    return get_template(block.n, tuple(Category(c) for c in codes))
 
 
 def cache_stats() -> TemplateCacheStats:
@@ -568,6 +613,15 @@ def form_worker_share(
         terms=sum(batch.num_terms for batch in batches),
         checksum=sum((float(b.checksums().sum()) for b in batches), 0.0),
     )
+
+
+def share_templates(
+    n: int, items: Sequence, item_indices: Sequence[int]
+) -> tuple[PairTemplate, ...]:
+    """The one-category templates a share's items use, in category
+    order — what its part file declares before its records."""
+    cats = sorted({items[int(i)].category for i in item_indices})
+    return tuple(get_template(n, (cat,)) for cat in cats)
 
 
 def expected_share(

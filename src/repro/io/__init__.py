@@ -7,8 +7,11 @@
 """
 
 from repro.io.equations_io import (
+    EquationHeader,
+    EquationWriter,
     load_blocks_binary,
     read_blocks_binary,
+    read_header,
     save_blocks_binary,
     save_blocks_text,
     write_block_binary,
@@ -32,6 +35,8 @@ from repro.io.textformat import (
 )
 
 __all__ = [
+    "EquationHeader",
+    "EquationWriter",
     "FormatError",
     "WorkbookError",
     "convert_workbook",
@@ -44,6 +49,7 @@ __all__ = [
     "load_measurement",
     "loads_measurement",
     "read_blocks_binary",
+    "read_header",
     "save_blocks_binary",
     "save_blocks_text",
     "save_campaign",

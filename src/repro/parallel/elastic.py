@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.partition import hole_of_pair, make_items
-from repro.core.strategies import part_writer
+from repro.core.strategies import part_writer, share_header
 from repro.core.templates import (
     expected_share,
     form_worker_share,
@@ -803,14 +803,13 @@ def run_elastic_formation(
     ledger = WorkLedger(chunks)
 
     def runner(chunk: WorkChunk, ctx: WorkerContext) -> tuple[int, float, int]:
-        share = form_worker_share(
-            n, items, range(chunk.item_lo, chunk.item_hi), z, voltage
-        )
-        nbytes = 0
+        mine = range(chunk.item_lo, chunk.item_hi)
+        share = form_worker_share(n, items, mine, z, voltage)
         name = f"equations-chunk{chunk.chunk_id:05d}"
-        with part_writer(out, "binary", name) as write:
-            for block in share:
-                nbytes += write(block)
+        header = share_header(out, n, voltage, items, mine)
+        with part_writer(out, "binary", name, header) as write:
+            nbytes = write(share)
+            for _ in mine:
                 ctx.tick(1)
         return share.terms, share.checksum, nbytes
 

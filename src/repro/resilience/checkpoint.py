@@ -12,14 +12,15 @@ ever replaced atomically (:mod:`repro.resilience.atomio`):
   detected by digest and simply recomputed.
 
 * :class:`StreamCheckpoint` — journals streamed equation blocks as
-  they are appended to one binary data file: canonical pair index,
+  their records are appended to one ``PMEQ2`` data file
+  (:mod:`repro.io.equations_io`): canonical pair index, the record's
   byte offset and the block's order-independent checksum.  On resume
-  the on-disk prefix is re-read and verified block-by-block against
-  both the manifest *and* the O(1) expected-checksum table of
+  the file's header is re-read and each record verified against its
+  own check, the manifest *and* the O(1) expected-checksum table of
   :mod:`repro.core.templates`; the first corrupt, missing or torn
-  block truncates the file there and formation restarts from that
-  block.  Corrupted blocks are therefore **re-formed, never
-  consumed**.
+  record truncates the file there and formation restarts from that
+  block (an unreadable header restarts it from scratch).  Corrupted
+  blocks are therefore **re-formed, never consumed**.
 
 Manifest schemas are documented in ``docs/RESILIENCE.md``.
 """
@@ -36,7 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.templates import get_template, iter_pair_blocks_cached
-from repro.io.equations_io import read_blocks_binary, write_block_binary
+from repro.io.equations_io import (
+    RECORD,
+    EquationHeader,
+    EquationWriter,
+    read_header,
+    write_block_binary,
+)
 from repro.resilience.atomio import atomic_write_bytes, atomic_write_json
 from repro.resilience.faults import FaultInjector, as_injector
 from repro.utils import logging as rlog
@@ -207,9 +214,10 @@ class StreamResumeReport:
 class StreamCheckpoint:
     """Journal for a streamed binary equation file.
 
-    The data file ``equations.bin`` grows block-append-only; the
-    manifest lists, per written block: canonical pair index, pair
-    coordinates, byte offset/size and checksum.  ``flush_every``
+    The data file ``equations.bin`` is one ``PMEQ2`` file that grows
+    record-append-only after its header; the manifest lists, per
+    written block: canonical pair index, pair coordinates, the
+    record's byte offset/size and the block's checksum.  ``flush_every``
     controls how often the manifest is rewritten — blocks written
     after the last flush are simply re-formed on resume (formation is
     deterministic, so re-forming is always safe).
@@ -235,12 +243,14 @@ class StreamCheckpoint:
     def verify_prefix(self, n: int) -> StreamResumeReport:
         """Re-read the on-disk prefix and count verifiable blocks.
 
-        A block verifies when (a) it sits at the journaled offset with
-        the journaled pair coordinates in canonical order, (b) its
-        recomputed checksum equals the journaled one, and (c) that
-        checksum equals the template's expected value for the pair —
-        the O(1) table of :mod:`repro.core.templates`, so verification
-        never trusts the journal alone.
+        The data file's header must declare this stream (``n``, the
+        voltage, the full template, ``n^2`` records).  A block then
+        verifies when (a) its record sits at the journaled offset and
+        passes its own check, (b) it holds the journaled pair in
+        canonical order, and (c) its checksum equals both the journaled
+        one and the template's expected value for the pair — the O(1)
+        table of :mod:`repro.core.templates`, so verification never
+        trusts the journal alone.
         """
         if not self.data_path.exists():
             return StreamResumeReport(0, 0, len(self.blocks), "no data file")
@@ -249,7 +259,14 @@ class StreamCheckpoint:
         reason = ""
         size = self.data_path.stat().st_size
         with open(self.data_path, "rb") as fh:
-            for k, entry in enumerate(self.blocks):
+            try:
+                header = read_header(fh)
+            except ValueError as exc:
+                header, reason = None, f"unreadable header: {exc}"
+            else:
+                if header is None or not self._declares_stream(header, n):
+                    header, reason = None, "header does not declare this stream"
+            for k, entry in enumerate(self.blocks if header else ()):
                 if entry["index"] != k:
                     reason = f"journal gap at block {k} (dropped block?)"
                     break
@@ -258,16 +275,17 @@ class StreamCheckpoint:
                     break
                 fh.seek(entry["offset"])
                 try:
-                    block = next(read_blocks_binary(fh))
-                except (ValueError, StopIteration) as exc:
-                    reason = f"unreadable block {k}: {exc}"
+                    (record,) = header.decode_records(fh.read(entry["nbytes"]))
+                except ValueError as exc:
+                    reason = f"block {k}: {exc}"
                     break
                 row, col = divmod(k, n)
-                if (block.row, block.col) != (row, col):
-                    reason = f"block {k} holds pair {(block.row, block.col)}"
+                pair = (int(record["row"]), int(record["col"]))
+                if pair != (row, col):
+                    reason = f"block {k} holds pair {pair}"
                     break
+                actual = float(header.templates[0].checksum_table[row, col])
                 expected = float(expected_table[row, col])
-                actual = block.checksum()
                 if actual != entry["checksum"] or actual != expected:
                     reason = (
                         f"checksum mismatch on block {k} "
@@ -282,8 +300,21 @@ class StreamCheckpoint:
             first_bad_reason=reason,
         )
 
+    def _declares_stream(self, header: EquationHeader, n: int) -> bool:
+        return (
+            header.n == n
+            and header.voltage == self.params.get("voltage")
+            and header.num_records == n * n
+            and len(header.templates) == 1
+            and header.templates[0].categories == get_template(n).categories
+        )
+
     def truncate_to(self, num_blocks: int) -> None:
-        """Cut the data file and journal back to a verified prefix."""
+        """Cut the data file and journal back to a verified prefix.
+
+        With no block left the header goes too; the next stream writes
+        it afresh.
+        """
         self.blocks = self.blocks[:num_blocks]
         end = self.blocks[-1]["offset"] + self.blocks[-1]["nbytes"] if self.blocks else 0
         if self.data_path.exists():
@@ -365,21 +396,26 @@ def stream_to_file_checkpointed(
         cp._write_manifest()
         return cp, report, 0
 
-    expected_table = get_template(n).checksum_table
+    template = get_template(n)
+    header = EquationHeader(n, float(voltage), (template,), total_blocks)
     blocks = iter_pair_blocks_cached(z, voltage=voltage)
     formed = 0
     unflushed = 0
+    mode = "r+b" if cp.data_path.exists() else "w+b"
     with obs.span(
         "checkpoint.stream", n=n, start_block=start_block, total_blocks=total_blocks
-    ), open(cp.data_path, "ab") as fh:
-        offset = fh.tell()
+    ), open(cp.data_path, mode) as fh:
+        fh.seek(0, 2)
+        out = EquationWriter(fh, header, written=start_block)
         for k, block in enumerate(blocks):
             if k < start_block:
                 continue
-            victim = block if injector is None else injector.mangle_block(block, k)
-            if victim is None:
+            fate = "ok" if injector is None else injector.block_fate(k)
+            if fate == "drop":
                 continue  # dropped: the journal gap is caught on resume
-            nbytes = write_block_binary(victim, fh)
+            offset = fh.tell() + write_block_binary(block, out) - RECORD.itemsize
+            if fate == "corrupt":
+                injector.corrupt_written(fh, offset + RECORD.fields["z"][1], 8)
             row, col = divmod(k, n)
             cp.blocks.append(
                 {
@@ -387,14 +423,13 @@ def stream_to_file_checkpointed(
                     "row": row,
                     "col": col,
                     "offset": offset,
-                    "nbytes": nbytes,
+                    "nbytes": RECORD.itemsize,
                     # Journal the *intended* checksum (the O(1) template
-                    # value): disk corruption then disagrees with both
-                    # the journal and the template on verify.
-                    "checksum": float(expected_table[row, col]),
+                    # value): a record that no longer stamps this pair's
+                    # block then disagrees with it on verify.
+                    "checksum": float(template.checksum_table[row, col]),
                 }
             )
-            offset += nbytes
             formed += 1
             unflushed += 1
             if unflushed >= flush_every:

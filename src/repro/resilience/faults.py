@@ -70,8 +70,11 @@ class FaultPlan:
         straggler detector without ever tripping the stall watchdog.
     corrupt_blocks / corrupt_block_rate:
         Explicit canonical pair indices (and/or a Bernoulli rate) of
-        streamed blocks whose term signs are flipped before hitting the
-        sink — detectable by checksum, invisible to byte counting.
+        streamed blocks that are corrupted — detectable by checksum,
+        invisible to byte counting.  In memory (:meth:`FaultInjector.
+        mangle_block`) their term signs are flipped before the sink; in
+        a checkpointed stream their written record's ``z`` bytes are
+        flipped on disk (:meth:`FaultInjector.corrupt_written`).
     drop_blocks / drop_block_rate:
         Blocks silently discarded before the sink (torn write).
     abort_after_blocks / abort_after_timepoints:
@@ -281,10 +284,12 @@ class FaultInjector:
     def mangle_block(self, block: PairBlock, index: int) -> PairBlock | None:
         """Apply the block's fate: pass through, corrupt, or drop (None).
 
-        Corruption flips every term sign — the byte count is unchanged
-        (so naive size checks pass) but the order-independent checksum
-        is negated, which is exactly what the manifest verification
-        must catch.
+        Corruption flips every term sign in memory — the block keeps
+        its size but its order-independent checksum is negated, which
+        a checksum-keeping sink must catch.  A binary equation writer
+        refuses such a block outright (it is not its template's stamp),
+        so the checkpointed stream corrupts the written record instead
+        (:meth:`corrupt_written`).
         """
         fate = self.block_fate(index)
         if fate == "ok":
@@ -292,6 +297,22 @@ class FaultInjector:
         if fate == "drop":
             return None
         return dataclasses.replace(block, sign=(-block.sign).astype(np.int8))
+
+    def corrupt_written(self, fh, offset: int, nbytes: int) -> None:
+        """Flip every bit of ``nbytes`` already written at ``offset``.
+
+        ``fh`` is a seekable binary file open for reading and writing;
+        its position is restored.  This is bit rot after the write: the
+        file keeps its size, and only a check over the damaged bytes
+        (an equation record's own, see :mod:`repro.io.equations_io`)
+        finds it.
+        """
+        end = fh.tell()
+        fh.seek(offset)
+        data = fh.read(nbytes)
+        fh.seek(offset)
+        fh.write(bytes(b ^ 0xFF for b in data))
+        fh.seek(end)
 
     def maybe_abort_stream(self, blocks_done: int) -> None:
         limit = self.plan.abort_after_blocks

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.io.equations_io as equations_io
 from repro.core.distributed import MPIFormation
 from repro.core.streaming import (
     BinaryFileSink,
@@ -17,6 +16,7 @@ from repro.core.strategies import SingleThread
 from repro.io.equations_io import load_blocks_binary
 from repro.mea.wetlab import quick_device_data
 from repro.parallel.mpi import MPIError
+from repro.resilience.atomio import AtomicFile
 
 
 @pytest.fixture(scope="module")
@@ -68,36 +68,22 @@ class TestMPIFormation:
     ):
         """A rank that raises part-way through its share commits nothing.
 
-        The block writer fails on each rank's third block (patched
-        before the ranks fork), after two blocks already reached the
-        file: the run raises and no rank file, whole or truncated, is
-        left under any name.
+        The part-file write fails on every rank (patched before the
+        ranks fork) after half its bytes already reached the file: the
+        run raises and no rank file, whole or truncated, is left under
+        any name.
         """
         _, z = device6
-        monkeypatch.setattr(
-            equations_io, "_HEADER", _FailingHeader(equations_io._HEADER, 3)
-        )
+        real_write = AtomicFile.write
+
+        def torn_write(self, data):
+            real_write(self, data[: len(data) // 2])
+            raise OSError("injected part-file write failure")
+
+        monkeypatch.setattr(AtomicFile, "write", torn_write)
         with pytest.raises(MPIError):
             MPIFormation(2).run(z, output_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.glob("equations-rank*")) == []
-
-
-class _FailingHeader:
-    """The block header struct, raising on its ``fail_on``-th pack."""
-
-    def __init__(self, real, fail_on: int) -> None:
-        self.real = real
-        self.fail_on = fail_on
-        self.calls = 0
-
-    def pack(self, *fields):
-        self.calls += 1
-        if self.calls == self.fail_on:
-            raise OSError("injected block-write failure")
-        return self.real.pack(*fields)
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
 
 
 class TestStreaming:

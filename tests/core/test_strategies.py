@@ -21,6 +21,7 @@ from repro.io.equations_io import load_blocks_binary
 from repro.mea.wetlab import quick_device_data
 from repro.parallel.elastic import run_elastic_formation
 from tests.oracles.formation_reference import (
+    assert_parts_match,
     reference_chunk_files,
     reference_formation,
     reference_rank_files,
@@ -152,7 +153,8 @@ class TestFactoryAndCalibration:
 
 
 def _assert_same_output(rep, ref):
-    """Equal totals and per-worker terms; byte-identical part files."""
+    """Equal totals and per-worker terms; byte-identical part files
+    whose blocks read back equal the oracle's."""
     assert rep.terms_formed == ref.terms_formed
     assert rep.checksum == ref.checksum
     np.testing.assert_array_equal(rep.per_worker_terms, ref.per_worker_terms)
@@ -161,10 +163,11 @@ def _assert_same_output(rep, ref):
     ]
     for product, oracle in zip(rep.part_files, ref.part_files):
         assert Path(product).read_bytes() == Path(oracle).read_bytes()
+    assert_parts_match(rep.part_files, ref)
 
 
 class TestFormationModes:
-    """The one formation path against the per-pair oracle, byte for byte."""
+    """The one formation path against the per-pair oracle: blocks and bytes."""
 
     @pytest.mark.parametrize(
         "make",
@@ -192,7 +195,7 @@ class TestFormationModes:
 
 
 class TestElasticChunks:
-    """Elastic chunk files against the per-pair oracle, byte for byte."""
+    """Elastic chunk files against the per-pair oracle: blocks and bytes."""
 
     def test_chunk_files_byte_identical_to_oracle(self, device8, tmp_path):
         _, z = device8
@@ -211,3 +214,6 @@ class TestElasticChunks:
         for oracle in map(Path, ref.part_files):
             product = tmp_path / "product" / oracle.name
             assert product.read_bytes() == oracle.read_bytes()
+        assert_parts_match(
+            [tmp_path / "product" / name for name in rep.part_files], ref
+        )

@@ -4,11 +4,20 @@ Every formation path in :mod:`repro` stamps pair blocks from the per-n
 template cache (:mod:`repro.core.templates`).  Before the cache, each
 worker formed each of its work items from scratch with
 :func:`repro.core.equations.form_pair_block`, one item at a time in
-item order.  This module does exactly that, writing with the product's
-block writers under the product's part-file names, so a strategy's
-part files — an MPI run's rank files, and an elastic run's chunk
-files — must equal the oracle's byte for byte, and its ``terms_formed``/``checksum`` must equal the
-oracle's exactly.  Nothing in ``src/`` imports this module.
+item order.  This module does exactly that, under the product's
+part-file names, and keeps each part's blocks in
+:attr:`ReferenceReport.part_blocks`.
+
+A binary part file (``PMEQ2``) holds its templates and one
+``(row, col, template, z)`` record per item, not the formed term
+arrays, so equal bytes prove only equal records.  Formation parity is
+proved on blocks: every block read back from a strategy's part files —
+an MPI run's rank files, an elastic run's chunk files — must equal the
+oracle's block at the same position, array by array
+(:func:`assert_parts_match`).  The oracle also writes its parts with
+the product's writer, so the files must still be byte-identical, and
+``terms_formed``/``checksum`` must equal the oracle's exactly.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -22,7 +31,16 @@ import numpy as np
 from repro.core.equations import PairBlock, form_pair_block, iter_pair_blocks
 from repro.core.partition import make_items, partition_betti
 from repro.core.strategies import SingleThread
-from repro.io.equations_io import write_block_binary, write_block_text
+from repro.io.equations_io import (
+    load_blocks_binary,
+    write_block_binary,
+    write_block_text,
+)
+
+#: Every array of a :class:`PairBlock`, in declaration order.
+BLOCK_ARRAYS = (
+    "eq_id", "sign", "r_row", "r_col", "v_plus", "v_minus", "rhs", "category"
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +51,9 @@ class ReferenceReport:
     checksum: float
     per_worker_terms: np.ndarray
     part_files: tuple[str, ...]
+    #: Each share's blocks in write order (one entry per share,
+    #: whether or not it was written).
+    part_blocks: tuple[tuple[PairBlock, ...], ...] = ()
 
 
 def reference_formation(
@@ -109,33 +130,58 @@ def _item_blocks(items, z: np.ndarray, voltage: float) -> Iterator[PairBlock]:
 
 
 def _write_shares(shares, output_dir, name: str, fmt: str) -> ReferenceReport:
-    writer, mode, encoding = (
-        (write_block_binary, "wb", None)
-        if fmt == "binary"
-        else (write_block_text, "w", "utf-8")
-    )
     per_worker = np.zeros(len(shares), dtype=np.int64)
     checksum = 0.0
     paths = []
+    part_blocks = []
     for w, blocks in enumerate(shares):
-        fh = None
-        if output_dir is not None:
-            path = Path(output_dir) / name.format(w)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(path, mode, encoding=encoding)
-            paths.append(str(path))
-        try:
-            for block in blocks:
-                per_worker[w] += block.num_terms
-                checksum += block.checksum()
-                if fh is not None:
-                    writer(block, fh)
-        finally:
-            if fh is not None:
-                fh.close()
+        blocks = tuple(blocks)
+        part_blocks.append(blocks)
+        for block in blocks:
+            per_worker[w] += block.num_terms
+            checksum += block.checksum()
+        if output_dir is None:
+            continue
+        path = Path(output_dir) / name.format(w)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        paths.append(str(path))
+        if fmt == "binary":
+            with open(path, "wb") as fh:
+                write_block_binary(blocks, fh)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                for block in blocks:
+                    write_block_text(block, fh)
     return ReferenceReport(
         terms_formed=int(per_worker.sum()),
         checksum=checksum,
         per_worker_terms=per_worker,
         part_files=tuple(paths),
+        part_blocks=tuple(part_blocks),
     )
+
+
+def assert_blocks_equal(got: PairBlock, want: PairBlock) -> None:
+    """``got`` equals ``want`` in every field, array by array (dtype too)."""
+    for name in ("n", "row", "col", "voltage", "z"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in BLOCK_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def assert_parts_match(part_files, ref: ReferenceReport) -> None:
+    """The blocks read back from binary ``part_files`` equal the
+    oracle's, part by part and in order.
+
+    ``part_files`` are matched to ``ref.part_files`` by name; a share
+    with no items has an empty part on both sides.
+    """
+    names = [Path(p).name for p in part_files]
+    assert names == [Path(p).name for p in ref.part_files], names
+    for path, want in zip(part_files, ref.part_blocks):
+        got = load_blocks_binary(path)
+        assert len(got) == len(want), Path(path).name
+        for a, b in zip(got, want):
+            assert_blocks_equal(a, b)

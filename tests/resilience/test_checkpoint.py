@@ -1,12 +1,14 @@
 """Checkpoint manifests: record, verify, invalidate, resume."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.engine import ParmaEngine
 from repro.core.streaming import stream_to_file
+from repro.io.equations_io import RECORD
 from repro.mea.dataset import Measurement
 from repro.mea.wetlab import quick_device_data
 from repro.resilience.checkpoint import (
@@ -166,6 +168,48 @@ class TestStreamCheckpoint:
         report = verify_stream_directory(sdir)
         assert report.blocks_verified == 24
         assert "truncated" in report.first_bad_reason
+
+    def test_corrupted_z_detected_and_reformed(self, tmp_path, z5):
+        sdir = tmp_path / "s"
+        cp, _, _ = stream_to_file_checkpointed(z5, sdir)
+        data = bytearray(cp.data_path.read_bytes())
+        at = cp.blocks[7]["offset"] + RECORD.fields["z"][1]
+        (stored,) = struct.unpack_from("<d", data, at)
+        struct.pack_into("<d", data, at, stored * 1000)
+        cp.data_path.write_bytes(bytes(data))
+
+        report = verify_stream_directory(sdir)
+        assert report.blocks_verified == 7
+        assert "checksum mismatch" in report.first_bad_reason
+
+        cp, report, formed = stream_to_file_checkpointed(z5, sdir)
+        assert cp.complete
+        assert formed == 25 - 7
+        assert cp.data_path.read_bytes() == self._reference_bytes(z5, tmp_path)
+
+    @pytest.mark.parametrize(
+        "offset,fmt,value",
+        [(8, "<i", 2**30), (24, "<q", 2**40)],
+        ids=["n", "records"],
+    )
+    def test_corrupt_header_discarded_on_resume(
+        self, tmp_path, z5, offset, fmt, value
+    ):
+        sdir = tmp_path / "s"
+        stream_to_file_checkpointed(z5, sdir)
+        data = bytearray((sdir / "equations.bin").read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        (sdir / "equations.bin").write_bytes(bytes(data))
+
+        report = verify_stream_directory(sdir)
+        assert report.blocks_verified == 0
+        assert "unreadable header" in report.first_bad_reason
+
+        cp, report, formed = stream_to_file_checkpointed(z5, sdir)
+        assert cp.complete
+        assert report.blocks_discarded == 25
+        assert formed == 25
+        assert cp.data_path.read_bytes() == self._reference_bytes(z5, tmp_path)
 
     def test_incompatible_params_restart_from_scratch(self, tmp_path, z5):
         sdir = tmp_path / "s"
