@@ -146,48 +146,6 @@ def run_benchmark(sizes: list[int], repeats: int) -> dict:
     }
 
 
-def write_manifests(
-    report: dict, directory: Path, catalog_db: Path | None = None
-) -> None:
-    """One bench-tagged run manifest per size, for the run catalog.
-
-    Each size becomes a ``bench-formation-n<N>/manifest.json`` whose
-    ``formation`` phase carries the cached-path time and whose
-    ``extra.bench = "formation"`` tag is what ``parma runs regress``
-    matches against ``BENCH_formation.json``.
-    """
-    from repro.observe.observer import Observer
-
-    directory.mkdir(parents=True, exist_ok=True)
-    for row in report["sizes"]:
-        obs = Observer(trace_dir=directory / f"bench-formation-n{row['n']}")
-        # Span timestamps are perf_counter coordinates; anchor the
-        # synthesized span so the manifest wall equals the bench time.
-        obs.add_span(
-            "formation",
-            ts=time.perf_counter() - row["cached_seconds"],
-            dur=row["cached_seconds"],
-            n=row["n"],
-        )
-        obs.gauge("bench.speedup", row["speedup"])
-        obs.finalize(
-            config={
-                "command": "bench-formation",
-                "n": row["n"],
-                "formation": "cached",
-                "status": "ok",
-            },
-            extra={"bench": "formation"},
-        )
-    print(f"wrote {len(report['sizes'])} bench manifest(s) under {directory}")
-    if catalog_db is not None:
-        from repro.observe.catalog import Catalog
-
-        with Catalog(catalog_db) as catalog:
-            ingested = catalog.ingest([directory])
-            print(f"catalog: {ingested.summary()} -> {catalog_db}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -223,7 +181,12 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
     if args.manifests is not None:
-        write_manifests(report, args.manifests, catalog_db=args.catalog)
+        from repro.observe.catalog import write_bench_manifests
+
+        write_bench_manifests(
+            report, args.manifests, catalog_db=args.catalog,
+            config=lambda row: {"formation": "cached", "status": "ok"},
+        )
     if args.require_speedup is not None:
         worst = min(row["speedup"] for row in report["sizes"])
         if worst < args.require_speedup:

@@ -1,26 +1,28 @@
-"""Elastic-dispatch scaling benchmark: the 1,024-rank artifact.
+"""Elastic-dispatch scaling benchmark: writes ``BENCH_scaling.json``.
 
-Two halves, matching ``parma scale``:
+A thin caller of :func:`repro.parallel.elastic.run_scaling_experiment`,
+the one implementation of the experiment (``parma scale`` runs it at
+one size):
 
 1. A *real* elastic formation campaign per size — a quiet run and a
    churn run (one worker SIGKILLed, the pool shrunk then grown
-   mid-campaign) through :func:`repro.parallel.elastic.run_elastic_formation`.
-   The churn run must commit part files byte-identical to the quiet
-   run's; the elapsed ratio is the measured churn overhead.
+   mid-campaign).  The churn run must commit part files
+   byte-identical to the quiet run's; the elapsed ratio is the
+   measured churn overhead.
 2. A *simulated* strategy × rank-count strong-scaling sweep on the
    deterministic cluster clock (powers of two up to ``--max-ranks``,
    default 1,024), anchored to this machine's measured per-term cost,
    plus failover and heterogeneous-awareness reference points.
 
-Run directly (not under pytest)::
+Regenerate the committed trajectory with::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py \
-        --sizes 20 --max-ranks 1024 --out BENCH_scaling.json
+        --sizes 20 --sweep-n 60 --max-ranks 1024 --out BENCH_scaling.json
 
 The JSON report is the ``elastic_scaling`` trajectory consumed by
 ``parma runs regress``: each entry of ``sizes`` carries
 ``elastic_formation_seconds`` (quiet + churn campaign wall time, the
-same interval the ``parma scale`` ``formation`` span records), gating
+interval the ``parma scale`` ``formation`` span records), gating
 later ``--bench-tag scaling`` runs.
 """
 
@@ -28,220 +30,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
-import tempfile
-import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.partition import make_items  # noqa: E402
-from repro.core.strategies import calibrate_sec_per_term  # noqa: E402
-from repro.parallel.elastic import (  # noqa: E402
-    part_files_identical,
-    run_elastic_formation,
-    sweep_scaling_curves,
-)
-from repro.parallel.heterogeneous import HeterogeneousCluster  # noqa: E402
-from repro.parallel.pymp import fork_available  # noqa: E402
-from repro.parallel.simcluster import (  # noqa: E402
-    HPC_FDR,
-    simulate_with_failures,
-)
-from repro.parallel.workstealing import (  # noqa: E402
-    simulate_stealing_with_failures,
-)
-from repro.resilience.faults import FaultPlan  # noqa: E402
-
-
-def _device(n: int, seed: int = 1234) -> np.ndarray:
-    rng = np.random.default_rng(seed + n)
-    return rng.uniform(500.0, 1500.0, (n, n))
-
-
-def run_campaigns(
-    sizes: list[int], *, workers: int, chunk_items: int, seed: int
-) -> list[dict]:
-    """Quiet + churn elastic campaign per size (real forked workers)."""
-    rows = []
-    for n in sizes:
-        z = _device(n)
-        with tempfile.TemporaryDirectory() as td:
-            td = Path(td)
-            quiet = run_elastic_formation(
-                z,
-                workers=workers,
-                chunk_items=chunk_items,
-                output_dir=td / "quiet",
-            )
-            chunks = quiet.chunks_total
-            churn = run_elastic_formation(
-                z,
-                workers=workers,
-                chunk_items=chunk_items,
-                output_dir=td / "churn",
-                faults=FaultPlan(
-                    seed=seed,
-                    kill_workers=(1,),
-                    kill_signal=int(signal.SIGKILL),
-                ),
-                resize_schedule=[
-                    (max(1, chunks // 3), max(1, workers - 1)),
-                    (max(2, 2 * chunks // 3), workers),
-                ],
-            )
-            identical, detail = part_files_identical(
-                td / "quiet", td / "churn"
-            )
-        if not identical:
-            raise RuntimeError(
-                f"n={n}: churn campaign diverged from the quiet run "
-                f"({detail})"
-            )
-        overhead = churn.elapsed_seconds / quiet.elapsed_seconds - 1.0
-        row = {
-            "n": n,
-            "chunks": chunks,
-            "terms": quiet.terms_formed,
-            "quiet_seconds": quiet.elapsed_seconds,
-            "churn_seconds": churn.elapsed_seconds,
-            "churn_overhead": overhead,
-            "leases_reassigned": churn.leases_reassigned,
-            "pool_resizes": churn.pool_resizes,
-            "workers_respawned": churn.workers_respawned,
-            "part_files_identical": True,
-            # The regress baseline: the whole campaign interval (quiet
-            # + churn), matching the `parma scale` formation span.
-            "elastic_formation_seconds": (
-                quiet.elapsed_seconds + churn.elapsed_seconds
-            ),
-        }
-        rows.append(row)
-        print(
-            f"n={n:3d}: quiet {quiet.elapsed_seconds:.3f}s, churn "
-            f"{churn.elapsed_seconds:.3f}s ({overhead * 100:+.1f}%); "
-            f"{detail}; {churn.leases_reassigned} lease(s) reassigned, "
-            f"{churn.pool_resizes} resize(s)"
-        )
-    return rows
-
-
-def run_sweep(n: int, max_ranks: int) -> dict:
-    """Strategy × rank sweep + failover/heterogeneous reference points."""
-    rank_counts = []
-    r = 1
-    while r <= max_ranks:
-        rank_counts.append(r)
-        r *= 2
-    calib_start = time.perf_counter()
-    sec_per_term = calibrate_sec_per_term(n)
-    calib_seconds = time.perf_counter() - calib_start
-    curves = sweep_scaling_curves(n, rank_counts, sec_per_term=sec_per_term)
-    for curve in curves.values():
-        peak = int(np.argmax(curve.speedup))
-        print(
-            f"  {curve.strategy:>10s}: peak speedup "
-            f"{curve.speedup[peak]:.1f}x at {curve.rank_counts[peak]} "
-            f"ranks (efficiency {curve.efficiency[peak]:.3f}); at "
-            f"{curve.rank_counts[-1]} ranks speedup "
-            f"{curve.speedup[-1]:.1f}x"
-        )
-
-    items = make_items(n)
-    costs = np.array([it.cost for it in items], dtype=np.float64)
-    costs *= sec_per_term
-    failover_ranks = min(256, max(2, max_ranks))
-    recovery = simulate_with_failures(
-        costs, failover_ranks, HPC_FDR, failed_ranks=(1,)
-    )
-    steal = simulate_stealing_with_failures(
-        costs, num_workers=8, death_times={1: float(costs.sum()) / 16.0}
-    )
-    hetero_ranks = min(64, max(2, max_ranks))
-    hetero = HeterogeneousCluster(
-        {
-            "old": (hetero_ranks // 2, 1.0),
-            "new": (hetero_ranks - hetero_ranks // 2, 1.8),
-        },
-        HPC_FDR,
-    )
-    awareness = hetero.awareness_gain(costs)
-    print(
-        f"  failover at {failover_ranks} ranks: "
-        f"{recovery.total / recovery.baseline_total - 1.0:+.1%} over the "
-        f"quiet makespan; heterogeneous awareness gain at "
-        f"{hetero_ranks} ranks: {awareness:.2f}x"
-    )
-    return {
-        "sec_per_term": sec_per_term,
-        "calibration_seconds": calib_seconds,
-        "model": "HPC_FDR",
-        "curves": {
-            name: {
-                "rank_counts": list(c.rank_counts),
-                "total_seconds": list(c.total_seconds),
-                "speedup": list(c.speedup),
-                "efficiency": list(c.efficiency),
-            }
-            for name, c in curves.items()
-        },
-        "failover": {
-            "ranks": failover_ranks,
-            "failed_ranks": [1],
-            "baseline_seconds": recovery.baseline_total,
-            "recovered_seconds": recovery.total,
-            "overhead": recovery.total / recovery.baseline_total - 1.0,
-            "tasks_redispatched": recovery.tasks_redispatched,
-            "stealing_tasks_rerun": steal.tasks_rerun,
-            "stealing_lost_work_seconds": steal.lost_work_seconds,
-        },
-        "heterogeneous": {
-            "ranks": hetero_ranks,
-            "classes": {"old": [hetero_ranks // 2, 1.0],
-                        "new": [hetero_ranks - hetero_ranks // 2, 1.8]},
-            "awareness_gain": awareness,
-        },
-    }
-
-
-def run_benchmark(
-    sizes: list[int],
-    *,
-    max_ranks: int,
-    workers: int,
-    chunk_items: int,
-    seed: int,
-    sweep_n: int | None = None,
-) -> dict:
-    if fork_available():
-        rows = run_campaigns(
-            sizes, workers=workers, chunk_items=chunk_items, seed=seed
-        )
-    else:  # pragma: no cover - fork always available on test platforms
-        print("elastic campaign skipped: fork unavailable on this host")
-        rows = []
-    sweep_n = sweep_n if sweep_n is not None else max(sizes)
-    print(f"simulated sweep at n={sweep_n}, up to {max_ranks} ranks:")
-    sweep = run_sweep(sweep_n, max_ranks)
-    return {
-        "benchmark": "elastic_scaling",
-        "description": (
-            "elastic campaign dispatch (quiet vs churn: one SIGKILLed "
-            "worker, pool shrunk then grown mid-run, part files verified "
-            "byte-identical) plus the simulated strategy x rank "
-            "strong-scaling sweep to 1,024 ranks"
-        ),
-        "seed": seed,
-        "workers": workers,
-        "chunk_items": chunk_items,
-        "max_ranks": max_ranks,
-        "sweep_n": sweep_n,
-        "sweep": sweep,
-        "sizes": rows,
-    }
+from repro.parallel.elastic import run_scaling_experiment  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,13 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=None,
         help="write the JSON report here (default: print only)",
     )
-    parser.add_argument(
-        "--max-churn-overhead", type=float, default=None, metavar="X",
-        help="exit nonzero if any size's churn overhead exceeds X "
-        "(e.g. 3.0 = 300%%)",
-    )
     args = parser.parse_args(argv)
-    report = run_benchmark(
+    report = run_scaling_experiment(
         args.sizes,
         max_ranks=args.max_ranks,
         workers=args.workers,
@@ -289,19 +78,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
-    if args.max_churn_overhead is not None and report["sizes"]:
-        worst = max(row["churn_overhead"] for row in report["sizes"])
-        if worst > args.max_churn_overhead:
-            print(
-                f"FAIL: worst churn overhead {worst:.2f} exceeds the "
-                f"{args.max_churn_overhead:.2f} bar",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"churn-overhead bar met: worst {worst:.2f} "
-            f"<= {args.max_churn_overhead:.2f}"
-        )
     return 0
 
 

@@ -52,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.mea.synthetic import paper_like_spec  # noqa: E402
 from repro.mea.wetlab import run_campaign  # noqa: E402
-from repro.observe import Observer  # noqa: E402
+from repro.observe.catalog import write_bench_manifests  # noqa: E402
 from repro.parallel import blas  # noqa: E402
 from repro.serve import (  # noqa: E402
     FleetConfig,
@@ -397,44 +397,6 @@ def run(
     }
 
 
-def write_manifests(
-    report: dict, directory: Path, catalog_db: Path | None = None
-) -> None:
-    """One bench-tagged run manifest per size, for the run catalog.
-
-    Each size becomes a ``bench-serve-n<N>/manifest.json`` whose
-    ``solve`` phase carries the measured single-host warm p95 and
-    whose ``extra.bench = "serve"`` tag is what ``parma runs regress
-    --kind serve`` matches against ``BENCH_serve.json``.
-    """
-    directory.mkdir(parents=True, exist_ok=True)
-    for row in report["sizes"]:
-        obs = Observer(trace_dir=directory / f"bench-serve-n{row['n']}")
-        obs.add_span(
-            "solve",
-            ts=time.perf_counter() - row["warm_p95_seconds"],
-            dur=row["warm_p95_seconds"],
-            n=row["n"],
-        )
-        obs.gauge("bench.cold_seconds", row["cold_seconds"])
-        obs.finalize(
-            config={
-                "command": "bench-serve",
-                "n": row["n"],
-                "solver": "nested",
-                "status": "ok",
-            },
-            extra={"bench": "serve"},
-        )
-    print(f"wrote {len(report['sizes'])} bench manifest(s) under {directory}")
-    if catalog_db is not None:
-        from repro.observe.catalog import Catalog
-
-        with Catalog(catalog_db) as catalog:
-            ingested = catalog.ingest([directory])
-            print(f"catalog: {ingested.summary()} -> {catalog_db}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12],
@@ -482,7 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     if args.manifests is not None:
-        write_manifests(report, args.manifests, args.catalog)
+        write_bench_manifests(
+            report, args.manifests, catalog_db=args.catalog,
+            config=lambda row: {"solver": "nested", "status": "ok"},
+        )
 
     if head["projected_fleet_speedup"] < args.require_speedup:
         print(

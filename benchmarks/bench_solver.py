@@ -41,6 +41,7 @@ sys.path.insert(0, str(_ROOT))
 
 from repro.core.solver import DENSE_STEP_MAX, solve_nested  # noqa: E402
 from repro.kirchhoff import forward  # noqa: E402
+from repro.observe.catalog import write_bench_manifests  # noqa: E402
 from repro.observe.observer import Observer  # noqa: E402
 from repro.parallel import blas  # noqa: E402
 from tests.oracles.solver_reference import solve_nested_reference  # noqa: E402
@@ -167,46 +168,6 @@ def run_benchmark(sizes: list[int]) -> dict:
     }
 
 
-def write_manifests(
-    report: dict, directory: Path, catalog_db: Path | None = None
-) -> None:
-    """One bench-tagged run manifest per size, for the run catalog.
-
-    Each size becomes a ``bench-solver-n<N>/manifest.json`` whose
-    ``solve`` phase carries the measured cold time and whose
-    ``extra.bench = "solver"`` tag is what ``parma runs regress``
-    matches against ``BENCH_solver.json``.
-    """
-    directory.mkdir(parents=True, exist_ok=True)
-    for row in report["sizes"]:
-        obs = Observer(trace_dir=directory / f"bench-solver-n{row['n']}")
-        # Span timestamps are perf_counter coordinates; anchor the
-        # synthesized span so the manifest wall equals the bench time.
-        obs.add_span(
-            "solve",
-            ts=time.perf_counter() - row["fast_cold_seconds"],
-            dur=row["fast_cold_seconds"],
-            n=row["n"],
-        )
-        obs.gauge("bench.iterations", row["iterations"])
-        obs.finalize(
-            config={
-                "command": "bench-solver",
-                "n": row["n"],
-                "solver": "nested",
-                "status": "ok" if row["converged"] else "unconverged",
-            },
-            extra={"bench": "solver"},
-        )
-    print(f"wrote {len(report['sizes'])} bench manifest(s) under {directory}")
-    if catalog_db is not None:
-        from repro.observe.catalog import Catalog
-
-        with Catalog(catalog_db) as catalog:
-            ingested = catalog.ingest([directory])
-            print(f"catalog: {ingested.summary()} -> {catalog_db}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -241,7 +202,13 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
     if args.manifests is not None:
-        write_manifests(report, args.manifests, catalog_db=args.catalog)
+        write_bench_manifests(
+            report, args.manifests, catalog_db=args.catalog,
+            config=lambda row: {
+                "solver": "nested",
+                "status": "ok" if row["converged"] else "unconverged",
+            },
+        )
     failures = []
     for row in report["sizes"]:
         if row.get("within_budget") is False:

@@ -22,14 +22,15 @@ Subcommands mirror the wet-lab workflow:
 ``chaos``
     Fault-injection smoke: kill workers, corrupt streamed blocks,
     dirty measurements, force solver rungs — and verify every
-    recovery path produces the fault-free answer.
+    recovery path produces the fault-free answer (the named checks of
+    :mod:`repro.resilience.chaos`).
 ``scale``
-    Elastic campaign dispatch + the strategy × rank scaling sweep:
-    run a quiet and a churn formation campaign (SIGKILL one worker,
-    shrink then grow the pool mid-run), verify bit-identical part
-    files, then sweep the simulated cluster clock to ``--ranks``
-    (default 1,024) and optionally write the ``BENCH_scaling.json``
-    shape with ``--out``.
+    The ``BENCH_scaling.json`` experiment at one size
+    (:func:`repro.parallel.elastic.run_scaling_experiment`): a quiet
+    and a churn formation campaign (SIGKILL one worker, shrink then
+    grow the pool mid-run) with bit-identical part files, then the
+    simulated strategy × rank sweep to ``--ranks`` (default 1,024);
+    ``--out`` writes the report.
 ``info``
     Print device/topology/accounting facts for a given n.
 ``trace``
@@ -72,24 +73,30 @@ from repro.core.engine import VALIDATE_MODES
 from repro.core.solver import SOLVER_METHODS
 
 
+_NEEDS_TRACE = {
+    "catalog": "--catalog requires --trace DIR (the catalog ingests the "
+               "run manifest written there)",
+    "bench_tag": "--bench-tag requires --trace DIR (the tag is stamped into "
+                 "the run manifest)",
+}
+
+
+def _require_trace(args: argparse.Namespace, *names: str) -> None:
+    """Refuse the named ``--trace``-only flags when ``--trace`` is absent."""
+    if getattr(args, "trace", None) is None:
+        for name in names:
+            if getattr(args, name, None):
+                raise ValueError(_NEEDS_TRACE[name])
+
+
 def _make_observer(args: argparse.Namespace):
     """Build + install the run Observer for ``--trace`` / ``--metrics``.
 
     Returns None when neither flag was given (the global observer stays
     the zero-overhead no-op).
     """
+    _require_trace(args, "catalog", "bench_tag")
     trace_dir = getattr(args, "trace", None)
-    if trace_dir is None:
-        if getattr(args, "catalog", None) is not None:
-            raise ValueError(
-                "--catalog requires --trace DIR (the catalog ingests the "
-                "run manifest written there)"
-            )
-        if getattr(args, "bench_tag", None):
-            raise ValueError(
-                "--bench-tag requires --trace DIR (the tag is stamped into "
-                "the run manifest)"
-            )
     if trace_dir is None and not getattr(args, "metrics", False):
         return None
     from repro.observe import Observer, set_observer
@@ -455,792 +462,82 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-#: ``parma chaos --include`` keys, in execution order.
-CHAOS_CHECKS = (
-    "kill", "hang", "slow", "signal", "stream", "campaign", "dirty", "ladder",
-    "elastic", "serve", "fleet",
-)
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection smoke test: every recovery path, one command.
+    """Fault-injection smoke: the named checks of :mod:`repro.resilience.chaos`."""
+    from repro.resilience.chaos import CHAOS_CHECKS, run_chaos
 
-    Each check injects a specific fault and asserts the recovered
-    output equals the fault-free reference — recovery that silently
-    changes answers is worse than crashing.
-    """
-    import signal as signal_mod
-    import tempfile
-
-    import numpy as np
-
-    from repro.core.engine import ParmaEngine
-    from repro.core.pipeline import run_pipeline
-    from repro.core.streaming import stream_to_file
-    from repro.mea.dataset import MeasurementValidationError
-    from repro.mea.synthetic import paper_like_spec
-    from repro.mea.wetlab import run_campaign
-    from repro.observe import Observer
-    from repro.parallel.pymp import ParallelError, fork_available
-    from repro.resilience import (
-        FaultPlan,
-        InjectedAbort,
-        RetryPolicy,
-        stream_to_file_checkpointed,
-    )
-    from repro.resilience.supervise import Supervisor
-
-    include = None
-    if args.include:
-        include = tuple(
-            name.strip() for name in args.include.split(",") if name.strip()
-        )
-        unknown = sorted(set(include) - set(CHAOS_CHECKS))
-        if unknown:
-            print(
-                f"error: unknown chaos check(s) {', '.join(unknown)} "
-                f"(known: {', '.join(CHAOS_CHECKS)})",
-                file=sys.stderr,
-            )
-            return 2
-
-    def want(name: str) -> bool:
-        return include is None or name in include
-
-    n, seed = args.n, args.seed
-    run = run_campaign(paper_like_spec(n, seed=seed), seed=seed)
-    campaign = run.campaign
-    meas = campaign.measurements[0]
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-
+    names = [
+        name.strip()
+        for name in (args.include or ",".join(CHAOS_CHECKS)).split(",")
+        if name.strip()
+    ]
     obs = _make_observer(args)
-    # Supervision checks assert on observer counters, so they need a
-    # live metrics registry even when the user asked for no artifacts.
-    sup_obs = obs if obs is not None else Observer()
-
-    def counter(name: str) -> float:
-        return sup_obs.metrics.snapshot().get(name, {}).get("value", 0.0)
-
-    selected = include or CHAOS_CHECKS
-    print(
-        f"chaos smoke on a {n}x{n} device (seed {seed}; "
-        f"checks: {', '.join(selected)})"
-    )
-
-    clean = None
-    if fork_available() and any(
-        want(c) for c in ("kill", "hang", "slow", "signal")
-    ):
-        clean = ParmaEngine(strategy="pymp", num_workers=3).form(meas)
-
-    def persisted(engine: ParmaEngine):
-        # Formation runs only when equations are persisted.
-        with tempfile.TemporaryDirectory() as eq:
-            return engine.parametrize(meas, output_dir=eq)
-
-    # 1. Worker kill mid-formation -> bounded retry reproduces the
-    #    fault-free formation checksum.
-    if want("kill"):
-        if fork_available():
-            engine = ParmaEngine(
-                strategy="pymp",
-                num_workers=3,
-                faults=FaultPlan(seed=seed, kill_workers=(1,), kill_attempts=1),
-                retry=RetryPolicy(max_retries=2),
-            )
-            result = persisted(engine)
-            check(
-                "worker kill -> retry",
-                bool(result.events)
-                and np.isclose(result.formation.checksum, clean.checksum),
-                f"{len(result.events)} event(s), checksum matches",
-            )
-        else:  # pragma: no cover - fork always available on test platforms
-            check("worker kill -> retry", True, "skipped (no fork)")
-
-    # 2. Hung worker -> heartbeat watchdog kills it, parent salvages
-    #    its completed blocks and re-forms only the missing tail.
-    if want("hang"):
-        if fork_available():
-            engine = ParmaEngine(
-                strategy="pymp",
-                num_workers=3,
-                faults=FaultPlan(seed=seed, hang_workers=(1,), hang_after_items=1),
-                stall_timeout=1.5,
-                observer=sup_obs,
-            )
-            result = persisted(engine)
-            f = result.formation
-            check(
-                "hung worker -> watchdog + salvage",
-                np.isclose(f.checksum, clean.checksum)
-                and f.stalled_ranks == (1,)
-                and f.blocks_salvaged > 0
-                and f.blocks_reformed > 0,
-                f"rank 1 killed after heartbeat stall; {f.blocks_salvaged} "
-                f"block(s) salvaged, {f.blocks_reformed} re-formed; "
-                "checksum matches",
-            )
-        else:  # pragma: no cover
-            check("hung worker -> watchdog + salvage", True, "skipped (no fork)")
-
-    # 3. Slow worker -> straggler speculation fires (tail re-formed in
-    #    the parent) while the worker itself survives to completion.
-    if want("slow"):
-        if fork_available():
-            before = counter("supervise.stragglers")
-            engine = ParmaEngine(
-                strategy="pymp",
-                num_workers=3,
-                faults=FaultPlan(
-                    seed=seed, slow_workers=(1,), slow_seconds_per_item=0.5
-                ),
-                supervise=Supervisor(
-                    stall_timeout=30.0, straggler_age=0.25, observer=sup_obs
-                ),
-                observer=sup_obs,
-            )
-            result = persisted(engine)
-            fired = counter("supervise.stragglers") - before
-            check(
-                "slow worker -> straggler speculation",
-                np.isclose(result.formation.checksum, clean.checksum)
-                and fired >= 1
-                and not result.formation.stalled_ranks,
-                f"speculation fired for {int(fired)} rank(s); no worker "
-                "killed; checksum matches",
-            )
-        else:  # pragma: no cover
-            check("slow worker -> straggler speculation", True,
-                  "skipped (no fork)")
-
-    # 4. Signal death -> the join reports *negative* exit codes (the
-    #    signal number), on both the raising and serial-degraded paths.
-    if want("signal"):
-        if fork_available():
-            sig = int(signal_mod.SIGTERM)
-            plan = FaultPlan(
-                seed=seed, kill_workers=(1,), kill_signal=sig, kill_attempts=99
-            )
-            engine = ParmaEngine(strategy="pymp", num_workers=3, faults=plan)
-            try:
-                engine.form(meas)
-                check("signal death -> negative exit code", False,
-                      "no ParallelError raised")
-            except ParallelError as exc:
-                print(
-                    f"  worker death report: ranks {exc.failed_ranks}, "
-                    f"exit codes {exc.exit_codes}"
-                )
-                check(
-                    "signal death -> negative exit code",
-                    exc.failed_ranks == (1,) and exc.exit_codes == (-sig,),
-                    f"exit code {exc.exit_codes[0]} = -SIGTERM",
-                )
-            engine = ParmaEngine(
-                strategy="pymp",
-                num_workers=3,
-                faults=plan,
-                retry=RetryPolicy(max_retries=1),
-            )
-            result = persisted(engine)
-            check(
-                "signal death -> serial degradation",
-                result.formation.strategy == "single-thread"
-                and np.isclose(result.formation.checksum, clean.checksum)
-                and any(str(-sig) in e for e in result.events),
-                f"degraded to single-thread; events record exit code {-sig}",
-            )
-        else:  # pragma: no cover
-            check("signal death -> negative exit code", True,
-                  "skipped (no fork)")
-
-    with tempfile.TemporaryDirectory() as td:
-        td = Path(td)
-        # 5. Corrupt + dropped stream blocks -> checksum verification
-        #    re-forms them; resumed file is byte-identical.
-        if want("stream"):
-            ref_path = td / "clean.bin"
-            stream_to_file(meas.z_kohm, ref_path, voltage=meas.voltage)
-            chaos_dir = td / "stream"
-            corrupt = n + 2
-            plan = FaultPlan(
-                seed=seed,
-                corrupt_blocks=(corrupt,),
-                drop_blocks=(3 * n + 1,),
-                abort_after_blocks=(n * n) // 2,
-            )
-            try:
-                stream_to_file_checkpointed(
-                    meas.z_kohm, chaos_dir, voltage=meas.voltage, faults=plan
-                )
-            except InjectedAbort:
-                pass
-            cp, resume_report, _ = stream_to_file_checkpointed(
-                meas.z_kohm, chaos_dir, voltage=meas.voltage
-            )
-            identical = cp.data_path.read_bytes() == ref_path.read_bytes()
-            check(
-                "block corruption/drop -> checkpointed resume",
-                cp.complete and identical and resume_report.blocks_discarded > 0,
-                f"discarded {resume_report.blocks_discarded} "
-                f"({resume_report.first_bad_reason}); file byte-identical",
-            )
-
-        # 6. Campaign abort between timepoints -> resume from manifest,
-        #    fields identical to the fault-free day.
-        if want("campaign"):
-            ref = run_pipeline(campaign, engine=ParmaEngine(strategy="single"))
-            ck = td / "campaign"
-            try:
-                run_pipeline(
-                    campaign,
-                    engine=ParmaEngine(strategy="single"),
-                    checkpoint_dir=ck,
-                    faults=FaultPlan(seed=seed, abort_after_timepoints=2),
-                )
-            except InjectedAbort:
-                pass
-            resumed = run_pipeline(
-                campaign, engine=ParmaEngine(strategy="single"), checkpoint_dir=ck
-            )
-            fields_equal = all(
-                np.array_equal(a.resistance, b.resistance)
-                for a, b in zip(ref.results, resumed.results)
-            )
-            restored = sum(
-                1
-                for r in resumed.results
-                if r.formation.strategy.startswith("resumed:")
-            )
-            check(
-                "campaign kill -> resume",
-                fields_equal and restored == 2,
-                f"{restored} timepoint(s) restored, fields identical",
-            )
-
-    # 7. Dirty measurement: strict rejects naming the channel; repair
-    #    imputes and completes.
-    if want("dirty"):
-        dirty_plan = FaultPlan(seed=seed, nan_sites=((1, 2),), dead_rows=(0,))
-        strict = ParmaEngine(strategy="single", faults=dirty_plan, validate="strict")
-        try:
-            strict.parametrize(meas)
-            check("dirty measurement -> strict reject", False, "no error raised")
-        except MeasurementValidationError as exc:
-            check(
-                "dirty measurement -> strict reject",
-                "z_kohm[" in str(exc),
-                str(exc)[:80],
-            )
-        repair = ParmaEngine(strategy="single", faults=dirty_plan, validate="repair")
-        result = repair.parametrize(meas)
-        check(
-            "dirty measurement -> repair",
-            any("repaired" in e for e in result.events)
-            and np.all(np.isfinite(result.resistance)),
-            "imputed bad sites, solve finished",
-        )
-
-    # 8. Forced rung failures engage the ladder in order.
-    if want("ladder"):
-        engine = ParmaEngine(
-            strategy="single",
-            faults=FaultPlan(seed=seed, fail_rungs=("primary", "regularized")),
-        )
-        result = engine.parametrize(meas)
-        deg = result.degradation
-        check(
-            "solver ladder",
-            deg is not None
-            and deg.rung_used == "bounded"
-            and deg.rungs_tried == ("primary", "regularized", "bounded"),
-            deg.describe() if deg else "no degradation report",
-        )
-
-    # 9. Elastic dispatch: a churn campaign (one worker SIGKILLed, the
-    #    pool shrunk then grown mid-run) must commit part files
-    #    byte-identical to a quiet run's, with the lease reassignment
-    #    and both resizes visible as elastic.* counters.
-    if want("elastic"):
-        if fork_available():
-            from repro.parallel.elastic import (
-                part_files_identical,
-                run_elastic_formation,
-            )
-
-            with tempfile.TemporaryDirectory() as ed:
-                ed = Path(ed)
-                quiet = run_elastic_formation(
-                    meas.z_kohm,
-                    workers=3,
-                    chunk_items=16,
-                    output_dir=ed / "quiet",
-                    lease_timeout=30.0,
-                )
-                chunks = quiet.chunks_total
-                before_reassigned = counter("elastic.lease_reassigned")
-                before_resized = counter("elastic.pool_resized")
-                run_elastic_formation(
-                    meas.z_kohm,
-                    workers=3,
-                    chunk_items=16,
-                    output_dir=ed / "churn",
-                    lease_timeout=30.0,
-                    faults=FaultPlan(
-                        seed=seed,
-                        kill_workers=(1,),
-                        kill_signal=int(signal_mod.SIGKILL),
-                    ),
-                    resize_schedule=[
-                        (max(1, chunks // 3), 2),
-                        (max(2, 2 * chunks // 3), 3),
-                    ],
-                    observer=sup_obs,
-                )
-                identical, detail = part_files_identical(
-                    ed / "quiet", ed / "churn"
-                )
-                reassigned = (
-                    counter("elastic.lease_reassigned") - before_reassigned
-                )
-                resized = counter("elastic.pool_resized") - before_resized
-                check(
-                    "elastic: churn -> bit-identical part files",
-                    identical and reassigned >= 1 and resized >= 2,
-                    f"{detail}; {int(reassigned)} lease(s) reassigned, "
-                    f"{int(resized)} resize(s)",
-                )
-        else:  # pragma: no cover - fork always available on test platforms
-            check("elastic: churn -> bit-identical part files", True,
-                  "skipped (no fork)")
-
-    # 10. Serve chaos: kill/hang/corrupt/drop an executor worker under
-    #    the solve service; every recovered answer must be bit-identical
-    #    to a standalone solve, and the service must stay up throughout.
-    if want("serve"):
-        if fork_available():
-            from repro.serve import ServiceConfig, SolveClient, SolveService
-
-            serve_ref = ParmaEngine(
-                strategy="single", threshold_sigmas=3.0
-            ).parametrize(meas)
-
-            def serve_check(
-                name: str,
-                plan: FaultPlan,
-                *,
-                requests: int = 1,
-                max_salvage: int = 1,
-                stall_timeout: float = 30.0,
-            ) -> None:
-                with tempfile.TemporaryDirectory() as sd:
-                    sd = Path(sd)
-                    config = ServiceConfig(
-                        socket_path=sd / "chaos.sock",
-                        results_dir=sd / "results",
-                        executor="subprocess",
-                        serve_workers=1,
-                        term_grace=0.2,
-                        stall_timeout=stall_timeout,
-                        max_salvage=max_salvage,
-                        faults=plan,
-                    )
-                    svc = SolveService(config)
-                    svc.start()
-                    try:
-                        client = SolveClient(
-                            config.socket_path,
-                            timeout=120.0,
-                            retries=3,
-                            backoff=0.05,
-                        )
-                        client.wait_ready(timeout=10.0)
-                        responses = [
-                            client.solve(meas.z_kohm, id=f"{name}-{i}")
-                            for i in range(requests)
-                        ]
-                        identical = all(
-                            r.ok
-                            and np.array_equal(
-                                r.resistance_array(), serve_ref.resistance
-                            )
-                            for r in responses
-                        )
-                        alive = client.ping()["kind"] == "pong"
-                        respawns = svc.pool.respawns
-                        salvaged = svc.pool.salvaged
-                    finally:
-                        svc.stop()
-                check(
-                    name,
-                    identical and alive and respawns >= 1,
-                    f"{respawns} respawn(s), {salvaged} salvaged; service "
-                    "up; recovered fields bit-identical to standalone",
-                )
-
-            serve_check(
-                "serve: executor kill -> salvage",
-                FaultPlan(seed=seed, serve_kill_requests=(1,)),
-                requests=3,
-            )
-            serve_check(
-                "serve: worker lost -> client retry",
-                FaultPlan(seed=seed, serve_kill_requests=(0,)),
-                max_salvage=0,
-            )
-            serve_check(
-                "serve: hung executor -> stall watchdog",
-                FaultPlan(seed=seed, serve_hang_requests=(0,)),
-                stall_timeout=1.0,
-            )
-            serve_check(
-                "serve: corrupt result frame -> respawn",
-                FaultPlan(seed=seed, serve_corrupt_frames=(0,)),
-            )
-            serve_check(
-                "serve: dropped executor connection -> respawn",
-                FaultPlan(seed=seed, serve_drop_connections=(0,)),
-            )
-        else:  # pragma: no cover - fork always available on test platforms
-            check("serve: executor chaos", True, "skipped (no fork)")
-
-    # 11. Fleet chaos: SIGKILL the routed shard process right before a
-    #    forward; the front must walk the ring to another shard, the
-    #    watchdog must respawn the dead one, and every answer must stay
-    #    bit-identical to a standalone solve.
-    if want("fleet"):
-        if fork_available():
-            from repro.serve import ServiceConfig, SolveClient
-            from repro.serve.fleet import FleetConfig, SolveFleet
-
-            fleet_ref = ParmaEngine(
-                strategy="single", threshold_sigmas=3.0
-            ).parametrize(meas)
-            with tempfile.TemporaryDirectory() as fd:
-                fd = Path(fd)
-                fleet = SolveFleet(FleetConfig(
-                    listen=fd / "front.sock",
-                    results_dir=fd / "results",
-                    shards=2,
-                    faults=FaultPlan(seed=seed, fleet_kill_requests=(2,)),
-                    service=ServiceConfig(
-                        socket_path=fd / "results" / "shard.sock",
-                        results_dir=fd / "results",
-                        executor="thread",
-                        term_grace=0.2,
-                    ),
-                ))
-                fleet.start()
-                try:
-                    client = SolveClient(
-                        fd / "front.sock",
-                        timeout=120.0,
-                        retries=3,
-                        backoff=0.05,
-                    )
-                    responses = [
-                        client.solve(meas.z_kohm, id=f"fleet-{i}")
-                        for i in range(3)
-                    ]
-                    identical = all(
-                        r.ok
-                        and np.array_equal(
-                            r.resistance_array(), fleet_ref.resistance
-                        )
-                        for r in responses
-                    )
-                    respawned = False
-                    wait_until = time.monotonic() + 10.0
-                    while time.monotonic() < wait_until:
-                        fstats = client.stats()["fleet"]
-                        if (
-                            fstats["shard_respawns"] >= 1
-                            and len(fstats["alive"]) == 2
-                        ):
-                            respawned = True
-                            break
-                        time.sleep(0.2)
-                    reroutes = client.stats()["fleet"]["reroutes"]
-                finally:
-                    fleet.stop()
-            check(
-                "fleet: shard kill -> reroute + respawn",
-                identical and respawned and reroutes >= 1,
-                f"{reroutes} reroute(s), shard respawned; recovered "
-                "fields bit-identical to standalone",
-            )
-        else:  # pragma: no cover - fork always available on test platforms
-            check("fleet: shard chaos", True, "skipped (no fork)")
-
+    try:
+        results = run_chaos(names, n=args.n, seed=args.seed, observer=obs)
+    except BaseException:
+        _drop_observer(obs)
+        raise
     _finish_observer(
         obs, args,
-        {"command": "chaos", "n": n, "seed": seed, "checks": ",".join(selected)},
+        {"command": "chaos", "n": args.n, "seed": args.seed,
+         "checks": ",".join(names)},
     )
-    failed = [name for name, ok, _ in checks if not ok]
+    failed = [label for label, ok, _ in results if not ok]
     if failed:
-        print(f"chaos: {len(failed)}/{len(checks)} check(s) FAILED: "
+        print(f"chaos: {len(failed)}/{len(results)} check(s) FAILED: "
               f"{', '.join(failed)}", file=sys.stderr)
         return 1
-    print(f"chaos: all {len(checks)} checks passed")
+    print(f"chaos: all {len(results)} checks passed")
     return 0
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    """Elastic campaign + strategy × rank scaling sweep.
+    """The ``BENCH_scaling.json`` experiment at one size.
 
-    Two halves, mirroring ``BENCH_scaling.json``:
-
-    1. A *real* elastic formation campaign on this host — a quiet run,
-       then (unless ``--no-churn``) a churn run with one worker
-       SIGKILLed and the pool shrunk-then-grown mid-campaign.  The
-       churn run must commit part files byte-identical to the quiet
-       run's; the elapsed ratio is the measured churn overhead.
-    2. A *simulated* strategy × rank-count sweep on the deterministic
-       cluster clock (powers of two up to ``--ranks``), plus failover
-       and heterogeneous-awareness reference points.
+    :func:`repro.parallel.elastic.run_scaling_experiment` runs a quiet
+    and a churn elastic campaign (exit 1 unless their part files are
+    byte-identical), then the simulated strategy × rank sweep to
+    ``--ranks``; ``--out`` writes its report.
     """
-    import contextlib
-    import signal as signal_mod
-    import tempfile
+    from repro.parallel.elastic import ElasticError, run_scaling_experiment
+    from repro.resilience.supervise import DeadlineExceeded
 
-    from repro.core.partition import make_items
-    from repro.core.strategies import calibrate_sec_per_term
-    from repro.parallel.elastic import (
-        part_files_identical,
-        run_elastic_formation,
-        sweep_scaling_curves,
-    )
-    from repro.parallel.heterogeneous import HeterogeneousCluster
-    from repro.parallel.pymp import fork_available
-    from repro.parallel.simcluster import HPC_FDR, simulate_with_failures
-    from repro.parallel.workstealing import simulate_stealing_with_failures
-    from repro.instrument.report import ResultTable
-    from repro.mea.synthetic import paper_like_spec
-    from repro.mea.wetlab import run_campaign
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.supervise import Deadline, DeadlineExceeded
-
-    n, seed = args.n, args.seed
-    try:
-        obs = _make_observer(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obs = _make_observer(args)
     config = {
         "command": "scale",
-        "n": n,
-        "seed": seed,
+        "n": args.n,
+        "seed": args.seed,
         "workers": args.workers,
         "chunk_items": args.chunk_items,
         "max_ranks": args.ranks,
-        "churn": not args.no_churn,
     }
-    deadline = Deadline.coerce(args.deadline)
-    # --stall-timeout maps onto the lease watchdog: a worker silent
-    # longer than this loses its lease (and is killed + replaced).
-    lease_timeout = (
-        args.stall_timeout if args.stall_timeout is not None else 30.0
-    )
-    meas = run_campaign(
-        paper_like_spec(n, seed=seed), seed=seed
-    ).campaign.measurements[0]
-
-    campaign: dict[str, object] = {"ran": False}
     try:
-        if fork_available():
-            span = (
-                obs.span("formation", strategy="elastic", n=n)
-                if obs is not None
-                else contextlib.nullcontext()
-            )
-            with tempfile.TemporaryDirectory() as td, span:
-                td = Path(td)
-                quiet = run_elastic_formation(
-                    meas.z_kohm,
-                    workers=args.workers,
-                    chunk_items=args.chunk_items,
-                    output_dir=td / "quiet",
-                    lease_timeout=lease_timeout,
-                    observer=obs,
-                    deadline=deadline,
-                )
-                print(
-                    f"quiet campaign: {quiet.chunks_completed}/"
-                    f"{quiet.chunks_total} chunk(s), "
-                    f"{quiet.terms_formed} terms in "
-                    f"{quiet.elapsed_seconds:.3f}s "
-                    f"({quiet.workers_spawned} worker(s))"
-                )
-                campaign = {
-                    "ran": True,
-                    "chunks": quiet.chunks_total,
-                    "quiet_seconds": quiet.elapsed_seconds,
-                }
-                if not args.no_churn:
-                    chunks = quiet.chunks_total
-                    churn = run_elastic_formation(
-                        meas.z_kohm,
-                        workers=args.workers,
-                        chunk_items=args.chunk_items,
-                        output_dir=td / "churn",
-                        lease_timeout=lease_timeout,
-                        faults=FaultPlan(
-                            seed=seed,
-                            kill_workers=(1,),
-                            kill_signal=int(signal_mod.SIGKILL),
-                        ),
-                        resize_schedule=[
-                            (max(1, chunks // 3), max(1, args.workers - 1)),
-                            (max(2, 2 * chunks // 3), args.workers),
-                        ],
-                        observer=obs,
-                        deadline=deadline,
-                    )
-                    identical, detail = part_files_identical(
-                        td / "quiet", td / "churn"
-                    )
-                    if not identical:
-                        print(
-                            f"error: churn campaign diverged from the "
-                            f"quiet run ({detail})",
-                            file=sys.stderr,
-                        )
-                        _finish_observer(
-                            obs, args, {**config, "status": "diverged"}
-                        )
-                        return 1
-                    overhead = (
-                        churn.elapsed_seconds / quiet.elapsed_seconds - 1.0
-                    )
-                    print(
-                        f"churn campaign: {detail}; "
-                        f"{churn.leases_reassigned} lease(s) reassigned, "
-                        f"{churn.pool_resizes} resize(s), "
-                        f"{churn.workers_respawned} respawn(s); "
-                        f"overhead {overhead * 100:+.1f}% vs quiet"
-                    )
-                    campaign.update(
-                        churn_seconds=churn.elapsed_seconds,
-                        churn_overhead=overhead,
-                        leases_reassigned=churn.leases_reassigned,
-                        pool_resizes=churn.pool_resizes,
-                        workers_respawned=churn.workers_respawned,
-                        part_files_identical=True,
-                    )
-        else:
-            print("elastic campaign skipped: fork unavailable on this host")
-
-        # -- the simulated sweep (rank counts beyond the host) -------------
-        rank_counts = []
-        r = 1
-        while r <= args.ranks:
-            rank_counts.append(r)
-            r *= 2
-        sec_per_term = calibrate_sec_per_term(n)
-        curves = sweep_scaling_curves(
-            n, rank_counts, sec_per_term=sec_per_term
-        )
-        table = ResultTable(
-            f"simulated strong scaling, n={n} "
-            f"(sec/term {sec_per_term:.2e})",
-            ("strategy", "ranks", "seconds", "speedup", "efficiency"),
-        )
-        for curve in curves.values():
-            for i, ranks in enumerate(curve.rank_counts):
-                if ranks not in (curve.rank_counts[0], curve.rank_counts[-1]):
-                    continue
-                table.add_row(
-                    curve.strategy,
-                    ranks,
-                    f"{curve.total_seconds[i]:.4f}",
-                    f"{curve.speedup[i]:.1f}",
-                    f"{curve.efficiency[i]:.3f}",
-                )
-        print(table.render())
-
-        items = make_items(n)
-        costs = np.array([it.cost for it in items], dtype=np.float64)
-        costs *= sec_per_term
-        failover_ranks = min(256, max(2, args.ranks))
-        recovery = simulate_with_failures(
-            costs,
-            failover_ranks,
-            HPC_FDR,
-            failed_ranks=(1,),
+        report = run_scaling_experiment(
+            [args.n],
+            max_ranks=args.ranks,
+            workers=args.workers,
+            chunk_items=args.chunk_items,
+            seed=args.seed,
+            # --stall-timeout is the lease watchdog: a worker silent
+            # longer than this loses its lease (and is replaced).
+            lease_timeout=(
+                args.stall_timeout if args.stall_timeout is not None else 30.0
+            ),
             observer=obs,
-        )
-        steal = simulate_stealing_with_failures(
-            costs,
-            num_workers=8,
-            death_times={1: float(costs.sum()) / 16.0},
-            observer=obs,
-        )
-        hetero_ranks = min(64, max(2, args.ranks))
-        hetero = HeterogeneousCluster(
-            {
-                "old": (hetero_ranks // 2, 1.0),
-                "new": (hetero_ranks - hetero_ranks // 2, 1.8),
-            },
-            HPC_FDR,
-        )
-        awareness = hetero.awareness_gain(costs)
-        print(
-            f"failover at {failover_ranks} ranks: "
-            f"{recovery.total / recovery.baseline_total - 1.0:+.1%} over "
-            f"the quiet makespan ({recovery.tasks_redispatched} task(s) "
-            f"redispatched); stealing failover reran {steal.tasks_rerun} "
-            f"task(s); heterogeneous awareness gain at {hetero_ranks} "
-            f"ranks: {awareness:.2f}x"
+            deadline=args.deadline,
         )
     except DeadlineExceeded as exc:
         _deadline_failure(exc, obs, args, config)
         return _DEADLINE_EXIT
-
+    except ElasticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _finish_observer(obs, args, {**config, "status": "diverged"})
+        return 1
     if args.out is not None:
-        sizes = []
-        if campaign.get("ran"):
-            total = float(campaign["quiet_seconds"]) + float(
-                campaign.get("churn_seconds", 0.0)
-            )
-            sizes.append({"n": n, "elastic_formation_seconds": total})
-        payload = {
-            "benchmark": "elastic_scaling",
-            "n": n,
-            "seed": seed,
-            "sec_per_term": sec_per_term,
-            "campaign": campaign,
-            "curves": {
-                name: {
-                    "rank_counts": list(c.rank_counts),
-                    "total_seconds": list(c.total_seconds),
-                    "speedup": list(c.speedup),
-                    "efficiency": list(c.efficiency),
-                }
-                for name, c in curves.items()
-            },
-            "failover": {
-                "ranks": failover_ranks,
-                "baseline_seconds": recovery.baseline_total,
-                "recovered_seconds": recovery.total,
-                "tasks_redispatched": recovery.tasks_redispatched,
-                "stealing_tasks_rerun": steal.tasks_rerun,
-            },
-            "heterogeneous": {
-                "ranks": hetero_ranks,
-                "awareness_gain": awareness,
-            },
-            "sizes": sizes,
-        }
         args.out.write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+            json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
         print(f"wrote {args.out}")
-
     _finish_observer(obs, args, config)
     return 0
 
@@ -1407,6 +704,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServiceConfig, SolveService
     from repro.serve.server import ListenError
 
+    # --catalog alone stays valid: it feeds the per-request ingest.
+    _require_trace(args, "bench_tag")
     obs = Observer(trace_dir=args.trace)
     config = ServiceConfig(
         socket_path=args.socket,
@@ -1452,37 +751,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pass
     finally:
         service.stop()
-    if obs.trace_dir is not None:
-        manifest = obs.finalize(
-            config={
-                "command": "serve",
-                "socket": str(args.socket),
-                "executor": service.executor_mode,
-                "status": "ok",  # the drain completed
-                "worker_respawns": (
-                    service.pool.respawns if service.pool is not None else 0
-                ),
-                "requests_salvaged": (
-                    service.pool.salvaged if service.pool is not None else 0
-                ),
-            },
-            extra={"bench": args.bench_tag} if args.bench_tag else None,
-        )
-        print(f"service manifest: {args.trace}/manifest.json "
-              f"(run {manifest['run_id']})")
-        if args.catalog is not None:
-            from repro.observe.catalog import Catalog
-
-            with Catalog(args.catalog) as catalog:
-                report = catalog.ingest([obs.trace_dir])
-                print(
-                    f"catalog: {report.summary()} -> {args.catalog} "
-                    f"({catalog.count()} run(s) total)"
-                )
-    if args.metrics and obs.metrics is not None:
-        from repro.instrument.report import metrics_table
-
-        print(metrics_table(obs.metrics.snapshot()).render())
+    _finish_observer(obs, args, {
+        "command": "serve",
+        "socket": str(args.socket),
+        "executor": service.executor_mode,
+        "status": "ok",  # the drain completed
+        "worker_respawns": (
+            service.pool.respawns if service.pool is not None else 0
+        ),
+        "requests_salvaged": (
+            service.pool.salvaged if service.pool is not None else 0
+        ),
+    })
     print("drained; all in-flight requests completed")
     return 0
 
@@ -1496,6 +776,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.serve.fleet import FleetConfig, SolveFleet
     from repro.serve.server import ListenError
 
+    # --catalog alone stays valid: it feeds the per-request ingest.
+    _require_trace(args, "bench_tag")
     obs = Observer(trace_dir=args.trace)
     config = FleetConfig(
         listen=args.listen,
@@ -1543,34 +825,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             pass
     finally:
         fleet.stop()
-    if obs.trace_dir is not None:
-        manifest = obs.finalize(
-            config={
-                "command": "fleet",
-                "listen": where,
-                "shards": args.shards,
-                "status": "ok",  # the drain completed
-                "requests": fleet.requests,
-                "reroutes": fleet.reroutes,
-                "shard_respawns": fleet.respawns,
-            },
-            extra={"bench": args.bench_tag} if args.bench_tag else None,
-        )
-        print(f"fleet manifest: {args.trace}/manifest.json "
-              f"(run {manifest['run_id']})")
-        if args.catalog is not None:
-            from repro.observe.catalog import Catalog
-
-            with Catalog(args.catalog) as catalog:
-                report = catalog.ingest([obs.trace_dir])
-                print(
-                    f"catalog: {report.summary()} -> {args.catalog} "
-                    f"({catalog.count()} run(s) total)"
-                )
-    if args.metrics and obs.metrics is not None:
-        from repro.instrument.report import metrics_table
-
-        print(metrics_table(obs.metrics.snapshot()).render())
+    _finish_observer(obs, args, {
+        "command": "fleet",
+        "listen": where,
+        "shards": args.shards,
+        "status": "ok",  # the drain completed
+        "requests": fleet.requests,
+        "reroutes": fleet.reroutes,
+        "shard_respawns": fleet.respawns,
+    })
     print("drained; all shards retired cleanly")
     return 0
 
@@ -1864,19 +1127,17 @@ def _cmd_runs_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_regress(args: argparse.Namespace) -> int:
-    from repro.observe.catalog import Catalog
+    from repro.observe.catalog import BENCH_KINDS, Catalog
 
-    default_benches = {
-        "solver": Path("BENCH_solver.json"),
-        "formation": Path("BENCH_formation.json"),
-        "scaling": Path("BENCH_scaling.json"),
-        "serve": Path("BENCH_serve.json"),
-    }
+    default_benches = {k.tag: Path(k.file) for k in BENCH_KINDS.values()}
+    tags = "|".join(default_benches)
     bench_paths = args.bench
     if bench_paths is None and args.kind is not None:
-        path = default_benches[args.kind]
-        if not path.exists():
-            print(f"error: {path} not found for --kind {args.kind}",
+        path = default_benches.get(args.kind)
+        if path is None or not path.exists():
+            print(f"error: no trajectory for --kind {args.kind} "
+                  f"(kinds: {tags}; files: "
+                  f"{', '.join(map(str, default_benches.values()))})",
                   file=sys.stderr)
             return 2
         bench_paths = [path]
@@ -1885,8 +1146,8 @@ def _cmd_runs_regress(args: argparse.Namespace) -> int:
     if not bench_paths:
         print(
             "error: no benchmark trajectories (pass --bench PATH or run "
-            "from a checkout with BENCH_solver.json / BENCH_formation.json "
-            "/ BENCH_scaling.json / BENCH_serve.json)",
+            "from a checkout with "
+            f"{' / '.join(map(str, default_benches.values()))})",
             file=sys.stderr,
         )
         return 2
@@ -1898,7 +1159,7 @@ def _cmd_runs_regress(args: argparse.Namespace) -> int:
         # can't silently stop gating when tagging breaks.
         print(
             "error: no bench-tagged runs matched any trajectory "
-            "(run with --trace DIR --catalog DB --bench-tag solver|formation)",
+            f"(run with --trace DIR --catalog DB --bench-tag {tags})",
             file=sys.stderr,
         )
         return 1
@@ -2005,6 +1266,8 @@ def _cmd_runs_watch(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.resilience.chaos import CHAOS_CHECKS
+
     parser = argparse.ArgumentParser(
         prog="parma",
         description="Parma: topological parametrization of MEA data",
@@ -2106,7 +1369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser(
         "scale",
-        help="elastic campaign + strategy x rank scaling sweep",
+        help="the BENCH_scaling.json experiment at one size: elastic "
+             "churn campaign + strategy x rank scaling sweep",
     )
     p_scale.add_argument("--n", type=int, default=20, help="device side")
     p_scale.add_argument("--seed", type=int, default=7)
@@ -2117,11 +1381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--ranks", type=int, default=1024,
                          help="largest simulated rank count (the sweep "
                               "covers powers of two up to this)")
-    p_scale.add_argument("--no-churn", action="store_true",
-                         help="skip the churn campaign (quiet run only)")
     p_scale.add_argument("--out", type=Path, default=None,
-                         help="write the BENCH_scaling.json-shaped report "
-                              "here")
+                         help="write the report here, in BENCH_scaling.json's "
+                              "format (benchmarks/bench_scaling.py writes "
+                              "the committed file)")
     _add_observe_args(p_scale)
     _add_deadline_args(
         p_scale,
@@ -2383,12 +1646,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="benchmark trajectory JSON (repeatable; "
                                  "default: every committed BENCH_*.json "
                                  "present in the working directory)")
-    p_rregress.add_argument("--kind", default=None,
-                            choices=["solver", "formation", "scaling",
-                                     "serve"],
-                            help="gate only this benchmark family's "
-                                 "default BENCH_*.json (ignored when "
-                                 "--bench is given)")
+    p_rregress.add_argument("--kind", default=None, metavar="TAG",
+                            help="gate only this bench tag's default "
+                                 "BENCH_*.json (ignored when --bench is "
+                                 "given; an unknown tag lists the known "
+                                 "ones)")
     p_rregress.add_argument("--threshold", type=float, default=1.5,
                             help="fail when observed > threshold x baseline")
     p_rregress.set_defaults(func=_cmd_runs_regress)

@@ -48,11 +48,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.observe.evidence import EVIDENCE_GLOB, iter_log, parse_locator
 from repro.observe.manifest import ManifestError, load_manifest
-from repro.observe.observer import MANIFEST_FILE_NAME
+from repro.observe.observer import MANIFEST_FILE_NAME, Observer
 
 #: Current catalog schema version (``PRAGMA user_version``).
 CATALOG_SCHEMA_VERSION = 1
@@ -413,50 +413,125 @@ class RegressReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class BenchKind:
+    """What one committed ``BENCH_*.json`` kind gates, and how.
+
+    Runs tagged ``extra.bench = tag`` have their ``phase`` seconds
+    (catalog column :attr:`column`) judged against each size row's
+    ``key``; ``gauge``, when set, names a row value the bench
+    manifests also record as the ``bench.<gauge>`` gauge.
+    """
+
+    tag: str
+    phase: str
+    key: str
+    file: str
+    gauge: str | None = None
+
+    @property
+    def column(self) -> str:
+        return f"{self.phase}_seconds"
+
+
+#: The ``benchmark`` field of each committed trajectory -> its kind.
+#: ``solver`` gates against the cold time (a fresh CLI process never
+#: has warm caches); ``scaling`` against the quiet + churn campaign
+#: interval of ``parma scale``'s ``formation`` span; ``serve`` against
+#: the measured single-host warm p95, the SLO the fleet front promises.
+BENCH_KINDS: dict[str, BenchKind] = {
+    "solver_fastpath": BenchKind(
+        "solver", "solve", "fast_cold_seconds", "BENCH_solver.json",
+        gauge="iterations",
+    ),
+    "formation_cache": BenchKind(
+        "formation", "formation", "cached_seconds", "BENCH_formation.json",
+        gauge="speedup",
+    ),
+    "elastic_scaling": BenchKind(
+        "scaling", "formation", "elastic_formation_seconds",
+        "BENCH_scaling.json",
+    ),
+    "serve_slo": BenchKind(
+        "serve", "solve", "warm_p95_seconds", "BENCH_serve.json",
+        gauge="cold_seconds",
+    ),
+}
+
+
+def bench_kind(report: dict, source: object = "report") -> BenchKind:
+    """The :data:`BENCH_KINDS` entry of a bench report's ``benchmark``."""
+    benchmark = report.get("benchmark", "")
+    try:
+        return BENCH_KINDS[benchmark]
+    except KeyError:
+        raise CatalogError(
+            f"{source}: unknown benchmark kind {benchmark!r} (expected "
+            f"one of {', '.join(BENCH_KINDS)})"
+        ) from None
+
+
 def load_bench_trajectory(path: str | Path) -> tuple[str, str, dict[int, float]]:
     """Read a committed ``BENCH_*.json`` into a regression baseline.
 
-    Returns ``(bench_tag, phase_column, {n: baseline_seconds})``:
-    ``BENCH_solver.json`` gates the ``solve_seconds`` of runs tagged
-    ``bench=solver`` against ``fast_cold_seconds`` (cold is the
-    generous bound — a fresh CLI process never has warm caches);
-    ``BENCH_formation.json`` gates ``formation_seconds`` of
-    ``bench=formation`` runs against ``cached_seconds``;
-    ``BENCH_scaling.json`` gates ``formation_seconds`` of
-    ``bench=scaling`` runs (the ``parma scale`` elastic campaign,
-    quiet + churn) against ``elastic_formation_seconds``;
-    ``BENCH_serve.json`` gates ``solve_seconds`` of ``bench=serve``
-    runs (the ``benchmarks/bench_serve.py`` load generator) against
-    the *measured* single-host ``warm_p95_seconds`` — the SLO the
-    fleet front promises per request once caches are warm.
+    Returns ``(bench_tag, phase_column, {n: baseline_seconds})`` from
+    the file's :data:`BENCH_KINDS` entry.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"unreadable benchmark trajectory {path}: {exc}")
-    benchmark = data.get("benchmark", "")
-    if benchmark == "solver_fastpath":
-        tag, column, key = "solver", "solve_seconds", "fast_cold_seconds"
-    elif benchmark == "formation_cache":
-        tag, column, key = "formation", "formation_seconds", "cached_seconds"
-    elif benchmark == "elastic_scaling":
-        tag, column, key = "scaling", "formation_seconds", "elastic_formation_seconds"
-    elif benchmark == "serve_slo":
-        tag, column, key = "serve", "solve_seconds", "warm_p95_seconds"
-    else:
-        raise CatalogError(
-            f"{path}: unknown benchmark kind {benchmark!r} (expected "
-            "solver_fastpath, formation_cache, elastic_scaling or "
-            "serve_slo)"
-        )
+    kind = bench_kind(data, path)
     baselines: dict[int, float] = {}
     for size in data.get("sizes", []):
-        if key in size and size[key] is not None:
-            baselines[int(size["n"])] = float(size[key])
+        if size.get(kind.key) is not None:
+            baselines[int(size["n"])] = float(size[kind.key])
     if not baselines:
         raise CatalogError(f"{path}: trajectory has no usable sizes")
-    return tag, column, baselines
+    return kind.tag, kind.column, baselines
+
+
+def write_bench_manifests(
+    report: dict,
+    directory: str | Path,
+    *,
+    config: Callable[[dict], dict] = lambda row: {"status": "ok"},
+    catalog_db: str | Path | None = None,
+) -> None:
+    """One bench-tagged run manifest per size row of a bench report.
+
+    Each row becomes ``bench-<tag>-n<N>/manifest.json`` under
+    ``directory``: one ``<phase>`` span lasting the row's trajectory
+    value, ``extra.bench = <tag>`` (what ``parma runs regress``
+    matches against the committed trajectory) and the config
+    ``{"command": "bench-<tag>", "n": N, **config(row)}``.  With
+    ``catalog_db`` the manifests are also ingested there.
+    """
+    kind = bench_kind(report)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for row in report["sizes"]:
+        obs = Observer(trace_dir=directory / f"bench-{kind.tag}-n{row['n']}")
+        # Span timestamps are perf_counter coordinates; anchor the
+        # synthesized span so the manifest wall equals the bench time.
+        seconds = row[kind.key]
+        obs.add_span(
+            kind.phase, ts=time.perf_counter() - seconds, dur=seconds,
+            n=row["n"],
+        )
+        if kind.gauge is not None:
+            obs.gauge(f"bench.{kind.gauge}", row[kind.gauge])
+        obs.finalize(
+            config={"command": f"bench-{kind.tag}", "n": row["n"],
+                    **config(row)},
+            extra={"bench": kind.tag},
+        )
+    print(f"wrote {len(report['sizes'])} bench manifest(s) under {directory}")
+    if catalog_db is not None:
+        with Catalog(catalog_db) as catalog:
+            print(f"catalog: {catalog.ingest([directory]).summary()} "
+                  f"-> {catalog_db}")
 
 
 def parse_since(text: str, *, now: float | None = None) -> float:

@@ -30,8 +30,12 @@ the supervision layer's answer to membership churn:
   on top of the two, writing one atomically-committed part file per
   chunk so a quiet run and a churn run produce byte-identical output.
 * :func:`sweep_scaling_curves` — the simulated strategy × rank-count
-  sweep behind ``BENCH_scaling.json`` (real processes up to the host's
-  cores; the :mod:`repro.parallel.simcluster` clock beyond, to 1,024).
+  sweep (real processes up to the host's cores; the
+  :mod:`repro.parallel.simcluster` clock beyond, to 1,024).
+* :func:`run_scaling_experiment` — the whole ``BENCH_scaling.json``
+  experiment (quiet and churn campaigns per size, the sweep, failover
+  and heterogeneous points); ``parma scale`` and
+  ``benchmarks/bench_scaling.py`` both call it.
 
 Observability: the pool emits ``elastic.*`` events and counters
 (``elastic.lease_reassigned``, ``elastic.pool_resized``,
@@ -45,6 +49,7 @@ from __future__ import annotations
 import select
 import signal
 import socket
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -54,7 +59,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.partition import hole_of_pair, make_items
-from repro.core.strategies import part_writer, share_header
+from repro.core.strategies import (
+    calibrate_sec_per_term,
+    part_writer,
+    share_header,
+)
 from repro.core.templates import (
     expected_share,
     form_worker_share,
@@ -63,11 +72,13 @@ from repro.core.templates import (
 )
 from repro.observe.observer import as_observer
 from repro.parallel import proc, pymp
+from repro.parallel.heterogeneous import HeterogeneousCluster
 from repro.parallel.simcluster import (
     HPC_FDR,
     ClusterModel,
     parallel_efficiency,
     scaling_sweep,
+    simulate_with_failures,
     speedup_curve,
 )
 from repro.parallel.workstealing import (
@@ -75,8 +86,9 @@ from repro.parallel.workstealing import (
     category_schedule,
     contiguous_schedule,
     lpt_schedule,
+    simulate_stealing_with_failures,
 )
-from repro.resilience.faults import as_injector
+from repro.resilience.faults import FaultPlan, as_injector
 from repro.resilience.supervise import Deadline, HeartbeatBoard
 
 __all__ = [
@@ -93,6 +105,7 @@ __all__ = [
     "part_files_identical",
     "scaling_strategy_schedulers",
     "sweep_scaling_curves",
+    "run_scaling_experiment",
 ]
 
 #: The parent's wait for worker messages between reap/watchdog passes.
@@ -946,8 +959,6 @@ def sweep_scaling_curves(
     if not rank_counts:
         raise ValueError("rank_counts must be non-empty")
     if sec_per_term is None:
-        from repro.core.strategies import calibrate_sec_per_term
-
         sec_per_term = calibrate_sec_per_term(n)
     items = make_items(n)
     costs = np.array([it.cost for it in items], dtype=np.float64)
@@ -968,3 +979,214 @@ def sweep_scaling_curves(
             efficiency=tuple(float(e) for e in parallel_efficiency(points)),
         )
     return curves
+
+
+# -- the BENCH_scaling.json experiment ----------------------------------------
+
+
+def _campaign_row(n: int, seed: int, common: dict) -> dict:
+    """A quiet and a churn campaign at side ``n``; one ``sizes`` row.
+
+    ``common`` holds the :func:`run_elastic_formation` arguments both
+    runs share.  The churn run SIGKILLs one worker and shrinks then
+    grows the pool mid-campaign; its part files must equal the quiet
+    run's byte for byte, or :class:`ElasticError` is raised.
+    """
+    from repro.mea.wetlab import quick_device_data
+
+    z = quick_device_data(n, seed=seed)[1]
+    workers = common["workers"]
+    obs = as_observer(common["observer"])
+    with tempfile.TemporaryDirectory() as td, obs.span(
+        "formation", strategy="elastic", n=n
+    ):
+        td = Path(td)
+        quiet = run_elastic_formation(z, output_dir=td / "quiet", **common)
+        chunks = quiet.chunks_total
+        churn = run_elastic_formation(
+            z,
+            output_dir=td / "churn",
+            faults=FaultPlan(
+                seed=seed,
+                kill_workers=(1,),
+                kill_signal=int(signal.SIGKILL),
+            ),
+            resize_schedule=[
+                (max(1, chunks // 3), max(1, workers - 1)),
+                (max(2, 2 * chunks // 3), workers),
+            ],
+            **common,
+        )
+        identical, detail = part_files_identical(td / "quiet", td / "churn")
+    if not identical:
+        raise ElasticError(
+            f"n={n}: churn campaign diverged from the quiet run ({detail})"
+        )
+    overhead = churn.elapsed_seconds / quiet.elapsed_seconds - 1.0
+    print(
+        f"n={n:3d}: quiet {quiet.elapsed_seconds:.3f}s, churn "
+        f"{churn.elapsed_seconds:.3f}s ({overhead * 100:+.1f}%); "
+        f"{detail}; {churn.leases_reassigned} lease(s) reassigned, "
+        f"{churn.pool_resizes} resize(s), {churn.workers_respawned} "
+        "respawn(s)"
+    )
+    return {
+        "n": n,
+        "chunks": chunks,
+        "terms": quiet.terms_formed,
+        "quiet_seconds": quiet.elapsed_seconds,
+        "churn_seconds": churn.elapsed_seconds,
+        "churn_overhead": overhead,
+        "leases_reassigned": churn.leases_reassigned,
+        "pool_resizes": churn.pool_resizes,
+        "workers_respawned": churn.workers_respawned,
+        "part_files_identical": True,
+        # The regress baseline: the whole campaign interval (quiet +
+        # churn), the interval the ``formation`` span above records.
+        "elastic_formation_seconds": (
+            quiet.elapsed_seconds + churn.elapsed_seconds
+        ),
+    }
+
+
+def _simulated_sweep(n: int, max_ranks: int, *, observer) -> dict:
+    """Strategy × rank sweep plus the failover/heterogeneous points."""
+    rank_counts = [1 << k for k in range(max_ranks.bit_length())]
+    calib_start = time.perf_counter()
+    sec_per_term = calibrate_sec_per_term(n)
+    calib_seconds = time.perf_counter() - calib_start
+    curves = sweep_scaling_curves(n, rank_counts, sec_per_term=sec_per_term)
+    print(
+        f"simulated strong scaling at n={n} (sec/term {sec_per_term:.2e}), "
+        f"up to {rank_counts[-1]} ranks:"
+    )
+    for curve in curves.values():
+        peak = int(np.argmax(curve.speedup))
+        print(
+            f"  {curve.strategy:>10s}: peak speedup "
+            f"{curve.speedup[peak]:.1f}x at {curve.rank_counts[peak]} "
+            f"ranks (efficiency {curve.efficiency[peak]:.3f}); at "
+            f"{curve.rank_counts[-1]} ranks speedup "
+            f"{curve.speedup[-1]:.1f}x"
+        )
+
+    costs = np.array([it.cost for it in make_items(n)], dtype=np.float64)
+    costs *= sec_per_term
+    failover_ranks = min(256, max(2, max_ranks))
+    recovery = simulate_with_failures(
+        costs, failover_ranks, HPC_FDR, failed_ranks=(1,), observer=observer
+    )
+    steal = simulate_stealing_with_failures(
+        costs,
+        num_workers=8,
+        death_times={1: float(costs.sum()) / 16.0},
+        observer=observer,
+    )
+    hetero_ranks = min(64, max(2, max_ranks))
+    classes = {
+        "old": (hetero_ranks // 2, 1.0),
+        "new": (hetero_ranks - hetero_ranks // 2, 1.8),
+    }
+    awareness = HeterogeneousCluster(classes, HPC_FDR).awareness_gain(costs)
+    overhead = recovery.total / recovery.baseline_total - 1.0
+    print(
+        f"  failover at {failover_ranks} ranks: {overhead:+.1%} over the "
+        f"quiet makespan ({recovery.tasks_redispatched} task(s) "
+        f"redispatched); stealing failover reran {steal.tasks_rerun} "
+        f"task(s); heterogeneous awareness gain at {hetero_ranks} ranks: "
+        f"{awareness:.2f}x"
+    )
+    return {
+        "sec_per_term": sec_per_term,
+        "calibration_seconds": calib_seconds,
+        "model": "HPC_FDR",
+        "curves": {
+            name: {
+                "rank_counts": list(c.rank_counts),
+                "total_seconds": list(c.total_seconds),
+                "speedup": list(c.speedup),
+                "efficiency": list(c.efficiency),
+            }
+            for name, c in curves.items()
+        },
+        "failover": {
+            "ranks": failover_ranks,
+            "failed_ranks": [1],
+            "baseline_seconds": recovery.baseline_total,
+            "recovered_seconds": recovery.total,
+            "overhead": overhead,
+            "tasks_redispatched": recovery.tasks_redispatched,
+            "stealing_tasks_rerun": steal.tasks_rerun,
+            "stealing_lost_work_seconds": steal.lost_work_seconds,
+        },
+        "heterogeneous": {
+            "ranks": hetero_ranks,
+            "classes": {name: list(c) for name, c in classes.items()},
+            "awareness_gain": awareness,
+        },
+    }
+
+
+def run_scaling_experiment(
+    sizes: Sequence[int],
+    *,
+    max_ranks: int = 1024,
+    workers: int = 3,
+    chunk_items: int = 16,
+    seed: int = 7,
+    sweep_n: int | None = None,
+    lease_timeout: float | None = 30.0,
+    observer=None,
+    deadline: Deadline | float | None = None,
+) -> dict:
+    """The §V scaling experiment; returns the ``BENCH_scaling.json`` report.
+
+    Two halves:
+
+    1. A *real* elastic formation campaign per size on this host (the
+       device from :func:`repro.mea.wetlab.quick_device_data`): a quiet
+       run, then a churn run with one worker SIGKILLed and the pool
+       shrunk then grown.  Each size is one ``formation`` span on
+       ``observer`` and one ``sizes`` row whose
+       ``elastic_formation_seconds`` (quiet + churn) is what ``parma
+       runs regress`` gates ``bench=scaling`` runs against.  A churn
+       run whose part files differ from the quiet run's raises
+       :class:`ElasticError`.  Skipped (no rows) where fork is missing.
+    2. A *simulated* strategy × rank sweep at ``sweep_n`` (default: the
+       largest size) over powers of two up to ``max_ranks``, anchored
+       to this machine's measured per-term cost, plus failover and
+       heterogeneous-awareness points.
+
+    ``lease_timeout`` and ``deadline`` go to
+    :func:`run_elastic_formation`.  One progress line per campaign and
+    per sweep curve is printed.
+    """
+    common = dict(
+        workers=workers,
+        chunk_items=chunk_items,
+        lease_timeout=lease_timeout,
+        observer=observer,
+        deadline=Deadline.coerce(deadline),
+    )
+    rows = []
+    if pymp.fork_available():
+        rows = [_campaign_row(n, seed, common) for n in sizes]
+    else:  # pragma: no cover - fork always available on test platforms
+        print("elastic campaign skipped: fork unavailable on this host")
+    sweep_n = sweep_n if sweep_n is not None else max(sizes)
+    return {
+        "benchmark": "elastic_scaling",
+        "description": (
+            "elastic campaign dispatch (quiet vs churn: one SIGKILLed "
+            "worker, pool shrunk then grown mid-run, part files verified "
+            "byte-identical) plus the simulated strategy x rank "
+            "strong-scaling sweep to 1,024 ranks"
+        ),
+        "seed": seed,
+        "workers": workers,
+        "chunk_items": chunk_items,
+        "max_ranks": max_ranks,
+        "sweep_n": sweep_n,
+        "sweep": _simulated_sweep(sweep_n, max_ranks, observer=observer),
+        "sizes": rows,
+    }

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.observe.catalog import (
+    BENCH_KINDS,
     CATALOG_SCHEMA_VERSION,
     Catalog,
     CatalogError,
@@ -18,8 +19,13 @@ from repro.observe.catalog import (
     manifest_content_hash,
     parse_since,
     summarize_run,
+    write_bench_manifests,
 )
-from repro.observe.manifest import build_manifest, write_manifest
+from repro.observe.manifest import (
+    build_manifest,
+    load_manifest,
+    write_manifest,
+)
 
 
 def make_manifest(
@@ -540,6 +546,54 @@ class TestRegress:
             catalog.ingest([directory])
             report = catalog.regress([scaling], threshold=1.5)
         assert not report.ok
+
+
+class TestBenchManifests:
+    """Every bench kind round-trips: manifests -> catalog -> regress."""
+
+    @pytest.mark.parametrize("name", sorted(BENCH_KINDS))
+    def test_round_trip_passes_the_gate(self, name, tmp_path, capsys):
+        kind = BENCH_KINDS[name]
+        rows = [
+            {"n": n, kind.key: seconds}
+            | ({kind.gauge: 3.0} if kind.gauge else {})
+            for n, seconds in ((8, 0.02), (12, 0.05))
+        ]
+        report = {"benchmark": name, "sizes": rows}
+        bench = tmp_path / kind.file
+        bench.write_text(json.dumps(report))
+        db = tmp_path / "cat.db"
+        write_bench_manifests(
+            report, tmp_path / "manifests", catalog_db=db,
+            config=lambda row: {"solver": "nested", "status": "ok"},
+        )
+        assert "ingested" in capsys.readouterr().out
+        manifest = load_manifest(
+            tmp_path / "manifests" / f"bench-{kind.tag}-n12" / "manifest.json"
+        )
+        assert manifest["config"] == {
+            "command": f"bench-{kind.tag}", "n": 12,
+            "solver": "nested", "status": "ok",
+        }
+        assert manifest["extra"]["bench"] == kind.tag
+        assert manifest["phases"][kind.phase]["total_seconds"] == pytest.approx(
+            0.05
+        )
+        with Catalog(db) as catalog:
+            gate = catalog.regress([bench], threshold=1.01)
+        assert gate.ok
+        assert sorted(c.n for c in gate.checks) == [8, 12]
+        assert {c.bench for c in gate.checks} == {kind.tag}
+        for check in gate.checks:
+            assert check.observed_seconds == pytest.approx(
+                check.baseline_seconds
+            )
+
+    def test_unknown_kind_refused(self, tmp_path):
+        with pytest.raises(CatalogError, match="unknown benchmark kind"):
+            write_bench_manifests(
+                {"benchmark": "nope", "sizes": []}, tmp_path / "m"
+            )
 
 
 class TestSchema:

@@ -332,3 +332,43 @@ class TestScalingSweep:
         a = sweep_scaling_curves(6, [1, 4, 16], sec_per_term=1e-6)
         b = sweep_scaling_curves(6, [1, 4, 16], sec_per_term=1e-6)
         assert a == b
+
+
+class TestScalingExperiment:
+    def test_report_has_the_committed_key_set(self):
+        import json
+        from pathlib import Path
+
+        from repro.parallel.elastic import run_scaling_experiment
+
+        committed = json.loads(
+            (Path(__file__).resolve().parents[2] / "BENCH_scaling.json")
+            .read_text()
+        )
+        report = run_scaling_experiment(
+            [6], max_ranks=8, chunk_items=8
+        )
+        assert set(report) == set(committed)
+        assert set(report["sweep"]) == set(committed["sweep"])
+        assert report["sweep"]["curves"]["balanced"]["rank_counts"] == [
+            1, 2, 4, 8
+        ]
+        if fork_available():
+            (row,) = report["sizes"]
+            assert set(row) == set(committed["sizes"][0])
+            assert row["n"] == 6 and row["part_files_identical"] is True
+            assert row["leases_reassigned"] >= 1
+            assert row["pool_resizes"] >= 2
+
+    @needs_fork
+    def test_diverged_churn_raises(self, monkeypatch):
+        from repro.parallel import elastic
+
+        monkeypatch.setattr(
+            elastic, "part_files_identical",
+            lambda a, b: (False, "equations-chunk00000.bin differs"),
+        )
+        with pytest.raises(ElasticError, match="n=6: churn campaign diverged"):
+            elastic.run_scaling_experiment(
+                [6], max_ranks=4, chunk_items=8
+            )

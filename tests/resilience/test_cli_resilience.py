@@ -80,7 +80,19 @@ class TestMonitorCheckpoint:
 
 class TestChaosCommand:
     def test_chaos_smoke_passes(self, capsys):
+        from repro.resilience.chaos import CHAOS_CHECKS
+
         assert main(["chaos", "--n", "6", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 6
+        for name in CHAOS_CHECKS:
+            assert f"  [PASS] {name}: " in out, name
+
+    def test_unknown_check_exits_2_naming_the_known_ones(self, capsys):
+        from repro.resilience.chaos import CHAOS_CHECKS
+
+        assert main(["chaos", "--include", "dirty,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert "unknown chaos check(s) bogus" in captured.err
+        assert f"(known: {', '.join(CHAOS_CHECKS)})" in captured.err

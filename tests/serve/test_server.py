@@ -619,6 +619,34 @@ class TestTakenAddress:
             assert err[0].startswith(f"error: cannot listen on {listen}: ")
         assert SolveClient(live.config.socket_path).ping()["kind"] == "pong"
 
+    def test_catalog_without_trace_is_valid(self, live, tmp_path, capsys):
+        """``--catalog`` alone feeds the per-request ingest: not refused."""
+        path = live.config.socket_path
+        status, err = self._run(capsys, [
+            "serve", "--socket", str(path), "--results", str(tmp_path / "r"),
+            "--catalog", str(tmp_path / "cat.db"),
+        ])
+        assert status == 2
+        assert err[0].startswith(f"error: cannot listen on {path}: ")
+
+
+class TestBenchTagNeedsTrace:
+    """``serve``/``fleet`` refuse ``--bench-tag`` without ``--trace``,
+    like every other traced command, before binding anything."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--socket", "{tmp}/s.sock", "--results", "{tmp}/r"],
+        ["fleet", "--listen", "{tmp}/f.sock", "--results", "{tmp}/r"],
+    ], ids=["serve", "fleet"])
+    def test_bench_tag_requires_trace(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--bench-tag", "serve"]) == 2
+        err = capsys.readouterr().err
+        assert "--bench-tag requires --trace" in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestCatalogIngest:
     def test_requests_land_in_catalog(self, tmp_path, measurement):

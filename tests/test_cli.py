@@ -202,38 +202,49 @@ class TestRegularizedSolver:
 
 class TestScale:
     def test_scale_writes_bench_shape(self, tmp_path, capsys):
+        """``--out`` has the committed BENCH_scaling.json's key set, and
+        the regression gate reads it as a trajectory."""
+        import json
+        from pathlib import Path
+
+        from repro.observe.catalog import load_bench_trajectory
+        from repro.parallel.pymp import fork_available
+
         out = tmp_path / "scaling.json"
         assert main([
             "scale", "--n", "8", "--ranks", "16", "--chunk-items", "32",
             "--out", str(out),
         ]) == 0
-        text = capsys.readouterr().out
-        assert "simulated strong scaling" in text
-        import json
-
+        assert "simulated strong scaling" in capsys.readouterr().out
         payload = json.loads(out.read_text())
+        committed = Path(__file__).resolve().parents[1] / "BENCH_scaling.json"
+        assert set(payload) == set(json.loads(committed.read_text()))
         assert payload["benchmark"] == "elastic_scaling"
-        assert set(payload["curves"]) >= {"contiguous", "balanced", "betti"}
-        for curve in payload["curves"].values():
+        assert (payload["sweep_n"], payload["max_ranks"]) == (8, 16)
+        curves = payload["sweep"]["curves"]
+        assert set(curves) >= {"contiguous", "balanced", "betti"}
+        for curve in curves.values():
             assert curve["rank_counts"][-1] <= 16
             assert len(curve["speedup"]) == len(curve["rank_counts"])
+        if fork_available():
+            (row,) = payload["sizes"]
+            assert row["n"] == 8 and row["part_files_identical"] is True
+            assert row["elastic_formation_seconds"] > 0
+            tag, column, baselines = load_bench_trajectory(out)
+            assert (tag, column) == ("scaling", "formation_seconds")
+            assert baselines == {8: row["elastic_formation_seconds"]}
+
+    def test_scale_divergence_exits_1(self, monkeypatch, capsys):
+        from repro.parallel import elastic
         from repro.parallel.pymp import fork_available
 
-        if fork_available():
-            assert payload["campaign"]["part_files_identical"] is True
-            assert payload["sizes"][0]["n"] == 8
-            assert payload["sizes"][0]["elastic_formation_seconds"] > 0
-
-    def test_scale_no_churn_quiet_only(self, tmp_path, capsys):
-        out = tmp_path / "scaling.json"
-        assert main([
-            "scale", "--n", "8", "--ranks", "4", "--no-churn",
-            "--out", str(out),
-        ]) == 0
-        import json
-
-        payload = json.loads(out.read_text())
-        assert "churn_overhead" not in payload["campaign"]
+        if not fork_available():
+            pytest.skip("requires os.fork")
+        monkeypatch.setattr(
+            elastic, "part_files_identical", lambda a, b: (False, "differs")
+        )
+        assert main(["scale", "--n", "6", "--ranks", "4"]) == 1
+        assert "churn campaign diverged" in capsys.readouterr().err
 
     def test_scale_traced_run_is_regressable(self, tmp_path, capsys):
         """scale --trace --catalog --bench-tag scaling feeds the gate."""
